@@ -39,7 +39,14 @@ from .errors import (
 )
 from .oracle import OracleResult, elfving_lp, oracle_variance
 from .points import SupportFamily, s_points, t_points, x_points
-from .polynomial import Polynomial, chebyshev_t, coefficient, e_polynomial, lagrange_no_intercept
+from .polynomial import (
+    Polynomial,
+    chebyshev_t,
+    coefficient,
+    e_polynomial,
+    lagrange_basis_no_intercept,
+    lagrange_no_intercept,
+)
 from .solver import (
     OptimalResult,
     case_certificate,
@@ -71,6 +78,7 @@ __all__ = [
     "elfving_lp",
     "information_matrix",
     "is_admissible",
+    "lagrange_basis_no_intercept",
     "lagrange_no_intercept",
     "optimal_supports",
     "oracle_variance",

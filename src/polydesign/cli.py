@@ -30,7 +30,7 @@ from .errors import (
     OracleFailureError,
     PolydesignError,
 )
-from .oracle import oracle_variance
+from .oracle import DEFAULT_GRID_SIZE as ORACLE_GRID_SIZE, oracle_variance
 from .solver import solve
 
 EXIT_OK = 0
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="LP cross-check of the solver")
     p_oracle.add_argument("--degree", type=int, required=True)
     p_oracle.add_argument("--coef", type=int, required=True)
-    p_oracle.add_argument("--grid", type=int, default=2001)
+    p_oracle.add_argument("--grid", type=int, default=ORACLE_GRID_SIZE)
     p_oracle.add_argument("--include-support", action="store_true")
 
     p_examples = sub.add_parser("examples", help="recompute the reference tables")

@@ -11,6 +11,7 @@ otherwise. Symmetric matrices are plain float64 numpy arrays throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ class Design:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if x.size == 0 or x.shape != w.shape:
             raise InvalidDesignError("support and weights must be non-empty and equal length")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+            raise InvalidDesignError("support points and weights must be finite")
         if np.any(np.diff(x) <= 0.0):
             raise InvalidDesignError("support must be strictly increasing")
         if x[0] < -1.0 or x[-1] > 1.0:
@@ -67,6 +70,10 @@ class DesignProblem:
     p: int
 
     def __post_init__(self):
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.p, numbers.Integral)):
+            raise InvalidProblemError(
+                f"degree and coefficient index must be integers, got {self.n!r} and {self.p!r}"
+            )
         if self.n < 1:
             raise InvalidProblemError(f"degree must be positive, got {self.n}")
         if not 1 <= self.p <= self.n:

@@ -109,13 +109,23 @@ def render_document(doc: DesignDocument) -> str:
     return "".join(pieces)
 
 
-def parse_document(text: str) -> DesignDocument:
+def _reject_constant(token: str):
+    raise DocumentError(f"non-finite number {token} in design document")
+
+
+def _loads(text: str, what: str):
+    """JSON object from ``text``; ``NaN`` and ``Infinity`` tokens are rejected."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
-        raise DocumentError(f"design document is not valid JSON: {exc}") from exc
+        raise DocumentError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise DocumentError("design document must be a JSON object")
+        raise DocumentError(f"{what} must be a JSON object")
+    return raw
+
+
+def parse_document(text: str) -> DesignDocument:
+    raw = _loads(text, "design document")
     try:
         return DesignDocument(
             degree=int(raw["degree"]),
@@ -144,12 +154,7 @@ def parse_design_file(text: str, problem: DesignProblem) -> tuple[list[Design], 
     ``{"support": [...], "weights": [...]}`` form. Invalid designs raise
     :class:`DocumentError`.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"design file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DocumentError("design file must be a JSON object")
+    raw = _loads(text, "design file")
 
     certificate = None
     if "designs" in raw:

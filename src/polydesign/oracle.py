@@ -25,9 +25,8 @@ from scipy.optimize import linprog
 from .design import Design, DesignProblem
 from .errors import OracleFailureError
 
-#: grid sizes: fast default and the finer one used for acceptance runs
+#: uniform grid size used when none is given
 DEFAULT_GRID_SIZE = 2001
-ACCEPTANCE_GRID_SIZE = 10001
 
 #: weights below this threshold are dropped from the reported design
 WEIGHT_CUTOFF = 1e-10

@@ -6,7 +6,9 @@ Coefficients are stored as float64; evaluation and the one nontrivial
 composition accumulate in extended precision because high-degree monomial
 coefficients are large and alternating. The Chebyshev generator returns
 exact integer coefficients because the recurrence only doubles and
-subtracts.
+subtracts. The intercept-free Lagrange basis of a node set is built for all
+nodes in one batched pass whose coefficients are bit-identical to forming
+each basis polynomial by its own per-node product.
 """
 
 from __future__ import annotations
@@ -119,16 +121,25 @@ def e_polynomial(k: int) -> Polynomial:
     return Polynomial(out)
 
 
-def lagrange_no_intercept(nodes, i: int) -> Polynomial:
-    """i-th Lagrange basis polynomial with zero intercept (i is 1-based).
+def lagrange_basis_no_intercept(nodes) -> np.ndarray:
+    """Coefficients of all m intercept-free Lagrange basis polynomials.
 
-    For nodes t_1, ..., t_m the polynomial is
+    Row i - 1 of the returned (m, m + 1) array holds, lowest order first,
 
         x * prod_{j != i} (x - t_j) / (t_i * prod_{j != i} (t_i - t_j)),
 
-    a degree-m polynomial that vanishes at 0 and equals delta_ij at t_j.
+    the degree-m polynomial that vanishes at 0 and equals delta_ij at t_j.
+    Column p holds the coefficients a_{i,p} of x**p, so columns 1..m form
+    the inverse of the intercept-free Vandermonde matrix V[q, i] = t_i**q.
     Nodes must be distinct and nonzero: the construction divides by t_i and
     by the pairwise node differences.
+
+    All rows are built together in m vectorized passes: pass j multiplies
+    every row except row j by (x - t_j) and every denominator except the
+    j-th by (t_i - t_j). Each row therefore sees the same multiplies and
+    adds, in the same order, as building it alone with one ``np.convolve``
+    per factor, so the coefficients are bit-identical to that per-node
+    product. The intercept column is exactly +0.0.
     """
     t = np.atleast_1d(np.asarray(nodes, dtype=float))
     m = t.size
@@ -136,14 +147,31 @@ def lagrange_no_intercept(nodes, i: int) -> Polynomial:
         raise InvalidNodesError("nodes must be nonzero")
     if np.unique(t).size != m:
         raise InvalidNodesError("nodes must be distinct")
+    numer = np.zeros((m, m + 1))
+    numer[:, 1] = 1.0  # the factor x; column 0 (the intercept) stays +0.0
+    denom = t.copy()
+    for j in range(m):
+        # coefficient q of (x - t_j) * row is row[q - 1] + row[q] * (-t_j);
+        # above a row's current degree both terms are zero and so is the sum
+        kept = numer[j].copy()
+        numer[:, 1:] = numer[:, :-1] + numer[:, 1:] * -t[j]
+        numer[j] = kept
+        diff = t - t[j]
+        diff[j] = 1.0  # skips the j-th denominator exactly
+        denom *= diff
+    numer[:, 1:] /= denom[:, None]
+    return numer
+
+
+def lagrange_no_intercept(nodes, i: int) -> Polynomial:
+    """i-th intercept-free Lagrange basis polynomial (i is 1-based).
+
+    Row i - 1 of :func:`lagrange_basis_no_intercept`, which defines the
+    polynomial, validates the nodes (distinct and nonzero) and documents
+    the bit-identity with the per-node product.
+    """
+    basis = lagrange_basis_no_intercept(nodes)
+    m = basis.shape[0]
     if not 1 <= i <= m:
         raise ValueError(f"node index {i} out of range 1..{m}")
-    ti = t[i - 1]
-    numer = np.array([0.0, 1.0])  # the factor x; keeps the intercept exactly 0
-    denom = ti
-    for j in range(m):
-        if j == i - 1:
-            continue
-        numer = np.convolve(numer, np.array([-t[j], 1.0]))
-        denom *= ti - t[j]
-    return Polynomial(numer / denom)
+    return Polynomial(basis[i - 1])

@@ -33,7 +33,7 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .points import s_points, t_points, x_points
-from .polynomial import Polynomial, chebyshev_t, coefficient, e_polynomial, lagrange_no_intercept
+from .polynomial import Polynomial, chebyshev_t, e_polynomial, lagrange_basis_no_intercept
 
 CASE_A = "A"
 CASE_B = "B"
@@ -89,15 +89,40 @@ def _certificate_values(case_tag: str, k: int, support: np.ndarray) -> np.ndarra
     return (-1.0) ** (idx + 1)
 
 
-def _sign_consistent(support: np.ndarray, p: int, cert_values: np.ndarray) -> bool:
-    # the closed-form weights solve the certificate identity with positive
-    # masses iff sign(a_{i,p}) * sign(P(t_i)) is constant over the support
-    try:
-        _, _, signs = weights_from_lagrange(support, p)
-    except DegenerateCoefficientError:
-        return False
-    s = signs * cert_values
-    return bool(np.all(s == s[0]))
+def _solved_supports(problem: DesignProblem) -> list[tuple[np.ndarray, np.ndarray, float, np.ndarray]]:
+    """(support, weights, h, signs) of each optimal design, in the order of
+    :func:`optimal_supports`; case C keeps the weights its validation computed."""
+    tag, k = classify(problem)
+    p = problem.p
+    if tag in (CASE_A, CASE_B):
+        support = t_points(k).points if tag == CASE_A else s_points(k).points
+        return [(support, *weights_from_lagrange(support, p))]
+    xs = x_points(k).points  # 2k + 2 candidates
+    values = (-1.0) ** np.arange(1, 2 * k + 3)  # certificate values at xs
+
+    def solved(d):
+        # the closed-form weights solve the certificate identity with positive
+        # masses iff sign(a_{i,p}) * sign(P(t_i)) is constant over the support
+        support = np.delete(xs, d)
+        try:
+            w, h, signs = weights_from_lagrange(support, p)
+        except DegenerateCoefficientError:
+            return None
+        s = signs * np.delete(values, d)
+        return (support, w, h, signs) if np.all(s == s[0]) else None
+
+    pair = []
+    for d in [2 * k + 1, 0] if p == 1 else [k, k + 1]:
+        entry = solved(d)
+        if entry is None:  # the usual pair fails: scan every candidate drop
+            pair = [e for e in map(solved, range(2 * k + 1, -1, -1)) if e is not None]
+            if len(pair) != 2:
+                raise NumericalDegeneracyError(
+                    f"expected exactly two consistent supports for {problem}, found {len(pair)}"
+                )
+            break
+        pair.append(entry)
+    return pair
 
 
 def optimal_supports(problem: DesignProblem) -> list[np.ndarray]:
@@ -112,34 +137,17 @@ def optimal_supports(problem: DesignProblem) -> list[np.ndarray]:
     the sign criterion and, when it fails, the unique consistent pair is
     found by scanning all 2k + 2 candidates (largest dropped index first).
     """
-    tag, k = classify(problem)
-    if tag == CASE_A:
-        return [t_points(k).points]
-    if tag == CASE_B:
-        return [s_points(k).points]
-    xs = x_points(k).points  # 2k + 2 candidates
-    values = (-1.0) ** np.arange(1, 2 * k + 3)  # certificate values at xs
-    drops = [2 * k + 1, 0] if problem.p == 1 else [k, k + 1]
-    if not all(
-        _sign_consistent(np.delete(xs, d), problem.p, np.delete(values, d)) for d in drops
-    ):
-        drops = [
-            d
-            for d in range(2 * k + 2)
-            if _sign_consistent(np.delete(xs, d), problem.p, np.delete(values, d))
-        ][::-1]
-        if len(drops) != 2:
-            raise NumericalDegeneracyError(
-                f"expected exactly two consistent supports for {problem}, found {len(drops)}"
-            )
-    return [np.delete(xs, d) for d in drops]
+    return [entry[0] for entry in _solved_supports(problem)]
 
 
 def weights_from_lagrange(support, p: int) -> tuple[np.ndarray, float, np.ndarray]:
     """Closed-form weights for a support, plus the scaling constant h.
 
-    Computes a_{i,p} = coefficient of x**p in the i-th intercept-free
-    Lagrange basis polynomial of the support and returns
+    Takes a_{i,p}, the coefficient of x**p in the i-th intercept-free
+    Lagrange basis polynomial of the support, from column p of
+    :func:`~polydesign.polynomial.lagrange_basis_no_intercept`, which builds
+    all m basis polynomials in one batched pass (bit-identical to building
+    each one by its own product), and returns
     (|a| / sum|a|, sum|a|, sign(a)). Raises
     :class:`DegenerateCoefficientError` when any coefficient is numerically
     zero, which signals a support/index combination with no positive-weight
@@ -151,7 +159,7 @@ def weights_from_lagrange(support, p: int) -> tuple[np.ndarray, float, np.ndarra
         raise InvalidProblemError(f"coefficient index {p} not in 1..{m}")
     if t[0] < -1.0 or t[-1] > 1.0:
         raise ValueError("support must lie in [-1, 1]")
-    a = np.array([coefficient(lagrange_no_intercept(t, i), p) for i in range(1, m + 1)])
+    a = lagrange_basis_no_intercept(t)[:, p]
     abs_a = np.abs(a)
     if np.any(abs_a <= 1e-12 * abs_a.max()):
         raise DegenerateCoefficientError(
@@ -196,15 +204,13 @@ def solve(problem: DesignProblem) -> OptimalResult:
     :class:`NumericalDegeneracyError` instead of returning a bad design.
     """
     tag, k = classify(problem)
-    supports = optimal_supports(problem)
     cert0 = case_certificate(tag, k, problem.n)
 
     designs: list[Design] = []
     cert_values: list[np.ndarray] = []
     h = 0.0
     sigma = 0.0
-    for support in supports:
-        w, h_s, signs = weights_from_lagrange(support, problem.p)
+    for support, w, h_s, signs in _solved_supports(problem):
         if tag in (CASE_A, CASE_B):
             w = _symmetrized(w)
         values = _certificate_values(tag, k, support)

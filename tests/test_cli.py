@@ -90,6 +90,23 @@ def test_verify_invalid_weight_sum_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("full_document", [False, True])
+def test_verify_non_finite_token_exits_2(tmp_path, capsys, token, full_document):
+    if full_document:
+        text = render_document(document_from_result(solve(DesignProblem(3, 3))))
+        text = text.replace("-1,", f"{token},", 1)
+    else:
+        text = f'{{"support": [-1.0, {token}, 1.0], "weights": [0.2, 0.5, 0.3]}}'
+    assert token in text
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text)
+    code, out = run_cli(["verify", "--file", str(path), "--degree", "3", "--coef", "3"])
+    assert code == 2
+    assert out == ""
+    assert f"error: non-finite number {token}" in capsys.readouterr().err
+
+
 def test_verify_unreadable_file_exits_2(tmp_path):
     code, _ = run_cli(["verify", "--file", str(tmp_path / "missing.json"),
                        "--degree", "3", "--coef", "3"])

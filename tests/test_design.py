@@ -35,6 +35,31 @@ def test_design_validation():
         Design([], [])
 
 
+@pytest.mark.parametrize(
+    "support, weights",
+    [
+        ([math.nan, 0.5], [0.5, 0.5]),
+        ([-0.5, math.inf], [0.5, 0.5]),
+        ([-0.5, 0.5], [math.nan, 0.5]),
+        ([-0.5, 0.5], [0.5, -math.inf]),
+    ],
+)
+def test_design_rejects_non_finite_values(support, weights):
+    with pytest.raises(InvalidDesignError, match="finite"):
+        Design(support, weights)
+
+
+@pytest.mark.parametrize("n, p", [(3.5, 1), (3, 1.0), ("3", 1), (np.float64(4.0), 2)])
+def test_problem_rejects_non_integral_indices(n, p):
+    with pytest.raises(InvalidProblemError, match="integers"):
+        DesignProblem(n, p)
+
+
+def test_problem_accepts_numpy_integers():
+    problem = DesignProblem(np.int64(3), np.int32(2))
+    assert problem == DesignProblem(3, 2)
+
+
 def test_problem_validation():
     with pytest.raises(InvalidProblemError):
         DesignProblem(0, 1)

@@ -14,6 +14,8 @@ from polydesign import (
     e_polynomial,
     lagrange_no_intercept,
 )
+from polydesign.points import s_points, t_points
+from polydesign.polynomial import lagrange_basis_no_intercept
 
 SQRT2 = math.sqrt(2.0)
 
@@ -156,6 +158,76 @@ def test_lagrange_rejects_bad_nodes():
         lagrange_no_intercept([-1.0, 0.0, 0.5], 1)
     with pytest.raises(ValueError):
         lagrange_no_intercept([-1.0, 0.5], 3)
+
+
+def _per_node_product(nodes, i):
+    # the construction the batched basis reproduces: one np.convolve per factor
+    t = np.asarray(nodes, dtype=float)
+    numer, denom = np.array([0.0, 1.0]), t[i - 1]
+    for j in range(t.size):
+        if j != i - 1:
+            numer = np.convolve(numer, np.array([-t[j], 1.0]))
+            denom *= t[i - 1] - t[j]
+    return numer / denom
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        [0.75],
+        [-1.0, 0.5, 1.0],
+        [-0.9, -0.3, 0.2, 0.6, 1.0],
+        list(t_points(12).points),
+        list(s_points(15).points),
+    ],
+)
+def test_lagrange_basis_rows_match_per_node_product_bit_for_bit(nodes):
+    basis = lagrange_basis_no_intercept(nodes)
+    m = len(nodes)
+    assert basis.shape == (m, m + 1)
+    # the intercept column is exactly +0.0; the per-node product may carry -0.0
+    assert np.all(basis[:, 0] == 0.0) and not np.any(np.signbit(basis[:, 0]))
+    for i in range(1, m + 1):
+        row = lagrange_no_intercept(nodes, i).coeffs
+        np.testing.assert_array_equal(row.view(np.int64), basis[i - 1].view(np.int64))
+        expected = _per_node_product(nodes, i)
+        np.testing.assert_array_equal(row[1:].view(np.int64), expected[1:].view(np.int64))
+
+
+def test_lagrange_basis_rejects_bad_nodes():
+    with pytest.raises(InvalidNodesError):
+        lagrange_basis_no_intercept([-1.0, -1.0, 0.5])
+    with pytest.raises(InvalidNodesError):
+        lagrange_basis_no_intercept([-1.0, 0.0, 0.5])
+    with pytest.raises(ValueError):
+        lagrange_no_intercept([-1.0, 0.5], 0)
+
+
+def test_lagrange_basis_matches_mpmath_at_degree_30():
+    # 60-digit recomputation from the same double nodes. Column p holds the
+    # a_{i,p} that give h = sum_i |a_{i,p}| and the weights; it agrees to
+    # 1e-12 relative in that 1-norm (3.1e-13 worst), while single entries
+    # agree to 2.3e-12 relative (worst: s-points, p = 19).
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for nodes, parity in ((t_points(15).points, 0), (s_points(15).points, 1)):
+            exact = [mpmath.mpf(float(x)) for x in nodes]
+            reference = []
+            for i, ti in enumerate(exact):
+                numer, denom = [mpmath.mpf(0), mpmath.mpf(1)], ti
+                for j, tj in enumerate(exact):
+                    if j != i:
+                        numer = [a - tj * b for a, b in zip([0] + numer, numer + [0])]
+                        denom *= ti - tj
+                reference.append([c / denom for c in numer])
+            basis = lagrange_basis_no_intercept(nodes)
+            for p in range(1, 31):
+                if p % 2 != parity:  # the (n = 30, p) problems use this support
+                    continue
+                ref = [row[p] for row in reference]
+                errors = [abs(mpmath.mpf(float(a)) - r) for a, r in zip(basis[:, p], ref)]
+                assert sum(errors) <= 1e-12 * sum(abs(r) for r in ref), p
+                assert all(e <= 1e-11 * abs(r) for e, r in zip(errors, ref)), p
 
 
 def test_coefficient_golden_values():

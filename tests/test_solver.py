@@ -1,7 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import polydesign.solver
 
 from polydesign import (
     Design,
@@ -224,3 +228,40 @@ def test_symmetric_system_check_detects_tampered_weights():
     w[2] -= 0.02
     tampered = Design(good.support, w)
     assert not symmetric_system_check(problem, tampered)
+
+
+def test_solve_matches_golden_bits():
+    # float.hex of h and of every support point and weight for all 465
+    # problems with n <= 30, as produced by the per-node Lagrange product;
+    # the batched basis must reproduce every bit
+    golden = json.loads((Path(__file__).parent / "data" / "solve_golden.json").read_text())
+    assert len(golden) == 465
+    for entry in golden:
+        result = solve(DesignProblem(entry["n"], entry["p"]))
+        got = {
+            "n": entry["n"],
+            "p": entry["p"],
+            "h": float(result.h).hex(),
+            "designs": [
+                {"support": [float(x).hex() for x in d.support],
+                 "weights": [float(w).hex() for w in d.weights]}
+                for d in result.designs
+            ],
+        }
+        assert got == entry
+
+
+@pytest.mark.parametrize("key, calls", [((3, 2), 1), ((4, 3), 1), ((5, 3), 2), ((9, 3), 11)])
+def test_solve_computes_each_weight_vector_once(monkeypatch, key, calls):
+    # case C validates its supports by their weights and reuses them; the
+    # fallback scan at (9, 3) tries one central drop, then all 2k + 2 = 10
+    seen = []
+    original = polydesign.solver.weights_from_lagrange
+
+    def counting(support, p):
+        seen.append(len(support))
+        return original(support, p)
+
+    monkeypatch.setattr(polydesign.solver, "weights_from_lagrange", counting)
+    solve(DesignProblem(*key))
+    assert len(seen) == calls
