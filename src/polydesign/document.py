@@ -124,12 +124,22 @@ def _loads(text: str, what: str):
     return raw
 
 
+def _integer(raw, key: str) -> int:
+    """``raw[key]`` as an int; non-integral numbers and non-numbers are rejected."""
+    value = raw[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DocumentError(f"{key} must be an integer, got {value!r}")
+
+
 def parse_document(text: str) -> DesignDocument:
     raw = _loads(text, "design document")
     try:
         return DesignDocument(
-            degree=int(raw["degree"]),
-            coef=int(raw["coef"]),
+            degree=_integer(raw, "degree"),
+            coef=_integer(raw, "coef"),
             case_tag=str(raw["case_tag"]),
             designs=[
                 {

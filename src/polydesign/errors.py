@@ -11,7 +11,7 @@ class PolydesignError(Exception):
 
 
 class InvalidNodesError(PolydesignError, ValueError):
-    """Interpolation nodes are not distinct or contain zero."""
+    """Interpolation nodes are not finite, not distinct or contain zero."""
 
 
 class InvalidOrderError(PolydesignError, ValueError):

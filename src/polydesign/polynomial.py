@@ -131,8 +131,8 @@ def lagrange_basis_no_intercept(nodes) -> np.ndarray:
     the degree-m polynomial that vanishes at 0 and equals delta_ij at t_j.
     Column p holds the coefficients a_{i,p} of x**p, so columns 1..m form
     the inverse of the intercept-free Vandermonde matrix V[q, i] = t_i**q.
-    Nodes must be distinct and nonzero: the construction divides by t_i and
-    by the pairwise node differences.
+    Nodes must be finite, distinct and nonzero: the construction divides by
+    t_i and by the pairwise node differences.
 
     All rows are built together in m vectorized passes: pass j multiplies
     every row except row j by (x - t_j) and every denominator except the
@@ -143,6 +143,8 @@ def lagrange_basis_no_intercept(nodes) -> np.ndarray:
     """
     t = np.atleast_1d(np.asarray(nodes, dtype=float))
     m = t.size
+    if not np.all(np.isfinite(t)):
+        raise InvalidNodesError("nodes must be finite")
     if np.any(t == 0.0):
         raise InvalidNodesError("nodes must be nonzero")
     if np.unique(t).size != m:
@@ -167,8 +169,8 @@ def lagrange_no_intercept(nodes, i: int) -> Polynomial:
     """i-th intercept-free Lagrange basis polynomial (i is 1-based).
 
     Row i - 1 of :func:`lagrange_basis_no_intercept`, which defines the
-    polynomial, validates the nodes (distinct and nonzero) and documents
-    the bit-identity with the per-node product.
+    polynomial, validates the nodes (finite, distinct and nonzero) and
+    documents the bit-identity with the per-node product.
     """
     basis = lagrange_basis_no_intercept(nodes)
     m = basis.shape[0]

@@ -107,6 +107,21 @@ def test_verify_non_finite_token_exits_2(tmp_path, capsys, token, full_document)
     assert f"error: non-finite number {token}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fields", [{"degree": 3.9, "coef": 3.2}, {"coef": 3.5}, {"degree": "3"}, {"coef": True}]
+)
+def test_verify_non_integral_problem_exits_2(tmp_path, capsys, fields):
+    # int() used to truncate 3.9 and 3.2 to the requested problem (3, 3)
+    raw = json.loads(render_document(document_from_result(solve(DesignProblem(3, 3)))))
+    raw.update(fields)
+    path = tmp_path / "non_integral.json"
+    path.write_text(json.dumps(raw))
+    code, out = run_cli(["verify", "--file", str(path), "--degree", "3", "--coef", "3"])
+    assert code == 2
+    assert out == ""
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_verify_unreadable_file_exits_2(tmp_path):
     code, _ = run_cli(["verify", "--file", str(tmp_path / "missing.json"),
                        "--degree", "3", "--coef", "3"])

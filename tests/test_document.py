@@ -79,3 +79,12 @@ def test_parse_design_file_rejects_garbage():
         parse_design_file('{"foo": 1}', problem)
     with pytest.raises(DocumentError):
         parse_document('["not", "an", "object"]')
+
+
+def test_parse_document_rejects_overflowing_degree():
+    # json reads 1e400 as inf, which int() used to reject with OverflowError
+    text = render_document(document_from_result(solve(DesignProblem(3, 3))))
+    text = text.replace('"degree": 3', '"degree": 1e400', 1)
+    assert "1e400" in text
+    with pytest.raises(DocumentError, match="must be an integer"):
+        parse_document(text)

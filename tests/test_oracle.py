@@ -2,10 +2,39 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from polydesign import DesignProblem, elfving_lp, oracle_variance, solve
+import polydesign.oracle
+from polydesign import DesignProblem, OracleFailureError, elfving_lp, oracle_variance, solve
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _primal_variance(problem, grid):
+    # Reference: the primal signed-atom LP over the whole grid,
+    #   maximize t  s.t.  sum_j (lam+_j - lam-_j) f(x_j) = t e_p,
+    #                     sum_j (lam+_j + lam-_j) = 1,  lam+, lam- >= 0,
+    # one column per grid point and sign, with variance 1 / t**2.
+    g = np.unique(np.asarray(grid, dtype=float))
+    n, p, j = problem.n, problem.p, g.size
+    powers = np.vstack([g**q for q in range(1, n + 1)])
+    a_eq = np.zeros((n + 1, 2 * j + 1))
+    a_eq[:n, :j] = powers
+    a_eq[:n, j : 2 * j] = -powers
+    a_eq[p - 1, -1] = -1.0
+    a_eq[n, : 2 * j] = 1.0
+    b_eq = np.zeros(n + 1)
+    b_eq[n] = 1.0
+    cost = np.zeros(2 * j + 1)
+    cost[-1] = -1.0
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs", options=options)
+    if not res.success:
+        raise OracleFailureError(f"LP did not terminate with an optimum: {res.message}")
+    t = float(res.x[-1])
+    if t <= 0.0:
+        raise OracleFailureError("LP returned a nonpositive scaling")
+    return 1.0 / (t * t)
 
 
 def test_lp_degree_one_three_point_grid():
@@ -80,3 +109,45 @@ def test_oracle_lower_bound_property(n, p):
 def test_oracle_variance_validates_grid_size():
     with pytest.raises(ValueError):
         oracle_variance(DesignProblem(5, 1), grid_size=1)
+
+
+@pytest.mark.parametrize("n,p", [(1, 1), (2, 1), (3, 3), (4, 2), (5, 4), (6, 1)])
+def test_exchange_matches_primal_lp(n, p):
+    problem = DesignProblem(n, p)
+    grid = np.linspace(-1.0, 1.0, 2001)
+    reference = _primal_variance(problem, grid)
+    assert elfving_lp(problem, grid).variance == pytest.approx(reference, rel=1e-9)
+
+
+def test_unrepresentable_target_fails_in_both_formulations():
+    # f(-1) and f(1) span no multiple of e_3: the primal's best scaling is
+    # t = 0 and the dual is unbounded
+    problem, grid = DesignProblem(3, 3), [-1.0, 0.0, 1.0]
+    with pytest.raises(OracleFailureError):
+        _primal_variance(problem, grid)
+    with pytest.raises(OracleFailureError):
+        elfving_lp(problem, grid)
+
+
+@pytest.mark.parametrize("n,p", [(1, 1), (4, 2), (8, 5)])
+def test_lp_reports_exchange(n, p):
+    lp = elfving_lp(DesignProblem(n, p), np.linspace(-1.0, 1.0, 10001))
+    assert lp.iterations >= 1
+    assert lp.active_size >= lp.design.size >= 1
+
+
+def test_exchange_cap_raises(monkeypatch):
+    problem, grid = DesignProblem(8, 5), np.linspace(-1.0, 1.0, 10001)
+    assert elfving_lp(problem, grid).iterations > 1
+    monkeypatch.setattr(polydesign.oracle, "MAX_EXCHANGES", 1)
+    with pytest.raises(OracleFailureError, match="did not converge"):
+        elfving_lp(problem, grid)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_oracle_agreement_degrees_9_and_10(n):
+    for p in range(1, n + 1):
+        problem = DesignProblem(n, p)
+        variance = solve(problem).variance
+        included = oracle_variance(problem, grid_size=10001, include_solver_support=True)
+        assert included == pytest.approx(variance, rel=1e-7), (n, p)

@@ -11,6 +11,7 @@ from polydesign import (
     Design,
     DesignProblem,
     DegenerateCoefficientError,
+    InvalidNodesError,
     InvalidProblemError,
     classify,
     is_admissible,
@@ -19,6 +20,7 @@ from polydesign import (
     symmetric_system_check,
     weights_from_lagrange,
 )
+from polydesign.polynomial import lagrange_basis_no_intercept
 
 SQRT2 = math.sqrt(2.0)
 RADICAL = math.sqrt(SQRT2 - 1.0)
@@ -81,6 +83,15 @@ def test_weights_from_lagrange_validates():
         weights_from_lagrange([-1.0, 1.0], 3)
     with pytest.raises(ValueError):
         weights_from_lagrange([-1.0, 1.5], 1)
+
+
+@pytest.mark.parametrize("nodes", [[math.nan, 0.5], [-0.5, math.nan, 1.0]])
+def test_non_finite_nodes_raise(nodes):
+    # a NaN node slips past the [-1, 1] support check and used to yield NaN weights
+    with pytest.raises(InvalidNodesError):
+        lagrange_basis_no_intercept(nodes)
+    with pytest.raises(InvalidNodesError):
+        weights_from_lagrange(nodes, 1)
 
 
 # Reference tables (exact fractions/radicals in double precision).
