@@ -13,17 +13,18 @@ variance against a linear-programming oracle on a discretized design space.
 16.0
 """
 
+__version__ = "0.1.0"  # set before the submodules import it
+
 from .design import (
     Design,
     DesignProblem,
     information_matrix,
-    is_admissible,
     phi_c,
     pseudo_inverse,
     regression_vector,
 )
 from .document import DesignDocument, document_from_result, parse_design_file, parse_document, render_document
-from .elfving import ElfvingReport, certificate_for, verify
+from .elfving import ElfvingReport, verify
 from .errors import (
     DegenerateCoefficientError,
     DocumentError,
@@ -49,15 +50,12 @@ from .polynomial import (
 )
 from .solver import (
     OptimalResult,
-    case_certificate,
+    certificate_for,
     classify,
     optimal_supports,
     solve,
-    symmetric_system_check,
     weights_from_lagrange,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Design",
@@ -68,7 +66,6 @@ __all__ = [
     "OracleResult",
     "Polynomial",
     "SupportFamily",
-    "case_certificate",
     "certificate_for",
     "chebyshev_t",
     "classify",
@@ -77,7 +74,6 @@ __all__ = [
     "e_polynomial",
     "elfving_lp",
     "information_matrix",
-    "is_admissible",
     "lagrange_basis_no_intercept",
     "lagrange_no_intercept",
     "optimal_supports",
@@ -90,7 +86,6 @@ __all__ = [
     "render_document",
     "s_points",
     "solve",
-    "symmetric_system_check",
     "t_points",
     "verify",
     "weights_from_lagrange",

@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from .design import DesignProblem
-from .document import document_from_result, parse_design_file, render_document
-from .elfving import DEFAULT_GRID_SIZE, ElfvingReport, certificate_for, verify
+from .document import document_from_result, format_float as _fmt, parse_design_file, render_document
+from .elfving import CONDITION_TOL, DEFAULT_GRID_SIZE, ElfvingReport, verify
 from .errors import (
     DocumentError,
     InvalidProblemError,
@@ -31,7 +31,7 @@ from .errors import (
     PolydesignError,
 )
 from .oracle import DEFAULT_GRID_SIZE as ORACLE_GRID_SIZE, oracle_variance
-from .solver import solve
+from .solver import certificate_for, solve
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -63,15 +63,9 @@ REFERENCE_DESIGNS = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _check_problem(degree: int, coef: int) -> DesignProblem:
     if not 1 <= degree <= MAX_DEGREE:
         raise InvalidProblemError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
-    if not 1 <= coef <= degree:
-        raise InvalidProblemError(f"coef must be in 1..{degree}, got {coef}")
     return DesignProblem(n=degree, p=coef)
 
 
@@ -163,6 +157,8 @@ def cmd_oracle(args, out) -> int:
 
 
 def cmd_examples(args, out) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {args.tol!r}")
     max_dev = 0.0
     rows = []
     for degree, coef, tables in REFERENCE_DESIGNS:
@@ -214,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--degree", type=int, required=True)
     p_verify.add_argument("--coef", type=int, required=True)
     p_verify.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
-    p_verify.add_argument("--tol", type=float, default=1e-9,
+    p_verify.add_argument("--tol", type=float, default=CONDITION_TOL,
                           help="per-condition tolerance")
 
     p_oracle = sub.add_parser("oracle", help="LP cross-check of the solver")

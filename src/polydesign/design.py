@@ -24,7 +24,7 @@ RANK_TOL = 1e-10
 #: absolute tolerance on the weight sum of a valid design
 WEIGHT_SUM_TOL = 1e-12
 
-#: column-space membership tolerance used by :func:`is_admissible`
+#: column-space membership tolerance used by :func:`phi_c`
 ADMISSIBLE_TOL = 1e-8
 
 
@@ -85,11 +85,18 @@ class DesignProblem:
         return e
 
 
-def regression_vector(x: float, n: int) -> np.ndarray:
-    """(x, x**2, ..., x**n) -- no leading 1, the model has no intercept."""
+def regression_vector(x, n: int) -> np.ndarray:
+    """f(x) = (x, x**2, ..., x**n) -- no leading 1, the model has no intercept.
+
+    For an array of m points the result is the (n, m) matrix whose column j
+    is f(x_j); a scalar gives shape (n,). This is the only place the model's
+    regression basis is written down. Each power is its own ``x**q``, so the
+    rows are bit-identical to computing the powers one by one.
+    """
     if n < 1:
         raise InvalidDegreeError("degree must be at least 1")
-    return np.asarray(x, dtype=float) ** np.arange(1, n + 1)
+    x = np.asarray(x, dtype=float)
+    return np.stack([x**q for q in range(1, n + 1)])
 
 
 def information_matrix(design: Design, n: int) -> np.ndarray:
@@ -109,10 +116,10 @@ def information_matrix(design: Design, n: int) -> np.ndarray:
     return m
 
 
-def pseudo_inverse(m: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, int]:
+def pseudo_inverse(m: np.ndarray) -> tuple[np.ndarray, int]:
     """Moore-Penrose inverse of a symmetric matrix via eigendecomposition.
 
-    Eigenvalues with ``|lam| <= rank_tol * max|lam|`` are treated as zero;
+    Eigenvalues with ``|lam| <= RANK_TOL * max|lam|`` are treated as zero;
     the second return value is the resulting numerical rank. The zero matrix
     maps to the zero matrix with rank 0.
     """
@@ -123,7 +130,7 @@ def pseudo_inverse(m: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarra
     if np.abs(a - a.T).max(initial=0.0) > 1e-14 * max(1.0, scale):
         raise ValueError("matrix must be symmetric")
     lam, vecs = np.linalg.eigh(a)
-    cutoff = rank_tol * np.abs(lam).max(initial=0.0)
+    cutoff = RANK_TOL * np.abs(lam).max(initial=0.0)
     keep = np.abs(lam) > cutoff
     inv_lam = np.where(keep, 1.0, 0.0)
     inv_lam[keep] = 1.0 / lam[keep]
@@ -132,22 +139,15 @@ def pseudo_inverse(m: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarra
     return pinv, int(np.count_nonzero(keep))
 
 
-def is_admissible(design: Design, c, n: int) -> bool:
-    """True iff ``c`` lies in the column space of the information matrix."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (n,):
-        raise ValueError(f"coefficient vector must have length {n}")
-    m = information_matrix(design, n)
-    pinv, _ = pseudo_inverse(m)
-    resid = np.abs(m @ (pinv @ c) - c).max()
-    return bool(resid <= ADMISSIBLE_TOL * max(1.0, np.abs(c).max()))
-
-
 def phi_c(design: Design, c, n: int) -> float:
     """Criterion value c^T M^+ c, or ``math.inf`` when c is not estimable.
 
-    For admissible designs the value does not depend on the choice of
-    generalized inverse; infinity is a sentinel value, not an error.
+    This is the library's one estimability test: c is estimable under the
+    design iff it lies in the column space of M, checked as
+    ``|M M^+ c - c| <= ADMISSIBLE_TOL * max(1, |c|)``, so
+    ``math.isfinite(phi_c(...))`` answers "is c estimable?". For estimable
+    c the value does not depend on the choice of generalized inverse;
+    infinity is a sentinel value, not an error.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (n,):

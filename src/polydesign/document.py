@@ -11,20 +11,14 @@ losslessly. Design files may be either a full document or the minimal form
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .design import Design, DesignProblem
+from . import __version__
+from .design import RANK_TOL, Design, DesignProblem
+from .elfving import CONDITION_TOL, VARIANCE_RTOL
 from .errors import DocumentError, InvalidDesignError
 from .polynomial import Polynomial
 from .solver import OptimalResult
-
-#: metadata recorded in every rendered document
-TOOL_VERSION = "0.1.0"
-_DEFAULT_TOLERANCES = {
-    "rank_tol": 1e-10,
-    "condition_tol": 1e-9,
-    "variance_rtol": 1e-8,
-}
 
 
 @dataclass
@@ -40,7 +34,14 @@ class DesignDocument:
 
 
 def document_from_result(result: OptimalResult, grid_size: int | None = None) -> DesignDocument:
-    metadata: dict = {"version": TOOL_VERSION, "tolerances": dict(_DEFAULT_TOLERANCES)}
+    metadata: dict = {
+        "version": __version__,
+        "tolerances": {
+            "rank_tol": RANK_TOL,
+            "condition_tol": CONDITION_TOL,
+            "variance_rtol": VARIANCE_RTOL,
+        },
+    }
     if grid_size is not None:
         metadata["grid_size"] = int(grid_size)
     return DesignDocument(
@@ -56,6 +57,11 @@ def document_from_result(result: OptimalResult, grid_size: int | None = None) ->
         certificate_coeffs=[float(c) for c in result.certificate.coeffs],
         metadata=metadata,
     )
+
+
+def format_float(x) -> str:
+    """The 17-significant-digit text of a float, enough to reproduce it exactly."""
+    return format(float(x), ".17g")
 
 
 def _emit(value, indent: int, pieces: list[str]) -> None:
@@ -80,7 +86,7 @@ def _emit(value, indent: int, pieces: list[str]) -> None:
     elif isinstance(value, bool):
         pieces.append("true" if value else "false")
     elif isinstance(value, float):
-        pieces.append(format(value, ".17g"))
+        pieces.append(format_float(value))
     elif isinstance(value, int):
         pieces.append(str(value))
     elif isinstance(value, str):
@@ -93,18 +99,8 @@ def _emit(value, indent: int, pieces: list[str]) -> None:
 
 def render_document(doc: DesignDocument) -> str:
     """Deterministic JSON text with 17-significant-digit floats."""
-    payload = {
-        "degree": doc.degree,
-        "coef": doc.coef,
-        "case_tag": doc.case_tag,
-        "designs": doc.designs,
-        "variance": doc.variance,
-        "h": doc.h,
-        "certificate_coeffs": doc.certificate_coeffs,
-        "metadata": doc.metadata,
-    }
     pieces: list[str] = []
-    _emit(payload, 0, pieces)
+    _emit(asdict(doc), 0, pieces)
     pieces.append("\n")
     return "".join(pieces)
 

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, DesignProblem, phi_c
+from .design import Design, DesignProblem, phi_c, regression_vector
 from .errors import InvalidCertificateError
 from .polynomial import Polynomial
-from .solver import case_certificate, classify
 
 #: default evaluation grid for condition (1)
 DEFAULT_GRID_SIZE = 10001
@@ -59,18 +58,6 @@ class ElfvingReport:
     verdict: bool
 
 
-def certificate_for(problem: DesignProblem) -> Polynomial:
-    """Canonical certificate for a problem, padded to degree n.
-
-    The even equioscillating polynomial for even p, the Chebyshev
-    polynomial of degree n - 1 for odd p with n even, and the Chebyshev
-    polynomial of degree n for odd p with n odd. For (n, p) = (3, 2) this
-    picks x**2 out of the one-parameter family of valid certificates.
-    """
-    tag, k = classify(problem)
-    return case_certificate(tag, k, problem.n)
-
-
 def verify(
     design: Design,
     problem: DesignProblem,
@@ -78,7 +65,6 @@ def verify(
     grid_size: int = DEFAULT_GRID_SIZE,
     *,
     condition_tol: float = CONDITION_TOL,
-    variance_rtol: float = VARIANCE_RTOL,
 ) -> ElfvingReport:
     """Check the three certificate conditions and both variance paths.
 
@@ -88,11 +74,22 @@ def verify(
     (3); the residual is then reported over all n coordinates. An
     inadmissible design yields ``variance_matrix = inf`` and a False
     verdict.
+
+    The certificate must lie in the model's span: a nonzero coefficient
+    beyond x**n raises :class:`InvalidCertificateError` (trailing zeros are
+    allowed), and so does a nonzero intercept. A non-finite or negative
+    ``condition_tol`` raises ``ValueError``.
     """
     if grid_size < 101:
         raise ValueError("grid_size must be at least 101")
+    if not (math.isfinite(condition_tol) and condition_tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {condition_tol!r}")
     if certificate.coeffs[0] != 0.0:
         raise InvalidCertificateError("certificate must have zero intercept")
+    if certificate.degree > problem.n:
+        raise InvalidCertificateError(
+            f"certificate has degree {certificate.degree}, above the model degree {problem.n}"
+        )
 
     xs = np.union1d(np.linspace(-1.0, 1.0, grid_size), design.support)
     grid_max = float(np.abs(certificate(xs)).max())
@@ -106,8 +103,7 @@ def verify(
 
     variance_matrix = phi_c(design, problem.unit_vector(), problem.n)
 
-    powers = np.vstack([design.support**q for q in range(1, problem.n + 1)])
-    moment = powers @ (design.weights * support_vals)
+    moment = regression_vector(design.support, problem.n) @ (design.weights * support_vals)
     target = moment[problem.p - 1]
     if target == 0.0:
         h = math.inf
@@ -122,7 +118,7 @@ def verify(
         and condition2_ok
         and condition3_residual <= condition_tol
         and math.isfinite(variance_matrix)
-        and abs(variance_formula - variance_matrix) <= variance_rtol * variance_matrix
+        and abs(variance_formula - variance_matrix) <= VARIANCE_RTOL * variance_matrix
     )
     return ElfvingReport(
         condition1_ok=condition1_ok,

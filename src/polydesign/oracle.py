@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .design import Design, DesignProblem
+from .design import Design, DesignProblem, regression_vector
 from .errors import OracleFailureError
 
 #: uniform grid size used when none is given
@@ -95,7 +95,7 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     if not (np.any(g < 0.0) and np.any(g > 0.0)):
         raise ValueError("grid must contain a negative and a positive point")
 
-    powers = np.vstack([g**q for q in range(1, n + 1)])  # n x J
+    powers = regression_vector(g, n)  # n x J
     cost = np.zeros(n)
     cost[p - 1] = -1.0  # maximize u_p
     active = np.unique(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, DesignProblem
+from .design import Design, DesignProblem, regression_vector
 from .errors import (
     DegenerateCoefficientError,
     InvalidProblemError,
@@ -71,8 +71,8 @@ def classify(problem: DesignProblem) -> tuple[str, int]:
     return CASE_C, k
 
 
-def _certificate_values(case_tag: str, k: int, support: np.ndarray) -> np.ndarray:
-    """Exact values (all +-1) of the case certificate at family support points.
+def _certificate_values(case_tag: str, k: int) -> np.ndarray:
+    """Exact values (all +-1) of the case A or B certificate at its support.
 
     The support families are extremal points of their certificate, where the
     value alternates with the point index; using the closed-form pattern
@@ -82,21 +82,20 @@ def _certificate_values(case_tag: str, k: int, support: np.ndarray) -> np.ndarra
     if case_tag == CASE_A:
         half = (-1.0) ** np.arange(k)  # value at the i-th negative point
         return np.concatenate([half, half[::-1]])
-    if case_tag == CASE_B:
-        return (-1.0) ** np.arange(1, 2 * k + 1)
-    xs = x_points(k).points
-    idx = np.searchsorted(xs, support)  # supports are subsets of the family
-    return (-1.0) ** (idx + 1)
+    return (-1.0) ** np.arange(1, 2 * k + 1)
 
 
-def _solved_supports(problem: DesignProblem) -> list[tuple[np.ndarray, np.ndarray, float, np.ndarray]]:
-    """(support, weights, h, signs) of each optimal design, in the order of
-    :func:`optimal_supports`; case C keeps the weights its validation computed."""
+def _solved_supports(
+    problem: DesignProblem,
+) -> list[tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]]:
+    """(support, weights, h, signs, certificate values) of each optimal design,
+    in the order of :func:`optimal_supports`; case C keeps the weights its
+    validation computed."""
     tag, k = classify(problem)
     p = problem.p
     if tag in (CASE_A, CASE_B):
         support = t_points(k).points if tag == CASE_A else s_points(k).points
-        return [(support, *weights_from_lagrange(support, p))]
+        return [(support, *weights_from_lagrange(support, p), _certificate_values(tag, k))]
     xs = x_points(k).points  # 2k + 2 candidates
     values = (-1.0) ** np.arange(1, 2 * k + 3)  # certificate values at xs
 
@@ -108,8 +107,9 @@ def _solved_supports(problem: DesignProblem) -> list[tuple[np.ndarray, np.ndarra
             w, h, signs = weights_from_lagrange(support, p)
         except DegenerateCoefficientError:
             return None
-        s = signs * np.delete(values, d)
-        return (support, w, h, signs) if np.all(s == s[0]) else None
+        v = np.delete(values, d)
+        s = signs * v
+        return (support, w, h, signs, v) if np.all(s == s[0]) else None
 
     pair = []
     for d in [2 * k + 1, 0] if p == 1 else [k, k + 1]:
@@ -157,7 +157,7 @@ def weights_from_lagrange(support, p: int) -> tuple[np.ndarray, float, np.ndarra
     m = t.size
     if not 1 <= p <= m:
         raise InvalidProblemError(f"coefficient index {p} not in 1..{m}")
-    if t[0] < -1.0 or t[-1] > 1.0:
+    if np.abs(t).max() > 1.0:
         raise ValueError("support must lie in [-1, 1]")
     a = lagrange_basis_no_intercept(t)[:, p]
     abs_a = np.abs(a)
@@ -169,31 +169,30 @@ def weights_from_lagrange(support, p: int) -> tuple[np.ndarray, float, np.ndarra
     return abs_a / h, h, np.sign(a)
 
 
-def case_certificate(case_tag: str, k: int, n: int) -> Polynomial:
-    """Canonical certificate polynomial of a case, padded to degree n."""
-    if case_tag == CASE_A:
+def certificate_for(problem: DesignProblem) -> Polynomial:
+    """Canonical certificate polynomial of a problem, padded to degree n.
+
+    The one place that maps a case to its certificate: the even
+    equioscillating polynomial of degree 2k for even p (case A), the
+    Chebyshev polynomial of degree n - 1 for odd p with n even (case B), and
+    the Chebyshev polynomial of degree n for odd p with n odd (case C). For
+    (n, p) = (3, 2) this picks x**2 out of the one-parameter family of valid
+    certificates. :func:`solve` orients it so that h > 0.
+    """
+    tag, k = classify(problem)
+    if tag == CASE_A:
         cert = e_polynomial(k)
-    elif case_tag == CASE_B:
+    elif tag == CASE_B:
         cert = chebyshev_t(2 * k - 1)
-    elif case_tag == CASE_C:
-        cert = chebyshev_t(2 * k + 1)
     else:
-        raise InvalidProblemError(f"unknown case tag {case_tag!r}")
-    return cert.padded(n)
+        cert = chebyshev_t(2 * k + 1)
+    return cert.padded(problem.n)
 
 
 def _symmetrized(w: np.ndarray) -> np.ndarray:
     # pairwise sums are commutative, so the result is symmetric bit-for-bit
     v = w + w[::-1]
     return v / v.sum()
-
-
-def _condition3_residual(
-    design: Design, problem: DesignProblem, cert_values: np.ndarray, h: float
-) -> float:
-    powers = np.vstack([design.support**q for q in range(1, problem.n + 1)])
-    achieved = h * (powers @ (design.weights * cert_values))
-    return float(np.abs(achieved - problem.unit_vector()).max())
 
 
 def solve(problem: DesignProblem) -> OptimalResult:
@@ -203,17 +202,16 @@ def solve(problem: DesignProblem) -> OptimalResult:
     h * sum f w P = e_p before it is returned; a violation raises
     :class:`NumericalDegeneracyError` instead of returning a bad design.
     """
-    tag, k = classify(problem)
-    cert0 = case_certificate(tag, k, problem.n)
+    tag, _ = classify(problem)
+    cert0 = certificate_for(problem)
 
     designs: list[Design] = []
     cert_values: list[np.ndarray] = []
     h = 0.0
     sigma = 0.0
-    for support, w, h_s, signs in _solved_supports(problem):
+    for support, w, h_s, signs, values in _solved_supports(problem):
         if tag in (CASE_A, CASE_B):
             w = _symmetrized(w)
-        values = _certificate_values(tag, k, support)
         s = signs * values
         if np.any(s == 0.0) or not np.all(s == s[0]):
             raise NumericalDegeneracyError(
@@ -231,7 +229,8 @@ def solve(problem: DesignProblem) -> OptimalResult:
 
     certificate = Polynomial(sigma * cert0.coeffs + 0.0)  # +0.0 clears negative zeros
     for design, values in zip(designs, cert_values):
-        resid = _condition3_residual(design, problem, values, h)
+        achieved = h * (regression_vector(design.support, problem.n) @ (design.weights * values))
+        resid = float(np.abs(achieved - problem.unit_vector()).max())
         if resid > _SELF_CHECK_TOL * max(1.0, h):
             raise NumericalDegeneracyError(
                 f"certificate identity violated (residual {resid:.3e}) for {problem}"
@@ -244,45 +243,3 @@ def solve(problem: DesignProblem) -> OptimalResult:
         certificate=certificate,
         case_tag=tag,
     )
-
-
-def symmetric_system_check(problem: DesignProblem, design: Design) -> bool:
-    """Re-derive case A/B weights from the half-range moment system.
-
-    The certificate identity restricted to the k negative support points
-    reads F beta = e~ with F = (t_i**(2q)) for case A or (t_i**(2q-1)) for
-    case B, and e~ carrying a single entry 1/2 at the row matching the
-    target coefficient. The solution must alternate in sign, divide by the
-    certificate values to a constant-sign vector, and reproduce the design
-    weights via w_i = |beta_i| / (2 sum |beta|). Returns True iff the
-    reproduced weights match ``design.weights`` within 1e-8.
-    """
-    tag, k = classify(problem)
-    if tag == CASE_C:
-        raise InvalidProblemError("the half-range system applies to cases A and B only")
-    if design.size != 2 * k:
-        raise InvalidProblemError(f"expected a design on {2 * k} points, got {design.size}")
-    t_neg = design.support[:k]
-    if tag == CASE_A:
-        rows = [t_neg ** (2 * q) for q in range(1, k + 1)]
-        row = problem.p // 2
-    else:
-        rows = [t_neg ** (2 * q - 1) for q in range(1, k + 1)]
-        row = (problem.p + 1) // 2
-    f_mat = np.vstack(rows)
-    rhs = np.zeros(k)
-    rhs[row - 1] = 0.5
-    try:
-        beta = np.linalg.solve(f_mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError("half-range moment system is singular") from exc
-
-    signs = np.sign(beta)
-    if np.any(signs == 0.0) or not np.all(signs[1:] == -signs[:-1]):
-        return False
-    ratio = beta / _certificate_values(tag, k, design.support)[:k]
-    if not np.all(np.sign(ratio) == np.sign(ratio[0])):
-        return False
-    half = np.abs(ratio)
-    weights = np.concatenate([half, half[::-1]]) / (2.0 * half.sum())
-    return bool(np.abs(weights - design.weights).max() <= 1e-8)

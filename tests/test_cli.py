@@ -128,6 +128,42 @@ def test_verify_unreadable_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_verify_over_degree_certificate_exits_2(tmp_path, capsys):
+    # T_3 would certify variance 4 for this degree-1 design; the optimum is 1
+    path = tmp_path / "over_degree.json"
+    path.write_text(json.dumps({
+        "degree": 1, "coef": 1, "case_tag": "C",
+        "designs": [{"support": [0.5], "weights": [1.0]}],
+        "variance": 4.0, "h": 2.0, "certificate_coeffs": [0, -3, 0, 4],
+    }))
+    code, out = run_cli(["verify", "--file", str(path), "--degree", "1", "--coef", "1"])
+    assert code == 2
+    assert out == ""
+    assert "above the model degree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["verify", "examples"])
+def test_invalid_tolerance_exits_2(tmp_path, capsys, command, tol):
+    argv = ["examples"]
+    if command == "verify":
+        path = tmp_path / "design.json"
+        path.write_text(render_document(document_from_result(solve(DesignProblem(3, 3)))))
+        argv = ["verify", "--file", str(path), "--degree", "3", "--coef", "3"]
+    code, out = run_cli(argv + ["--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+
+
+def test_oracle_unbounded_lp_exits_3(capsys):
+    # on the grid [-1, 0, 1] e_3 is not representable: the dual LP is unbounded
+    code, out = run_cli(["oracle", "--degree", "3", "--coef", "3", "--grid", "3"])
+    assert code == 3
+    assert out == ""
+    assert "error: LP did not terminate" in capsys.readouterr().err
+
+
 def test_oracle_command_reports_tiny_gap():
     code, text = run_cli(["oracle", "--degree", "3", "--coef", "1",
                           "--grid", "2001", "--include-support"])

@@ -102,6 +102,26 @@ def test_verify_rejects_zero_certificate():
         verify(design, problem, Polynomial([0.0, 0.0, 0.0]))
 
 
+def test_verify_rejects_certificate_above_model_degree():
+    # T_3 certifies a variance of 4 for this degree-1 design, but the optimum
+    # is 1: a certificate outside the model's span proves nothing
+    problem = DesignProblem(1, 1)
+    design = Design([0.5], [1.0])
+    with pytest.raises(InvalidCertificateError):
+        verify(design, problem, Polynomial([0.0, -3.0, 0.0, 4.0]))
+    # trailing zero padding stays allowed
+    optimum = solve(problem).designs[0]
+    assert verify(optimum, problem, Polynomial([0.0, 1.0, 0.0, 0.0])).verdict
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_verify_rejects_invalid_tolerance(tol):
+    problem = DesignProblem(3, 3)
+    result = solve(problem)
+    with pytest.raises(ValueError):
+        verify(result.designs[0], problem, result.certificate, condition_tol=tol)
+
+
 def test_verify_rejects_small_grid():
     problem = DesignProblem(2, 2)
     design = solve(problem).designs[0]

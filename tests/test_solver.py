@@ -14,13 +14,14 @@ from polydesign import (
     InvalidNodesError,
     InvalidProblemError,
     classify,
-    is_admissible,
     optimal_supports,
+    phi_c,
     solve,
-    symmetric_system_check,
     weights_from_lagrange,
 )
 from polydesign.polynomial import lagrange_basis_no_intercept
+
+from half_range import symmetric_system_check
 
 SQRT2 = math.sqrt(2.0)
 RADICAL = math.sqrt(SQRT2 - 1.0)
@@ -83,6 +84,15 @@ def test_weights_from_lagrange_validates():
         weights_from_lagrange([-1.0, 1.0], 3)
     with pytest.raises(ValueError):
         weights_from_lagrange([-1.0, 1.5], 1)
+
+
+def test_weights_from_lagrange_range_check_reads_every_point():
+    # the check used to read only the first and last point, so an unsorted
+    # support with 2.0 in the middle passed while its sorted copy raised
+    with pytest.raises(ValueError):
+        weights_from_lagrange([-0.3, 0.5, 2.0], 1)
+    with pytest.raises(ValueError):
+        weights_from_lagrange([0.5, 2.0, -0.3], 1)
 
 
 @pytest.mark.parametrize("nodes", [[math.nan, 0.5], [-0.5, math.nan, 1.0]])
@@ -190,7 +200,7 @@ def test_returned_designs_are_admissible():
         for p in range(1, n + 1):
             problem = DesignProblem(n, p)
             for design in solve(problem).designs:
-                assert is_admissible(design, problem.unit_vector(), n)
+                assert math.isfinite(phi_c(design, problem.unit_vector(), n))
 
 
 def test_case_c_sign_products_share_one_sign():
