@@ -157,8 +157,8 @@ def parse_design_file(text: str, problem: DesignProblem) -> tuple[list[Design], 
     """Designs (and certificate, when present) from a design file.
 
     Accepts the full document form or the minimal
-    ``{"support": [...], "weights": [...]}`` form. Invalid designs raise
-    :class:`DocumentError`.
+    ``{"support": [...], "weights": [...]}`` form. Invalid designs and
+    certificates with non-finite coefficients raise :class:`DocumentError`.
     """
     raw = _loads(text, "design file")
 
@@ -172,7 +172,10 @@ def parse_design_file(text: str, problem: DesignProblem) -> tuple[list[Design], 
             )
         entries = doc.designs
         if doc.certificate_coeffs:
-            certificate = Polynomial(doc.certificate_coeffs)
+            try:
+                certificate = Polynomial(doc.certificate_coeffs)
+            except ValueError as exc:
+                raise DocumentError(f"invalid certificate in file: {exc}") from exc
     elif "support" in raw and "weights" in raw:
         entries = [raw]
     else:

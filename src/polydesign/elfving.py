@@ -68,17 +68,18 @@ def verify(
 ) -> ElfvingReport:
     """Check the three certificate conditions and both variance paths.
 
-    The evaluation set is a uniform grid of ``grid_size`` points on [-1, 1]
-    united with the support, so condition (2) is evaluated at the exact
-    support points. The constant h is solved from coordinate p of condition
-    (3); the residual is then reported over all n coordinates. An
-    inadmissible design yields ``variance_matrix = inf`` and a False
-    verdict.
+    Condition (1) takes the maximum of |P| over a uniform grid of
+    ``grid_size`` points on [-1, 1] and over the support; condition (2)
+    reuses the values at the exact support points. The constant h is solved
+    from coordinate p of condition (3); the residual is then reported over
+    all n coordinates. An inadmissible design yields ``variance_matrix = inf``
+    and a False verdict.
 
     The certificate must lie in the model's span: a nonzero coefficient
     beyond x**n raises :class:`InvalidCertificateError` (trailing zeros are
-    allowed), and so does a nonzero intercept. A non-finite or negative
-    ``condition_tol`` raises ``ValueError``.
+    allowed), and so does a nonzero intercept. A certificate that is zero on
+    the grid or whose values overflow the double range raises it too. A
+    non-finite or negative ``condition_tol`` raises ``ValueError``.
     """
     if grid_size < 101:
         raise ValueError("grid_size must be at least 101")
@@ -91,14 +92,19 @@ def verify(
             f"certificate has degree {certificate.degree}, above the model degree {problem.n}"
         )
 
-    xs = np.union1d(np.linspace(-1.0, 1.0, grid_size), design.support)
-    grid_max = float(np.abs(certificate(xs)).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        support_raw = certificate(design.support)
+        grid_raw = certificate(np.linspace(-1.0, 1.0, grid_size))
+    # the maximum over the grid united with the support, without the union's sort
+    grid_max = float(np.maximum(np.abs(grid_raw).max(), np.abs(support_raw).max()))
     if grid_max == 0.0:
         raise InvalidCertificateError("certificate is identically zero")
+    if not math.isfinite(grid_max):
+        raise InvalidCertificateError("certificate values overflow on [-1, 1]")
     condition1_ok = grid_max <= 1.0 + condition_tol
 
     scale = grid_max
-    support_vals = certificate(design.support) / scale
+    support_vals = support_raw / scale
     condition2_ok = bool(np.abs(np.abs(support_vals) - 1.0).max() <= condition_tol)
 
     variance_matrix = phi_c(design, problem.unit_vector(), problem.n)

@@ -2,22 +2,27 @@
 
 Coefficient index j holds the coefficient of x**j, so ``coeffs[0]`` is the
 intercept. Trailing zeros are permitted (padding) and ignored by ``degree``.
-Coefficients are stored as float64; evaluation and the one nontrivial
-composition accumulate in extended precision because high-degree monomial
-coefficients are large and alternating. The Chebyshev generator returns
-exact integer coefficients because the recurrence only doubles and
-subtracts. The intercept-free Lagrange basis of a node set is built for all
-nodes in one batched pass whose coefficients are bit-identical to forming
-each basis polynomial by its own per-node product.
+Coefficients are stored as finite float64. Evaluation on [-1, 1] works in
+the Chebyshev basis, where the large alternating monomial coefficients of
+high-degree equioscillating polynomials become small and well conditioned:
+on first use the stored coefficients are converted to Chebyshev coefficients
+exactly, in integer arithmetic, and rounded to double once; every call then
+runs Clenshaw's recurrence in plain double. Only the composition in
+:func:`e_polynomial` still accumulates in extended precision. The Chebyshev
+generator returns exact integer coefficients because the recurrence only
+doubles and subtracts. The intercept-free Lagrange basis of a node set is
+built for all nodes in one batched pass whose coefficients are
+bit-identical to forming each basis polynomial by its own per-node product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import chebyshev as ncheb
 
 from .errors import InvalidNodesError, InvalidOrderError
 
@@ -29,9 +34,12 @@ class Polynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        c = np.atleast_1d(np.array(self.coeffs, dtype=float))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a non-empty one-dimensional sequence")
+        if not np.isfinite(c).all():
+            raise ValueError("coeffs must be finite")
+        c.setflags(write=False)  # the cached Chebyshev coefficients depend on it
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -39,16 +47,52 @@ class Polynomial:
         nonzero = np.nonzero(self.coeffs)[0]
         return int(nonzero[-1]) if nonzero.size else 0
 
-    def __call__(self, x):
-        """Evaluate at ``x`` (scalar or array) by Horner accumulation.
+    @cached_property
+    def _chebyshev(self) -> np.ndarray:
+        """Chebyshev coefficients of ``coeffs``, computed exactly, rounded once.
 
-        Accumulates in extended precision where the platform provides it:
-        monomial coefficients of high-degree equioscillating polynomials
-        are large and alternating, and plain double Horner loses ~6 digits
-        by degree 20.
+        Every double is an integer times a power of two, and
+        x**j = 2**(1 - j) * sum_i C(j, i) T_{j - 2i} with the T_0 term
+        halved, so every Chebyshev coefficient is an exact sum of integers
+        over one common power-of-two denominator. Python's integer true
+        division rounds each sum to the nearest double; a sum beyond the
+        double range rounds to +-inf.
         """
-        xs = np.asarray(x, dtype=np.longdouble)
-        y = npoly.polyval(xs, self.coeffs.astype(np.longdouble)).astype(float)
+        ratios = [float(c).as_integer_ratio() for c in self.coeffs]
+        # 2**shift clears each c_j's denominator 2**a_j and the 2**(j - 1) of
+        # x**j, with one spare factor 2 for halving the T_0 term
+        exponents = [den.bit_length() - 1 for _, den in ratios]
+        shift = max(j + a for j, a in enumerate(exponents))
+        sums = [0] * len(ratios)
+        for j, ((num, _), a) in enumerate(zip(ratios, exponents)):
+            if num == 0:
+                continue
+            scaled = num << (shift + 1 - j - a)  # c_j * 2**(1 - j) * 2**shift
+            for i in range(j // 2 + 1):
+                term = math.comb(j, i) * scaled
+                k = j - 2 * i
+                sums[k] += term >> 1 if k == 0 else term
+        denominator = 1 << shift
+        out = np.empty(len(sums))
+        for k, total in enumerate(sums):
+            try:
+                out[k] = total / denominator
+            except OverflowError:
+                out[k] = math.inf if total > 0 else -math.inf
+        return out
+
+    def __call__(self, x):
+        """Evaluate at ``x`` (scalar or array) by Clenshaw's recurrence.
+
+        Runs in plain double on the exact Chebyshev coefficients of the
+        polynomial (each rounded once, computed on the first call), so no
+        extended precision is needed and the result does not depend on the
+        platform's ``long double``. A polynomial bounded by 1 on [-1, 1] has
+        Chebyshev coefficients of at most 2 in magnitude, however large and
+        alternating its monomial coefficients are, which is why monomial
+        Horner loses digits at high degree and Clenshaw does not.
+        """
+        y = ncheb.chebval(np.asarray(x, dtype=float), self._chebyshev)
         if np.ndim(x) == 0:
             return float(y)
         return y

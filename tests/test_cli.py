@@ -142,6 +142,21 @@ def test_verify_over_degree_certificate_exits_2(tmp_path, capsys):
     assert "above the model degree" in capsys.readouterr().err
 
 
+def test_verify_non_finite_certificate_exits_2(tmp_path, capsys):
+    # json reads 1e400 as inf: verify used to print certificate_scale nan and exit 1
+    raw = json.loads(render_document(document_from_result(solve(DesignProblem(3, 3)))))
+    text = json.dumps(raw).replace(
+        json.dumps(raw["certificate_coeffs"]), "[0, 1e400, 0, 4]", 1
+    )
+    assert "1e400" in text
+    path = tmp_path / "inf_certificate.json"
+    path.write_text(text)
+    code, out = run_cli(["verify", "--file", str(path), "--degree", "3", "--coef", "3"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: invalid certificate")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["verify", "examples"])
 def test_invalid_tolerance_exits_2(tmp_path, capsys, command, tol):

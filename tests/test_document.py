@@ -88,3 +88,15 @@ def test_parse_document_rejects_overflowing_degree():
     assert "1e400" in text
     with pytest.raises(DocumentError, match="must be an integer"):
         parse_document(text)
+
+
+def test_parse_design_file_rejects_non_finite_certificate():
+    # json reads 1e400 as inf; the certificate used to reach verify and print nan
+    problem = DesignProblem(3, 3)
+    raw = json.loads(render_document(document_from_result(solve(problem))))
+    text = json.dumps(raw).replace(
+        json.dumps(raw["certificate_coeffs"]), "[0, 1e400, 0, 4]", 1
+    )
+    assert "1e400" in text
+    with pytest.raises(DocumentError, match="invalid certificate"):
+        parse_design_file(text, problem)

@@ -14,6 +14,7 @@ from polydesign import (
     solve,
     verify,
 )
+from polydesign.elfving import DEFAULT_GRID_SIZE
 
 SQRT2 = math.sqrt(2.0)
 
@@ -112,6 +113,30 @@ def test_verify_rejects_certificate_above_model_degree():
     # trailing zero padding stays allowed
     optimum = solve(problem).designs[0]
     assert verify(optimum, problem, Polynomial([0.0, 1.0, 0.0, 0.0])).verdict
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_rejects_overflowing_certificate():
+    # finite coefficients whose T_1 coefficient (1.5e308 + 0.75e308) overflows;
+    # the error names it, with no numpy RuntimeWarning on the way
+    problem = DesignProblem(3, 3)
+    design = solve(problem).designs[0]
+    with pytest.raises(InvalidCertificateError, match="overflow"):
+        verify(design, problem, Polynomial([0.0, 1.5e308, 0.0, 1e308]))
+
+
+@pytest.mark.parametrize("n, p, case", [(10, 4, "A"), (12, 5, "B"), (11, 3, "C")])
+def test_condition1_max_is_the_maximum_over_grid_and_support(n, p, case):
+    problem = DesignProblem(n, p)
+    result = solve(problem)
+    assert result.case_tag == case
+    assert len(result.designs) == (2 if case == "C" else 1)
+    grid = np.linspace(-1.0, 1.0, DEFAULT_GRID_SIZE)
+    for design in result.designs:
+        report = verify(design, problem, result.certificate)
+        union = np.union1d(grid, design.support)
+        expected = float(np.abs(result.certificate(union)).max())
+        assert report.condition1_max.hex() == expected.hex()
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,21 @@ def test_eval_vectorized():
     np.testing.assert_allclose(poly(xs), [2.0, 1.0, 17.0], atol=0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Polynomial([0.0, bad, 0.0, 4.0])
+
+
+def test_stored_coefficients_are_a_read_only_copy():
+    source = np.array([0.0, -3.0, 0.0, 4.0])
+    poly = Polynomial(source)
+    source[3] = 0.0
+    assert poly(1.0) == 1.0
+    with pytest.raises(ValueError):
+        poly.coeffs[3] = 0.0
+
+
 def test_degree_ignores_trailing_zeros():
     assert Polynomial([0.0, 1.0, 0.0, 0.0]).degree == 1
     assert Polynomial([0.0]).degree == 0
@@ -66,6 +82,55 @@ def test_chebyshev_cosine_identity(s):
     theta = np.linspace(0.0, np.pi, 200)
     values = chebyshev_t(s)(np.cos(theta))
     assert np.abs(values - np.cos(s * theta)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("s", range(31))
+def test_chebyshev_t_converts_to_unit_vector(s):
+    expected = np.zeros(s + 1)
+    expected[s] = 1.0
+    np.testing.assert_array_equal(chebyshev_t(s)._chebyshev, expected)
+
+
+def _fraction_chebyshev(coeffs):
+    # x**j = 2**(1 - j) sum_i C(j, i) T_{j - 2i}, T_0 term halved, in exact rationals
+    sums = [Fraction(0)] * len(coeffs)
+    for j, c in enumerate(coeffs):
+        for i in range(j // 2 + 1):
+            term = Fraction(c) * math.comb(j, i) * Fraction(2) ** (1 - j)
+            k = j - 2 * i
+            sums[k] += term / 2 if k == 0 else term
+    return [float(v) for v in sums]
+
+
+_DYADIC = st.builds(math.ldexp, st.integers(-(2**20), 2**20), st.integers(-60, 20))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coeffs=st.lists(_DYADIC, min_size=1, max_size=9))
+def test_chebyshev_conversion_matches_exact_rationals(coeffs):
+    got = Polynomial(coeffs)._chebyshev
+    assert [float(c).hex() for c in got] == [c.hex() for c in _fraction_chebyshev(coeffs)]
+
+
+# 101 points of the verify grid, both endpoints included
+_ACCURACY_POINTS = np.linspace(-1.0, 1.0, 10001)[::100]
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: chebyshev_t(29), lambda: chebyshev_t(30), lambda: e_polynomial(15)],
+    ids=["T29", "T30", "E30"],
+)
+def test_evaluation_matches_60_digit_reference(make):
+    # the reference evaluates the same stored double coefficients at 60
+    # digits, so only the evaluation's own rounding is measured
+    mpmath = pytest.importorskip("mpmath")
+    poly = make()
+    values = poly(_ACCURACY_POINTS)
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(float(c)) for c in poly.coeffs]
+        for x, value in zip(_ACCURACY_POINTS, values):
+            exact = mpmath.polyval(coeffs[::-1], mpmath.mpf(float(x)))
+            assert abs(mpmath.mpf(float(value)) - exact) <= 1e-13, x
 
 
 def test_e_polynomial_k1_is_x_squared():
