@@ -40,14 +40,7 @@ from .errors import (
 )
 from .oracle import OracleResult, elfving_lp, oracle_variance
 from .points import SupportFamily, s_points, t_points, x_points
-from .polynomial import (
-    Polynomial,
-    chebyshev_t,
-    coefficient,
-    e_polynomial,
-    lagrange_basis_no_intercept,
-    lagrange_no_intercept,
-)
+from .polynomial import Polynomial, chebyshev_t, coefficient, e_polynomial
 from .solver import (
     OptimalResult,
     certificate_for,
@@ -74,8 +67,6 @@ __all__ = [
     "e_polynomial",
     "elfving_lp",
     "information_matrix",
-    "lagrange_basis_no_intercept",
-    "lagrange_no_intercept",
     "optimal_supports",
     "oracle_variance",
     "parse_design_file",

@@ -10,21 +10,20 @@ exactly, in integer arithmetic, and rounded to double once; every call then
 runs Clenshaw's recurrence in plain double. Only the composition in
 :func:`e_polynomial` still accumulates in extended precision. The Chebyshev
 generator returns exact integer coefficients because the recurrence only
-doubles and subtracts. The intercept-free Lagrange basis of a node set is
-built for all nodes in one batched pass whose coefficients are
-bit-identical to forming each basis polynomial by its own per-node product.
+doubles and subtracts.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
-from .errors import InvalidNodesError, InvalidOrderError
+from .errors import InvalidOrderError
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +107,8 @@ class Polynomial:
 
 def coefficient(poly: Polynomial, p: int) -> float:
     """Coefficient of x**p, or 0.0 when p exceeds the stored degree."""
+    if not isinstance(p, numbers.Integral):
+        raise ValueError(f"coefficient index must be an integer, got {p!r}")
     if p < 0:
         raise ValueError("coefficient index must be nonnegative")
     if p >= poly.coeffs.size:
@@ -163,61 +164,3 @@ def e_polynomial(k: int) -> Polynomial:
     out[0] = 0.0
     out[1::2] = 0.0
     return Polynomial(out)
-
-
-def lagrange_basis_no_intercept(nodes) -> np.ndarray:
-    """Coefficients of all m intercept-free Lagrange basis polynomials.
-
-    Row i - 1 of the returned (m, m + 1) array holds, lowest order first,
-
-        x * prod_{j != i} (x - t_j) / (t_i * prod_{j != i} (t_i - t_j)),
-
-    the degree-m polynomial that vanishes at 0 and equals delta_ij at t_j.
-    Column p holds the coefficients a_{i,p} of x**p, so columns 1..m form
-    the inverse of the intercept-free Vandermonde matrix V[q, i] = t_i**q.
-    Nodes must be finite, distinct and nonzero: the construction divides by
-    t_i and by the pairwise node differences.
-
-    All rows are built together in m vectorized passes: pass j multiplies
-    every row except row j by (x - t_j) and every denominator except the
-    j-th by (t_i - t_j). Each row therefore sees the same multiplies and
-    adds, in the same order, as building it alone with one ``np.convolve``
-    per factor, so the coefficients are bit-identical to that per-node
-    product. The intercept column is exactly +0.0.
-    """
-    t = np.atleast_1d(np.asarray(nodes, dtype=float))
-    m = t.size
-    if not np.all(np.isfinite(t)):
-        raise InvalidNodesError("nodes must be finite")
-    if np.any(t == 0.0):
-        raise InvalidNodesError("nodes must be nonzero")
-    if np.unique(t).size != m:
-        raise InvalidNodesError("nodes must be distinct")
-    numer = np.zeros((m, m + 1))
-    numer[:, 1] = 1.0  # the factor x; column 0 (the intercept) stays +0.0
-    denom = t.copy()
-    for j in range(m):
-        # coefficient q of (x - t_j) * row is row[q - 1] + row[q] * (-t_j);
-        # above a row's current degree both terms are zero and so is the sum
-        kept = numer[j].copy()
-        numer[:, 1:] = numer[:, :-1] + numer[:, 1:] * -t[j]
-        numer[j] = kept
-        diff = t - t[j]
-        diff[j] = 1.0  # skips the j-th denominator exactly
-        denom *= diff
-    numer[:, 1:] /= denom[:, None]
-    return numer
-
-
-def lagrange_no_intercept(nodes, i: int) -> Polynomial:
-    """i-th intercept-free Lagrange basis polynomial (i is 1-based).
-
-    Row i - 1 of :func:`lagrange_basis_no_intercept`, which defines the
-    polynomial, validates the nodes (finite, distinct and nonzero) and
-    documents the bit-identity with the per-node product.
-    """
-    basis = lagrange_basis_no_intercept(nodes)
-    m = basis.shape[0]
-    if not 1 <= i <= m:
-        raise ValueError(f"node index {i} out of range 1..{m}")
-    return Polynomial(basis[i - 1])

@@ -22,18 +22,22 @@ as h * sum_i f(x_i) w_i P(x_i).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as ncheb
 
 from .design import Design, DesignProblem, regression_vector
 from .errors import (
     DegenerateCoefficientError,
+    InvalidNodesError,
     InvalidProblemError,
     NumericalDegeneracyError,
 )
 from .points import s_points, t_points, x_points
-from .polynomial import Polynomial, chebyshev_t, e_polynomial, lagrange_basis_no_intercept
+from .polynomial import Polynomial, chebyshev_t, e_polynomial
 
 CASE_A = "A"
 CASE_B = "B"
@@ -72,70 +76,95 @@ def classify(problem: DesignProblem) -> tuple[str, int]:
 
 
 def _certificate_values(case_tag: str, k: int) -> np.ndarray:
-    """Exact values (all +-1) of the case A or B certificate at its support.
+    """Exact values (all +-1) of the certificate at its point family.
 
-    The support families are extremal points of their certificate, where the
-    value alternates with the point index; using the closed-form pattern
-    avoids evaluating a high-degree polynomial from monomial coefficients,
-    which loses several digits beyond degree ~20.
+    The families are extremal points of their certificate, where the value
+    alternates with the point index. The closed-form pattern is exact, while
+    evaluating the stored certificate carries the rounding of its monomial
+    coefficients (up to 4.6e-7 for the even certificate of degree 30).
     """
     if case_tag == CASE_A:
         half = (-1.0) ** np.arange(k)  # value at the i-th negative point
         return np.concatenate([half, half[::-1]])
-    return (-1.0) ** np.arange(1, 2 * k + 1)
+    return (-1.0) ** np.arange(1, 2 * k + (3 if case_tag == CASE_C else 1))
+
+
+def _power_coefficients(m: int, p: int) -> np.ndarray:
+    """Coefficient of x**p in T_1, ..., T_m: for j = p + 2r the integer
+    (-1)**r 2**(p - 1) j C(j - r, r) / (j - r), computed exactly, rounded once."""
+    d = np.zeros(m)
+    for j in range(p, m + 1, 2):
+        r = (j - p) // 2
+        d[j - 1] = float((-1) ** r * 2 ** (p - 1) * j * math.comb(j - r, r) // (j - r))
+    return d
+
+
+def _lagrange_columns(supports: np.ndarray, p: int) -> np.ndarray:
+    """a_{i,p} for each row of a (rows, m) stack of supports, in one solve.
+
+    V a = e_p with V[q, i] = t_i**q becomes G a = d in the well-conditioned
+    basis g_j = T_j - T_j(0), j = 1..m: G[j, i] = g_j(t_i), d[j] = the
+    coefficient of x**p in T_j.
+    """
+    m = supports.shape[-1]
+    # T_j(0) = cos(j pi / 2), rounded to the exact 0, -1, 0, 1, ...
+    g = ncheb.chebvander(supports, m)[..., 1:] - np.rint(np.cos(np.pi / 2 * np.arange(1, m + 1)))
+    try:  # d overflows the double range from p = 1025 on
+        d = np.broadcast_to(_power_coefficients(m, p)[:, None], (*supports.shape, 1))
+        return np.linalg.solve(np.swapaxes(g, -1, -2), d)[..., 0]
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        raise NumericalDegeneracyError(f"singular or overflowing system for x**{p}") from exc
+
+
+def _nondegenerate(abs_a: np.ndarray) -> np.ndarray:
+    """Rows of |a_{i,p}| with no numerically zero (or NaN) entry."""
+    return np.all(abs_a > 1e-12 * abs_a.max(axis=-1, keepdims=True), axis=-1)
 
 
 def _solved_supports(
     problem: DesignProblem,
-) -> list[tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]]:
-    """(support, weights, h, signs, certificate values) of each optimal design,
-    in the order of :func:`optimal_supports`; case C keeps the weights its
-    validation computed."""
+) -> list[tuple[np.ndarray, np.ndarray, float, float, np.ndarray]]:
+    """(support, weights, h, orientation, certificate values) of each optimal design.
+
+    Cases A and B have one candidate support, case C one per one-point drop
+    of its 2k + 2 candidates. A candidate is optimal iff every a_{i,p} is
+    nonzero and sign(a_{i,p}) * P(t_i), the orientation, is constant.
+    """
     tag, k = classify(problem)
-    p = problem.p
-    if tag in (CASE_A, CASE_B):
-        support = t_points(k).points if tag == CASE_A else s_points(k).points
-        return [(support, *weights_from_lagrange(support, p), _certificate_values(tag, k))]
-    xs = x_points(k).points  # 2k + 2 candidates
-    values = (-1.0) ** np.arange(1, 2 * k + 3)  # certificate values at xs
-
-    def solved(d):
-        # the closed-form weights solve the certificate identity with positive
-        # masses iff sign(a_{i,p}) * sign(P(t_i)) is constant over the support
-        support = np.delete(xs, d)
-        try:
-            w, h, signs = weights_from_lagrange(support, p)
-        except DegenerateCoefficientError:
-            return None
-        v = np.delete(values, d)
-        s = signs * v
-        return (support, w, h, signs, v) if np.all(s == s[0]) else None
-
-    pair = []
-    for d in [2 * k + 1, 0] if p == 1 else [k, k + 1]:
-        entry = solved(d)
-        if entry is None:  # the usual pair fails: scan every candidate drop
-            pair = [e for e in map(solved, range(2 * k + 1, -1, -1)) if e is not None]
-            if len(pair) != 2:
-                raise NumericalDegeneracyError(
-                    f"expected exactly two consistent supports for {problem}, found {len(pair)}"
-                )
-            break
-        pair.append(entry)
-    return pair
+    points = {CASE_A: t_points, CASE_B: s_points, CASE_C: x_points}[tag](k).points
+    kept = np.arange(points.size)[None]  # one row of indices per candidate support
+    if tag == CASE_C:
+        # largest dropped candidate first, except that the central pair
+        # (p > 1) drops the candidate just left of 0 first
+        drops = np.arange(2 * k + 1, -1, -1)
+        if problem.p > 1:
+            drops[[k, k + 1]] = k, k + 1
+        kept = np.nonzero(kept != drops[:, None])[1].reshape(2 * k + 2, -1)
+    supports, values = points[kept], _certificate_values(tag, k)[kept]
+    expected = 2 if tag == CASE_C else 1
+    a = _lagrange_columns(supports, problem.p)
+    abs_a = np.abs(a)
+    s = np.sign(a) * values
+    rows = np.flatnonzero(_nondegenerate(abs_a) & np.all(s == s[:, :1], axis=1))
+    if rows.size != expected:
+        raise NumericalDegeneracyError(
+            f"expected {expected} consistent supports for {problem}, found {rows.size}"
+        )
+    h = abs_a[rows].sum(axis=1)
+    return [
+        (supports[r], abs_a[r] / h_r, float(h_r), float(s[r, 0]), values[r])
+        for r, h_r in zip(rows, h)
+    ]
 
 
 def optimal_supports(problem: DesignProblem) -> list[np.ndarray]:
     """Support point sets of the optimal designs, sorted ascending.
 
     Case C drops one point from the 2k + 2 candidates, giving two
-    mirror-image supports in a fixed order. The usual pairs are: for p = 1
-    drop the largest candidate, then the smallest; for odd p > 1 drop the
-    candidate just left of 0, then the one just right of 0. The central
-    pair stops admitting positive weights for some small odd p at large k
-    (first at degree 9, coefficient 3), so each pair is validated against
-    the sign criterion and, when it fails, the unique consistent pair is
-    found by scanning all 2k + 2 candidates (largest dropped index first).
+    mirror-image supports: the pair whose weights come out positive. For
+    p = 1 and for the endpoint pair (first needed at degree 9, coefficient
+    3) the largest candidate is dropped first; for the central pair, the
+    candidate just left of 0.
     """
     return [entry[0] for entry in _solved_supports(problem)]
 
@@ -143,25 +172,33 @@ def optimal_supports(problem: DesignProblem) -> list[np.ndarray]:
 def weights_from_lagrange(support, p: int) -> tuple[np.ndarray, float, np.ndarray]:
     """Closed-form weights for a support, plus the scaling constant h.
 
-    Takes a_{i,p}, the coefficient of x**p in the i-th intercept-free
-    Lagrange basis polynomial of the support, from column p of
-    :func:`~polydesign.polynomial.lagrange_basis_no_intercept`, which builds
-    all m basis polynomials in one batched pass (bit-identical to building
-    each one by its own product), and returns
-    (|a| / sum|a|, sum|a|, sign(a)). Raises
+    With a_{i,p} the coefficient of x**p in the i-th intercept-free Lagrange
+    basis polynomial of the support (column p of the inverse intercept-free
+    Vandermonde matrix, solved in the Chebyshev basis), returns
+    (|a| / sum|a|, sum|a|, sign(a)). The support must be one-dimensional,
+    with finite, distinct, nonzero points in [-1, 1]. Raises
     :class:`DegenerateCoefficientError` when any coefficient is numerically
     zero, which signals a support/index combination with no positive-weight
     solution of this form.
     """
-    t = np.atleast_1d(np.asarray(support, dtype=float))
+    t = np.asarray(support, dtype=float)
+    if t.ndim > 1:
+        raise InvalidNodesError(f"support must be one-dimensional, got shape {t.shape}")
+    t = np.atleast_1d(t)
     m = t.size
-    if not 1 <= p <= m:
-        raise InvalidProblemError(f"coefficient index {p} not in 1..{m}")
+    if not isinstance(p, numbers.Integral) or not 1 <= p <= m:
+        raise InvalidProblemError(f"coefficient index {p!r} not an integer in 1..{m}")
+    if not np.all(np.isfinite(t)):
+        raise InvalidNodesError("nodes must be finite")
     if np.abs(t).max() > 1.0:
         raise ValueError("support must lie in [-1, 1]")
-    a = lagrange_basis_no_intercept(t)[:, p]
+    if np.any(t == 0.0):
+        raise InvalidNodesError("nodes must be nonzero")
+    if np.unique(t).size != m:
+        raise InvalidNodesError("nodes must be distinct")
+    a = _lagrange_columns(t[None], p)[0]
     abs_a = np.abs(a)
-    if np.any(abs_a <= 1e-12 * abs_a.max()):
+    if not _nondegenerate(abs_a):
         raise DegenerateCoefficientError(
             f"basis coefficient for x**{p} vanishes at some support point"
         )
@@ -203,38 +240,25 @@ def solve(problem: DesignProblem) -> OptimalResult:
     :class:`NumericalDegeneracyError` instead of returning a bad design.
     """
     tag, _ = classify(problem)
-    cert0 = certificate_for(problem)
-
+    solved = _solved_supports(problem)
+    _, _, h, sigma, _ = solved[0]
     designs: list[Design] = []
-    cert_values: list[np.ndarray] = []
-    h = 0.0
-    sigma = 0.0
-    for support, w, h_s, signs, values in _solved_supports(problem):
-        if tag in (CASE_A, CASE_B):
-            w = _symmetrized(w)
-        s = signs * values
-        if np.any(s == 0.0) or not np.all(s == s[0]):
-            raise NumericalDegeneracyError(
-                f"certificate/coefficient sign pattern is not constant for {problem}"
-            )
-        if not designs:
-            h, sigma = h_s, float(s[0])
-        else:
-            if abs(h_s - h) > 1e-10 * max(1.0, h):
-                raise NumericalDegeneracyError("mirror designs disagree on the scaling constant")
-            if s[0] != sigma:
-                raise NumericalDegeneracyError("mirror designs disagree on certificate orientation")
-        designs.append(Design(support, w))
-        cert_values.append(sigma * values)
-
-    certificate = Polynomial(sigma * cert0.coeffs + 0.0)  # +0.0 clears negative zeros
-    for design, values in zip(designs, cert_values):
-        achieved = h * (regression_vector(design.support, problem.n) @ (design.weights * values))
+    for support, w, h_s, sigma_s, values in solved:
+        if abs(h_s - h) > 1e-10 * max(1.0, h):
+            raise NumericalDegeneracyError("mirror designs disagree on the scaling constant")
+        if sigma_s != sigma:
+            raise NumericalDegeneracyError("mirror designs disagree on certificate orientation")
+        design = Design(support, w if tag == CASE_C else _symmetrized(w))
+        achieved = h * (regression_vector(support, problem.n) @ (design.weights * (sigma * values)))
         resid = float(np.abs(achieved - problem.unit_vector()).max())
         if resid > _SELF_CHECK_TOL * max(1.0, h):
             raise NumericalDegeneracyError(
                 f"certificate identity violated (residual {resid:.3e}) for {problem}"
             )
+        designs.append(design)
+
+    # +0.0 clears negative zeros
+    certificate = Polynomial(sigma * certificate_for(problem).coeffs + 0.0)
     return OptimalResult(
         problem=problem,
         designs=tuple(designs),

@@ -7,16 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydesign import (
+    DegenerateCoefficientError,
     InvalidNodesError,
     InvalidOrderError,
+    InvalidProblemError,
+    NumericalDegeneracyError,
     Polynomial,
     chebyshev_t,
     coefficient,
     e_polynomial,
-    lagrange_no_intercept,
+    weights_from_lagrange,
 )
-from polydesign.points import s_points, t_points
-from polydesign.polynomial import lagrange_basis_no_intercept
+from polydesign.points import s_points, t_points, x_points
+from polydesign.solver import _lagrange_columns
 
 SQRT2 = math.sqrt(2.0)
 
@@ -179,23 +182,30 @@ def test_e_polynomial_rejects_k_zero():
         e_polynomial(0)
 
 
+def _signed_column(nodes, p):
+    # a_{i,p}, the coefficient of x**p in the i-th intercept-free Lagrange
+    # basis polynomial, for every node i
+    weights, h, signs = weights_from_lagrange(nodes, p)
+    return weights * h * signs
+
+
 def test_lagrange_two_nodes():
-    # nodes (-1, 1), first basis polynomial: (x**2 - x) / 2
-    poly = lagrange_no_intercept([-1.0, 1.0], 1)
-    np.testing.assert_allclose(poly.coeffs, [0.0, -0.5, 0.5], atol=1e-15)
+    # nodes (-1, 1): basis polynomials (x**2 - x) / 2 and (x**2 + x) / 2
+    np.testing.assert_allclose(_signed_column([-1.0, 1.0], 1), [-0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(_signed_column([-1.0, 1.0], 2), [0.5, 0.5], atol=1e-15)
 
 
 def test_lagrange_cubic_coefficient():
     # nodes (-1, 1/2, 1), i = 2: expand x (x**2 - 1) / (-3/8)
-    poly = lagrange_no_intercept([-1.0, 0.5, 1.0], 2)
-    assert coefficient(poly, 3) == pytest.approx(-8.0 / 3.0, abs=1e-14)
+    assert _signed_column([-1.0, 0.5, 1.0], 3)[1] == pytest.approx(-8.0 / 3.0, abs=1e-14)
 
 
 def test_lagrange_zero_intercept_exact():
-    for i in (1, 2, 3):
-        poly = lagrange_no_intercept([-1.0, -0.5, 0.5], i)
-        assert poly.coeffs[0] == 0.0
-        assert poly(0.0) == 0.0
+    # every basis function T_j - T_j(0) vanishes exactly at 0, so a node at 0
+    # makes the system exactly singular rather than merely ill conditioned
+    for p in (1, 2, 3):
+        with pytest.raises(NumericalDegeneracyError):
+            _lagrange_columns(np.array([[-1.0, 0.0, 0.5]]), p)
 
 
 @pytest.mark.parametrize(
@@ -208,25 +218,30 @@ def test_lagrange_zero_intercept_exact():
     ],
 )
 def test_lagrange_delta_property(nodes):
+    # L_i(x) = sum_p a_{i,p} x**p equals delta_ij at t_j; the columns are
+    # read directly because some a_{i,p} vanish (for (-1, 1/2, 1), L_2 has
+    # no x**2 term), which weights_from_lagrange rejects
     m = len(nodes)
-    for i in range(1, m + 1):
-        poly = lagrange_no_intercept(nodes, i)
-        for j, node in enumerate(nodes, start=1):
+    columns = np.column_stack([_lagrange_columns(np.array([nodes]), p)[0] for p in range(1, m + 1)])
+    for i in range(m):
+        poly = Polynomial(np.concatenate([[0.0], columns[i]]))
+        for j, node in enumerate(nodes):
             expected = 1.0 if i == j else 0.0
             assert poly(node) == pytest.approx(expected, abs=1e-10)
 
 
 def test_lagrange_rejects_bad_nodes():
     with pytest.raises(InvalidNodesError):
-        lagrange_no_intercept([-1.0, -1.0, 0.5], 1)
+        weights_from_lagrange([0.5, -0.25, 0.5], 2)
     with pytest.raises(InvalidNodesError):
-        lagrange_no_intercept([-1.0, 0.0, 0.5], 1)
-    with pytest.raises(ValueError):
-        lagrange_no_intercept([-1.0, 0.5], 3)
+        weights_from_lagrange([0.0], 1)
+    with pytest.raises(InvalidProblemError):
+        weights_from_lagrange([-1.0, 0.5], 3)
 
 
 def _per_node_product(nodes, i):
-    # the construction the batched basis reproduces: one np.convolve per factor
+    # an independent construction of the i-th basis polynomial (1-based), in
+    # monomial coefficients: one np.convolve per factor
     t = np.asarray(nodes, dtype=float)
     numer, denom = np.array([0.0, 1.0]), t[i - 1]
     for j in range(t.size):
@@ -246,36 +261,42 @@ def _per_node_product(nodes, i):
         list(s_points(15).points),
     ],
 )
-def test_lagrange_basis_rows_match_per_node_product_bit_for_bit(nodes):
-    basis = lagrange_basis_no_intercept(nodes)
-    m = len(nodes)
-    assert basis.shape == (m, m + 1)
-    # the intercept column is exactly +0.0; the per-node product may carry -0.0
-    assert np.all(basis[:, 0] == 0.0) and not np.any(np.signbit(basis[:, 0]))
-    for i in range(1, m + 1):
-        row = lagrange_no_intercept(nodes, i).coeffs
-        np.testing.assert_array_equal(row.view(np.int64), basis[i - 1].view(np.int64))
-        expected = _per_node_product(nodes, i)
-        np.testing.assert_array_equal(row[1:].view(np.int64), expected[1:].view(np.int64))
+def test_lagrange_columns_batch_matches_single_solves_bit_for_bit(nodes):
+    # each support of a stack is solved as if alone, so a case-C design does
+    # not depend on the other candidate drops it was solved with
+    t = np.asarray(nodes)
+    stack = np.array([t, -t[::-1], 0.5 * t])
+    for p in range(1, t.size + 1):
+        batch = _lagrange_columns(stack, p)
+        for row, support in zip(batch, stack):
+            alone = _lagrange_columns(support[None], p)[0]
+            np.testing.assert_array_equal(row.view(np.int64), alone.view(np.int64))
+        product = np.array([_per_node_product(t, i)[p] for i in range(1, t.size + 1)])
+        assert np.abs(batch[0] - product).sum() <= 1e-12 * np.abs(product).sum(), p
 
 
 def test_lagrange_basis_rejects_bad_nodes():
-    with pytest.raises(InvalidNodesError):
-        lagrange_basis_no_intercept([-1.0, -1.0, 0.5])
-    with pytest.raises(InvalidNodesError):
-        lagrange_basis_no_intercept([-1.0, 0.0, 0.5])
-    with pytest.raises(ValueError):
-        lagrange_no_intercept([-1.0, 0.5], 0)
+    for nodes in ([-1.0, -1.0, 0.5], [-1.0, 0.0, 0.5], [-1.0, math.inf, 0.5], [-math.inf, 0.5]):
+        with pytest.raises(InvalidNodesError):
+            weights_from_lagrange(nodes, 1)
+    with pytest.raises(InvalidProblemError):
+        weights_from_lagrange([-1.0, 0.5], 0)
 
 
 def test_lagrange_basis_matches_mpmath_at_degree_30():
-    # 60-digit recomputation from the same double nodes. Column p holds the
-    # a_{i,p} that give h = sum_i |a_{i,p}| and the weights; it agrees to
-    # 1e-12 relative in that 1-norm (3.1e-13 worst), while single entries
-    # agree to 2.3e-12 relative (worst: s-points, p = 19).
+    # 60-digit recomputation of a_{i,p} from the same double nodes, for the
+    # supports of the (30, p) problems and four one-point drops of the (29, p)
+    # candidates (the central and the endpoint pair). h = sum_i |a_{i,p}|
+    # and the 1-norm of the error agree to 1e-14 relative (1.1e-15 and
+    # 3.3e-15 worst). Single entries of the (30, p) supports agree to 1e-11
+    # relative (7.6e-14 worst); near-cancelling entries of the drops do not
+    # (6e4 in a column of 1-norm 3.5e10 is off by 1.9e-11 relative).
     mpmath = pytest.importorskip("mpmath")
+    xs = x_points(14).points
+    supports = [(t_points(15).points, 0, True), (s_points(15).points, 1, True)]
+    supports += [(np.delete(xs, d), 1, False) for d in (0, 14, 15, 29)]
     with mpmath.workdps(60):
-        for nodes, parity in ((t_points(15).points, 0), (s_points(15).points, 1)):
+        for nodes, parity, per_entry in supports:
             exact = [mpmath.mpf(float(x)) for x in nodes]
             reference = []
             for i, ti in enumerate(exact):
@@ -285,22 +306,23 @@ def test_lagrange_basis_matches_mpmath_at_degree_30():
                         numer = [a - tj * b for a, b in zip([0] + numer, numer + [0])]
                         denom *= ti - tj
                 reference.append([c / denom for c in numer])
-            basis = lagrange_basis_no_intercept(nodes)
-            for p in range(1, 31):
-                if p % 2 != parity:  # the (n = 30, p) problems use this support
+            for p in range(1, len(nodes) + 1):
+                if p % 2 != parity:  # the (n, p) problems use this support
                     continue
                 ref = [row[p] for row in reference]
-                errors = [abs(mpmath.mpf(float(a)) - r) for a, r in zip(basis[:, p], ref)]
-                assert sum(errors) <= 1e-12 * sum(abs(r) for r in ref), p
-                assert all(e <= 1e-11 * abs(r) for e, r in zip(errors, ref)), p
+                norm = sum(abs(r) for r in ref)
+                weights, h, signs = weights_from_lagrange(nodes, p)
+                errors = [abs(mpmath.mpf(float(a)) - r) for a, r in zip(weights * h * signs, ref)]
+                assert abs(h - norm) <= 1e-14 * norm, p
+                assert sum(errors) <= 1e-14 * norm, p
+                if per_entry:
+                    assert all(e <= 1e-11 * abs(r) for e, r in zip(errors, ref)), p
 
 
 def test_coefficient_golden_values():
     assert coefficient(chebyshev_t(3), 3) == 4.0
     assert coefficient(Polynomial([0, -0.75, 0, 1]), 0) == 0.0
     assert coefficient(Polynomial([0, 1]), 5) == 0.0
-    poly = lagrange_no_intercept([-1.0, 0.5, 1.0], 1)  # x (x - 1/2)(x - 1) / (-3)
-    assert coefficient(poly, 3) == pytest.approx(-1.0 / 3.0, abs=1e-14)
 
 
 def test_coefficient_rejects_negative_index():
@@ -308,9 +330,15 @@ def test_coefficient_rejects_negative_index():
         coefficient(Polynomial([1.0]), -1)
 
 
+def test_coefficient_rejects_non_integer_index():
+    with pytest.raises(ValueError):
+        coefficient(chebyshev_t(3), 1.5)
+    assert coefficient(chebyshev_t(3), np.int64(1)) == -3.0
+
+
 # Interpolation property: sum_i v_i L_i is the unique intercept-free
 # degree-m interpolant of the values v_i. The independent oracle is a direct
-# Vandermonde solve over the basis x, ..., x**m.
+# solve with the intercept-free Vandermonde matrix V[q, i] = t_i**q.
 _LATTICE = [x / 8.0 for x in range(-8, 9) if x != 0]
 
 
@@ -323,16 +351,21 @@ def test_lagrange_combination_interpolates(nodes, seed):
     rng = np.random.default_rng(seed)
     values = rng.uniform(-2.0, 2.0, size=len(nodes))
     m = len(nodes)
+    t = np.asarray(nodes)
+    vander = np.vstack([t**q for q in range(1, m + 1)])
     combo = np.zeros(m + 1)
-    for i in range(1, m + 1):
-        combo += values[i - 1] * lagrange_no_intercept(nodes, i).padded(m).coeffs
-    assert combo[0] == 0.0
+    for p in range(1, m + 1):
+        oracle = np.linalg.solve(vander, np.eye(m)[p - 1])  # column p of V^-1
+        try:
+            column = _signed_column(nodes, p)
+        except DegenerateCoefficientError:
+            assert np.abs(oracle).min() <= 1e-9 * np.abs(oracle).max()
+        else:
+            atol = 1e-12 * np.abs(oracle).max()
+            np.testing.assert_allclose(column, oracle, rtol=1e-10, atol=atol)
+        combo[p] = _lagrange_columns(t[None], p)[0] @ values
     interp = Polynomial(combo)
     for node, value in zip(nodes, values):
         assert interp(node) == pytest.approx(value, abs=1e-8)
-    # oracle: the unique coefficient vector over powers 1..m interpolating
-    # the values, from a direct Vandermonde solve
-    t = np.asarray(nodes)
-    vander = np.vstack([t**q for q in range(1, m + 1)]).T
-    oracle = np.linalg.solve(vander, values)
-    np.testing.assert_allclose(combo[1:], oracle, rtol=1e-6, atol=1e-8)
+    # the unique coefficient vector over powers 1..m interpolating the values
+    np.testing.assert_allclose(combo[1:], np.linalg.solve(vander.T, values), rtol=1e-6, atol=1e-8)

@@ -13,13 +13,14 @@ from polydesign import (
     DegenerateCoefficientError,
     InvalidNodesError,
     InvalidProblemError,
+    NumericalDegeneracyError,
+    chebyshev_t,
     classify,
     optimal_supports,
     phi_c,
     solve,
     weights_from_lagrange,
 )
-from polydesign.polynomial import lagrange_basis_no_intercept
 
 from half_range import symmetric_system_check
 
@@ -95,13 +96,40 @@ def test_weights_from_lagrange_range_check_reads_every_point():
         weights_from_lagrange([0.5, 2.0, -0.3], 1)
 
 
+def test_weights_from_lagrange_rejects_non_integer_index():
+    with pytest.raises(InvalidProblemError):
+        weights_from_lagrange([-1.0, 0.5, 1.0], 2.5)
+    weights, _, _ = weights_from_lagrange([-1.0, 0.5, 1.0], np.int64(3))
+    np.testing.assert_allclose(weights, [1 / 12, 2 / 3, 1 / 4], atol=1e-14)
+
+
+def test_weights_from_lagrange_rejects_two_dimensional_support():
+    with pytest.raises(InvalidNodesError):
+        weights_from_lagrange([[-1.0, 0.5], [0.25, 1.0]], 1)
+
+
+def test_weights_from_lagrange_overflowing_system_raises():
+    # the coefficient 2**1024 of x**1025 in T_1025 is beyond the double range
+    with pytest.raises(NumericalDegeneracyError):
+        weights_from_lagrange(np.linspace(-1.0, 1.0, 1026), 1025)
+
+
 @pytest.mark.parametrize("nodes", [[math.nan, 0.5], [-0.5, math.nan, 1.0]])
 def test_non_finite_nodes_raise(nodes):
     # a NaN node slips past the [-1, 1] support check and used to yield NaN weights
     with pytest.raises(InvalidNodesError):
-        lagrange_basis_no_intercept(nodes)
-    with pytest.raises(InvalidNodesError):
         weights_from_lagrange(nodes, 1)
+
+
+def test_power_coefficients_match_chebyshev_recurrence_bit_for_bit():
+    # the closed form for the coefficient of x**p in T_j against the exact
+    # integer recurrence of chebyshev_t
+    for m in range(1, 31):
+        coeffs = [chebyshev_t(j).coeffs for j in range(1, m + 1)]
+        for p in range(1, m + 1):
+            expected = np.array([c[p] if p < c.size else 0.0 for c in coeffs])
+            got = polydesign.solver._power_coefficients(m, p)
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 # Reference tables (exact fractions/radicals in double precision).
@@ -253,8 +281,8 @@ def test_symmetric_system_check_detects_tampered_weights():
 
 def test_solve_matches_golden_bits():
     # float.hex of h and of every support point and weight for all 465
-    # problems with n <= 30, as produced by the per-node Lagrange product;
-    # the batched basis must reproduce every bit
+    # problems with n <= 30, as produced by the batched solve in the
+    # intercept-free Chebyshev basis; every bit must reproduce
     golden = json.loads((Path(__file__).parent / "data" / "solve_golden.json").read_text())
     assert len(golden) == 465
     for entry in golden:
@@ -272,17 +300,17 @@ def test_solve_matches_golden_bits():
         assert got == entry
 
 
-@pytest.mark.parametrize("key, calls", [((3, 2), 1), ((4, 3), 1), ((5, 3), 2), ((9, 3), 11)])
+@pytest.mark.parametrize("key, calls", [((3, 2), 1), ((4, 3), 1), ((5, 3), 1), ((9, 3), 1)])
 def test_solve_computes_each_weight_vector_once(monkeypatch, key, calls):
-    # case C validates its supports by their weights and reuses them; the
-    # fallback scan at (9, 3) tries one central drop, then all 2k + 2 = 10
+    # every candidate support of a problem is solved in one batch: the one
+    # support of cases A and B, all 2k + 2 one-point drops of case C
     seen = []
-    original = polydesign.solver.weights_from_lagrange
+    original = polydesign.solver._lagrange_columns
 
-    def counting(support, p):
-        seen.append(len(support))
-        return original(support, p)
+    def counting(supports, p):
+        seen.append(len(supports))
+        return original(supports, p)
 
-    monkeypatch.setattr(polydesign.solver, "weights_from_lagrange", counting)
+    monkeypatch.setattr(polydesign.solver, "_lagrange_columns", counting)
     solve(DesignProblem(*key))
     assert len(seen) == calls
