@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from polydesign import DesignProblem, elfving_lp, oracle_variance, solve
+from polydesign.polynomial import power_coefficients
 
 problem = DesignProblem(n=4, p=2)
 result = solve(problem)
@@ -27,12 +28,14 @@ for size in (101, 1001, 10001):
     print(f"LP on uniform grid {size:>6}: {free:.12f}   gap {free - result.variance:+.2e}")
 print()
 
-# The LP also returns the design it found and a dual certificate vector u
-# with |u . f(x)| <= 1 on the grid -- the same geometry the closed-form
-# certificate lives in.
+# The LP also returns the design it found and a dual certificate vector v
+# with |v . g(x)| <= 1 on the grid, in the basis g_j = T_j - T_j(0) -- the
+# same geometry the closed-form certificate lives in. u = A^T v, with
+# A[j, q] the coefficient of x**q in T_j, gives its monomial coefficients.
 grid = np.union1d(np.linspace(-1, 1, 2001), result.designs[0].support)
 lp = elfving_lp(problem, grid)
+a = np.column_stack([power_coefficients(problem.n, q) for q in range(1, problem.n + 1)])
 print("LP design support:", np.round(lp.design.support, 6))
 print("LP design weights:", np.round(lp.design.weights, 6))
-print("dual certificate highest coefficient:", round(lp.dual[-1], 6))
+print("dual certificate highest coefficient:", round((a.T @ lp.dual)[-1], 6))
 print("certificate from the solver:         ", round(result.certificate.coeffs[-1], 6))

@@ -1,0 +1,63 @@
+"""Cross-check the LP oracle against the closed forms for 9 <= n <= 30.
+
+Runs ``oracle_variance`` on grid 10001 for all 429 problems
+1 <= p <= n with 9 <= n <= 30, with the solver's support in the grid and
+without it, and applies the gates of
+acceptance criterion 4: within 1e-7 relative of ``solve`` with the support;
+without it, no more than 1e-9 below ``solve`` and within 1e-3 relative.
+Prints the worst gaps and exits 1 on any miss (an oracle failure counts as
+one). Tier-1 covers n <= 10 and every p of n in {16, 23, 30}; this sweep
+takes a few tens of seconds, so it runs as its own CI step:
+
+    PYTHONPATH=src python scripts/oracle_sweep.py
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+
+from polydesign import DesignProblem, OracleFailureError, oracle_variance, solve
+
+GRID_SIZE = 10001
+DEGREES = range(9, 31)
+#: relative gap to ``solve`` allowed with the support in the grid and without
+RTOL = {"included": 1e-7, "excluded": 1e-3}
+#: without the support the grid optimum may not fall below ``solve`` by more
+LOWER_BOUND_ATOL = 1e-9
+
+
+def main() -> int:
+    start = time.perf_counter()
+    misses = []
+    worst = {label: (0.0, None) for label in RTOL}
+    problems = [DesignProblem(n, p) for n in DEGREES for p in range(1, n + 1)]
+    for problem in problems:
+        key = (problem.n, problem.p)
+        variance = solve(problem).variance
+        for label in RTOL:
+            try:
+                value = oracle_variance(
+                    problem, grid_size=GRID_SIZE, include_solver_support=label == "included"
+                )
+            except OracleFailureError as exc:
+                misses.append((key, label, str(exc)))
+                continue
+            rel = abs(value - variance) / variance
+            if rel >= worst[label][0]:
+                worst[label] = (rel, key)
+            if rel > RTOL[label]:
+                misses.append((key, label, f"relative gap {rel:.3e}"))
+            if label == "excluded" and value < variance - LOWER_BOUND_ATOL:
+                misses.append((key, label, f"{value - variance:.3e} below solve"))
+    elapsed = time.perf_counter() - start
+    for label, (rel, key) in worst.items():
+        print(f"worst {label} relative gap: {rel:.3e} at (n, p) = {key}")
+    for key, label, reason in misses:
+        print(f"MISS {key} {label}: {reason}")
+    print(f"{len(problems)} problems, {len(misses)} misses, {elapsed:.1f} s")
+    return 1 if misses else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -90,8 +90,11 @@ def regression_vector(x, n: int) -> np.ndarray:
 
     For an array of m points the result is the (n, m) matrix whose column j
     is f(x_j); a scalar gives shape (n,). This is the only place the model's
-    regression basis is written down. Each power is its own ``x**q``, so the
-    rows are bit-identical to computing the powers one by one.
+    monomial regression basis is written down; the same space in the
+    well-conditioned basis g_j = T_j - T_j(0), which the solver's weights and
+    the LP oracle use, is :func:`polydesign.polynomial.intercept_free_vander`.
+    Each power is its own ``x**q``, so the rows are bit-identical to
+    computing the powers one by one.
     """
     if n < 1:
         raise InvalidDegreeError("degree must be at least 1")

@@ -8,11 +8,20 @@ duality 1/t is the optimum of a program in n free variables u,
     maximize u_p   s.t.   |u . f(x_j)| <= 1   for every grid point x_j,
 
 whose optimal u is a certificate vector and whose constraint marginals are
-the optimal design's masses. The grid has thousands of points but only
-about n + 1 constraints are active, so the program is solved by exchange
-(the Remez exchange applied to Elfving's problem): solve it on a small
-active set of grid points, evaluate |u . f| on the whole grid, add every
-local maximum that violates the bound, and repeat.
+the optimal design's masses. Monomial columns f(x_j) are too ill
+conditioned for HiGHS beyond n = 10, so the program runs in the basis
+g_j = T_j - T_j(0), j = 1..n, which spans the same space: g(x) = A f(x)
+with A[j, q] the coefficient of x**q in T_j, so with u = A^T v it reads
+
+    maximize d_p . v   s.t.   |v . g(x_j)| <= 1,   d_p = A e_p.
+
+The grid has thousands of points but only about n + 1 constraints are
+active, so the program is solved by exchange (the Remez exchange applied to
+Elfving's problem): solve it on a small active set of grid points, evaluate
+|v . g| on the whole grid, add every local maximum that violates the bound,
+and repeat. Where the optimal v is not unique, its parity-matched part --
+v with the entries of the other parity than p zeroed -- has the same
+objective and is often already feasible, which ends the exchange early.
 
 Because grid designs are a subset of all designs, the grid optimum can only
 be larger than the continuous one; with the true support included in the
@@ -22,13 +31,15 @@ weight formula, so it is an independent numerical check.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .design import Design, DesignProblem, regression_vector
+from .design import Design, DesignProblem
 from .errors import OracleFailureError
+from .polynomial import intercept_free_vander, power_coefficients
 
 #: uniform grid size used when none is given
 DEFAULT_GRID_SIZE = 2001
@@ -52,10 +63,16 @@ _LP_OPTIONS = {
 class OracleResult:
     """Grid-restricted optimum: variance = 1 / scale_t**2.
 
-    ``dual`` is the certificate vector u of the final LP; it satisfies
-    |dual . f(x_j)| <= 1 + EXCHANGE_TOL on the grid and
-    dual[p-1] * scale_t = 1. ``iterations`` counts the LPs the exchange
-    solved and ``active_size`` the grid points in the final one.
+    ``dual`` is the certificate vector v of the final LP in the basis
+    g_j = T_j - T_j(0) of :func:`~polydesign.polynomial.intercept_free_vander`,
+    not in monomials: |dual . g(x_j)| <= 1 + EXCHANGE_TOL on the grid and
+    (d_p . dual) * scale_t = 1, where d_p = ``power_coefficients(n, p)``.
+    Its monomial form u = A^T v, with A[j, q] the coefficient of x**q in
+    T_j, is the certificate polynomial's coefficient vector, but the
+    rounding of A's large entries alone lifts max |u . f(x_j)| to
+    1 + 6.9e-6 at n = 30 (p = 18, grid 10001). ``iterations`` counts the
+    LPs the exchange solved and ``active_size`` the grid points in the
+    final one.
     """
 
     variance: float
@@ -67,26 +84,47 @@ class OracleResult:
     active_size: int
 
 
+def _peaks(level: np.ndarray) -> np.ndarray:
+    """Mask of the local maxima of each row of ``level`` along the grid."""
+    edge = np.full((level.shape[0], 1), -np.inf)
+    padded = np.hstack([edge, level, edge])
+    return (level >= padded[:, :-2]) & (level >= padded[:, 2:])
+
+
 def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     """Solve the certificate LP over the given grid by exchange.
 
-    Starts from 2n + 2 evenly spaced grid points (both ends included),
-    solves ``maximize u_p s.t. |u . f(x)| <= 1`` on the active points with
-    HiGHS, and adds every local maximum of |u . f| on the grid above
-    1 + ``EXCHANGE_TOL`` until there is none. The design is read from the
-    final LP's inequality marginals.
+    The program is solved in the basis g_j = T_j - T_j(0), j = 1..n, which
+    spans the same space as f(x) but stays well conditioned up to n = 30:
+    with u = A^T v it reads ``maximize d_p . v s.t. |v . g(x)| <= 1``, the
+    objective scaled by 1 / max|d_p|. Starting from 2n + 2 evenly spaced
+    grid points (both ends included), HiGHS solves it on the active points.
+    Each LP also yields the parity candidate v_sym: v with the entries of
+    parity j != p (mod 2) zeroed. g_j has the parity of j and d_p vanishes
+    on those entries, so v_sym has the same objective. Where the optimal v
+    is not unique (even p, odd n), HiGHS returns a vertex that violates the
+    grid while v_sym does not; without v_sym the exchange would approach
+    the optimum one LP at a time. The exchange stops as soon as v or v_sym
+    has no local maximum of |. g| on the grid above 1 + ``EXCHANGE_TOL`` and
+    reports that one, v first; otherwise the violating peaks of both join
+    the active set. A point feasible on the grid that attains the active
+    LP's optimum is optimal on the grid, so the final LP's inequality
+    marginals are an optimal design, from which the design is read.
 
-    Dropping grid constraints can only raise u_p, and u / max|u . f| is
-    feasible on the whole grid, so the reported variance u_p**2 is never
-    below the grid optimum (beyond HiGHS's tolerances) and at most about
-    2 * EXCHANGE_TOL relative above it.
+    Dropping grid constraints can only raise the objective, so the reported
+    variance (d_p . v)**2 is never below the grid optimum (beyond HiGHS's
+    tolerances) and at most about 2 * EXCHANGE_TOL relative above it.
 
     Grids of n + 2 or more points always keep the LP bounded; sparser
     grids are accepted (the target direction may still be representable)
     and surface as :class:`OracleFailureError` when they are not, as do a
-    HiGHS failure and ``MAX_EXCHANGES`` steps without convergence.
+    HiGHS failure, a d_p beyond the double range (p > 1024) and
+    ``MAX_EXCHANGES`` steps without convergence.
     """
-    g = np.unique(np.asarray(grid, dtype=float))
+    g = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("grid points must be finite")
+    g = np.unique(g)
     n, p = problem.n, problem.p
     if g.size < 2:
         raise ValueError("grid must contain at least two points")
@@ -95,12 +133,16 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     if not (np.any(g < 0.0) and np.any(g > 0.0)):
         raise ValueError("grid must contain a negative and a positive point")
 
-    powers = regression_vector(g, n)  # n x J
-    cost = np.zeros(n)
-    cost[p - 1] = -1.0  # maximize u_p
+    basis = intercept_free_vander(g, n).T  # n x J, column j is g(x_j)
+    try:
+        d = power_coefficients(n, p)
+    except OverflowError as exc:  # from p = 1025 on
+        raise OracleFailureError(f"coefficients of x**{p} overflow the double range") from exc
+    cost = -d / np.abs(d).max()  # maximize d_p . v, scaled to unit size
+    off_parity = np.arange(1, n + 1) % 2 != p % 2
     active = np.unique(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int))
     for iteration in range(1, MAX_EXCHANGES + 1):
-        rows = powers[:, active].T
+        rows = basis[:, active].T
         res = linprog(
             cost,
             A_ub=np.vstack([rows, -rows]),
@@ -109,19 +151,24 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
             method="highs",
             options=_LP_OPTIONS,
         )
-        if not res.success:  # an unbounded u means e_p is not representable
+        if not res.success:  # an unbounded v means e_p is not representable
             raise OracleFailureError(f"LP did not terminate with an optimum: {res.message}")
-        u = np.asarray(res.x, dtype=float)
-        level = np.abs(u @ powers)
-        peak = np.r_[True, level[1:] >= level[:-1]] & np.r_[level[:-1] >= level[1:], True]
-        new = np.setdiff1d(np.flatnonzero(peak & (level > 1.0 + EXCHANGE_TOL)), active)
-        if new.size == 0:
+        v = np.asarray(res.x, dtype=float)
+        candidates = np.stack([v, np.where(off_parity, 0.0, v)])
+        level = np.abs(candidates @ basis)
+        over = _peaks(level) & (level > 1.0 + EXCHANGE_TOL)
+        feasible = ~over.any(axis=1)
+        new = np.setdiff1d(np.flatnonzero(over.any(axis=0)), active)
+        # with no new point, v exceeds the bound only at active points, by
+        # HiGHS's feasibility tolerance, and stands as the optimum
+        if feasible.any() or new.size == 0:
+            dual = candidates[int(feasible.argmax())]
             break
         active = np.union1d(active, new)
     else:
         raise OracleFailureError(f"exchange did not converge in {MAX_EXCHANGES} steps")
 
-    u_p = float(u[p - 1])
+    u_p = float(d @ dual)
     marginals = np.abs(np.asarray(res.ineqlin.marginals, dtype=float))
     mass = marginals[: active.size] + marginals[active.size :]
     mass = mass / mass.sum()
@@ -132,7 +179,7 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
         design=Design(g[active[keep]], weights / weights.sum()),
         scale_t=1.0 / u_p,
         grid_size=int(g.size),
-        dual=u,
+        dual=dual,
         iterations=iteration,
         active_size=int(active.size),
     )
@@ -150,8 +197,8 @@ def oracle_variance(
     optimum exactly (up to LP tolerance); without them the result is an
     upper bound that tightens as the grid is refined.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+    if not isinstance(grid_size, numbers.Integral) or grid_size < 2:
+        raise ValueError(f"grid_size must be an integer of at least 2, got {grid_size!r}")
     grid = np.linspace(-1.0, 1.0, grid_size)
     if include_solver_support:
         from .solver import solve  # local import: solver is the object under test

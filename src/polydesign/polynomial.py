@@ -11,6 +11,11 @@ runs Clenshaw's recurrence in plain double. Only the composition in
 :func:`e_polynomial` still accumulates in extended precision. The Chebyshev
 generator returns exact integer coefficients because the recurrence only
 doubles and subtracts.
+
+The intercept-free Chebyshev basis g_j = T_j - T_j(0), j = 1..m, in which
+the solver's weights and the LP oracle are computed, is owned here: its
+values (:func:`intercept_free_vander`) and the coefficients of x**p in T_j
+(:func:`power_coefficients`) that carry a model coefficient into it.
 """
 
 from __future__ import annotations
@@ -114,6 +119,40 @@ def coefficient(poly: Polynomial, p: int) -> float:
     if p >= poly.coeffs.size:
         return 0.0
     return float(poly.coeffs[p])
+
+
+def intercept_free_vander(x, m: int) -> np.ndarray:
+    """Values of g_j(x) = T_j(x) - T_j(0), j = 1..m, in the last axis.
+
+    The g_j span the same space as the model's regression vector
+    f(x) = (x, ..., x**m) -- g(x) = A f(x) with A[j, q] the coefficient of
+    x**q in T_j -- but are bounded by 2 on [-1, 1], so matrices of their
+    values stay well conditioned where monomial Vandermonde matrices do not.
+    g_j has the parity of j. For an array ``x`` the result has shape
+    ``x.shape + (m,)``.
+    """
+    g = ncheb.chebvander(x, m)[..., 1:]
+    # T_j(0) = cos(j pi / 2), rounded to the exact 0, -1, 0, 1, ...; in place,
+    # since a second array of this size costs more than chebvander itself
+    g -= np.rint(np.cos(np.pi / 2 * np.arange(1, m + 1)))
+    return g
+
+
+def power_coefficients(m: int, p: int) -> np.ndarray:
+    """Coefficient of x**p in T_1, ..., T_m, i.e. column p of A.
+
+    The coefficient of x**p in sum_j v_j g_j(x) is d . v, so d carries
+    model coefficient p into the basis of :func:`intercept_free_vander`.
+    For j = p + 2r the entry is the integer
+    (-1)**r 2**(p - 1) j C(j - r, r) / (j - r), computed exactly and rounded
+    once; entries with j - p odd, or j < p, are zero. Raises
+    ``OverflowError`` beyond the double range (from p = 1025 on).
+    """
+    d = np.zeros(m)
+    for j in range(p, m + 1, 2):
+        r = (j - p) // 2
+        d[j - 1] = float((-1) ** r * 2 ** (p - 1) * j * math.comb(j - r, r) // (j - r))
+    return d
 
 
 def chebyshev_t(s: int) -> Polynomial:

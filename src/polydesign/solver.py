@@ -22,12 +22,10 @@ as h * sum_i f(x_i) w_i P(x_i).
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as ncheb
 
 from .design import Design, DesignProblem, regression_vector
 from .errors import (
@@ -37,7 +35,13 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .points import s_points, t_points, x_points
-from .polynomial import Polynomial, chebyshev_t, e_polynomial
+from .polynomial import (
+    Polynomial,
+    chebyshev_t,
+    e_polynomial,
+    intercept_free_vander,
+    power_coefficients,
+)
 
 CASE_A = "A"
 CASE_B = "B"
@@ -89,16 +93,6 @@ def _certificate_values(case_tag: str, k: int) -> np.ndarray:
     return (-1.0) ** np.arange(1, 2 * k + (3 if case_tag == CASE_C else 1))
 
 
-def _power_coefficients(m: int, p: int) -> np.ndarray:
-    """Coefficient of x**p in T_1, ..., T_m: for j = p + 2r the integer
-    (-1)**r 2**(p - 1) j C(j - r, r) / (j - r), computed exactly, rounded once."""
-    d = np.zeros(m)
-    for j in range(p, m + 1, 2):
-        r = (j - p) // 2
-        d[j - 1] = float((-1) ** r * 2 ** (p - 1) * j * math.comb(j - r, r) // (j - r))
-    return d
-
-
 def _lagrange_columns(supports: np.ndarray, p: int) -> np.ndarray:
     """a_{i,p} for each row of a (rows, m) stack of supports, in one solve.
 
@@ -107,10 +101,9 @@ def _lagrange_columns(supports: np.ndarray, p: int) -> np.ndarray:
     coefficient of x**p in T_j.
     """
     m = supports.shape[-1]
-    # T_j(0) = cos(j pi / 2), rounded to the exact 0, -1, 0, 1, ...
-    g = ncheb.chebvander(supports, m)[..., 1:] - np.rint(np.cos(np.pi / 2 * np.arange(1, m + 1)))
+    g = intercept_free_vander(supports, m)
     try:  # d overflows the double range from p = 1025 on
-        d = np.broadcast_to(_power_coefficients(m, p)[:, None], (*supports.shape, 1))
+        d = np.broadcast_to(power_coefficients(m, p)[:, None], (*supports.shape, 1))
         return np.linalg.solve(np.swapaxes(g, -1, -2), d)[..., 0]
     except (np.linalg.LinAlgError, OverflowError) as exc:
         raise NumericalDegeneracyError(f"singular or overflowing system for x**{p}") from exc

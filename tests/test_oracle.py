@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebvander
 from scipy.optimize import linprog
 
 import polydesign.oracle
-from polydesign import DesignProblem, OracleFailureError, elfving_lp, oracle_variance, solve
+from polydesign import (
+    DesignProblem,
+    OracleFailureError,
+    chebyshev_t,
+    elfving_lp,
+    oracle_variance,
+    solve,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -43,6 +51,18 @@ def test_lp_degree_one_three_point_grid():
     assert result.design.size == 1
     assert abs(result.design.support[0]) == 1.0
     assert result.design.weights[0] == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_lp_rejects_non_finite_grid_points(bad):
+    # NaN sorts last in np.unique and compares False against the range check
+    with pytest.raises(ValueError, match="grid points must be finite"):
+        elfving_lp(DesignProblem(2, 1), [-1.0, 0.5, bad, 1.0])
+
+
+def test_oracle_variance_rejects_non_integer_grid_size():
+    with pytest.raises(ValueError, match="grid_size must be an integer"):
+        oracle_variance(DesignProblem(2, 1), grid_size=2.5)
 
 
 def test_lp_validates_grid():
@@ -86,15 +106,32 @@ def test_lp_support_matches_solver_design():
     assert any(matches)
 
 
+def _g_basis(x, n):
+    # g_j(x) = T_j(x) - T_j(0), j = 1..n, as rows, built directly from numpy
+    return (chebvander(x, n) - chebvander([0.0], n))[:, 1:].T
+
+
+def _dual_checks(problem, grid, lp):
+    # |v . g(x_j)| <= 1 on the grid and d_p . v = 1 / scale_t, with d_p the
+    # coefficients of x**p in T_1..T_n from the exact recurrence
+    values = lp.dual @ _g_basis(np.asarray(grid, dtype=float), problem.n)
+    d = np.array([chebyshev_t(j).padded(problem.p).coeffs[problem.p]
+                  for j in range(1, problem.n + 1)])
+    assert np.abs(values).max() <= 1.0 + 1e-8
+    assert (d @ lp.dual) * lp.scale_t == pytest.approx(1.0, abs=1e-8)
+
+
 def test_lp_dual_certificate_properties():
     problem = DesignProblem(3, 3)
     grid = np.union1d(np.linspace(-1, 1, 2001), [-0.5, 0.5])
-    lp = elfving_lp(problem, grid)
-    g = np.union1d(np.asarray(grid, dtype=float), [])
-    powers = np.vstack([g**q for q in range(1, problem.n + 1)])
-    values = lp.dual @ powers
-    assert np.abs(values).max() <= 1.0 + 1e-8
-    assert lp.dual[problem.p - 1] * lp.scale_t == pytest.approx(1.0, abs=1e-8)
+    _dual_checks(problem, grid, elfving_lp(problem, grid))
+
+
+def test_lp_dual_certificate_properties_degree_30():
+    problem = DesignProblem(30, 15)
+    support = np.concatenate([d.support for d in solve(problem).designs])
+    grid = np.union1d(np.linspace(-1, 1, 2001), support)
+    _dual_checks(problem, grid, elfving_lp(problem, grid))
 
 
 @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (4, 4), (5, 3), (6, 5)])
@@ -111,7 +148,11 @@ def test_oracle_variance_validates_grid_size():
         oracle_variance(DesignProblem(5, 1), grid_size=1)
 
 
-@pytest.mark.parametrize("n,p", [(1, 1), (2, 1), (3, 3), (4, 2), (5, 4), (6, 1)])
+# even p with odd n: the optimal dual is not unique, the exchange's hard case
+DEGENERATE = [(3, 2), (5, 2), (5, 4), (7, 2), (7, 4), (7, 6)]
+
+
+@pytest.mark.parametrize("n,p", sorted({(1, 1), (2, 1), (3, 3), (4, 2), (6, 1), *DEGENERATE}))
 def test_exchange_matches_primal_lp(n, p):
     problem = DesignProblem(n, p)
     grid = np.linspace(-1.0, 1.0, 2001)
@@ -129,11 +170,27 @@ def test_unrepresentable_target_fails_in_both_formulations():
         elfving_lp(problem, grid)
 
 
+def test_double_range_overflow_fails_as_oracle_failure():
+    # the coefficients of x**1100 in T_j exceed the double range
+    with pytest.raises(OracleFailureError, match="overflow"):
+        elfving_lp(DesignProblem(1100, 1100), [-1.0, -0.5, 0.5, 1.0])
+
+
 @pytest.mark.parametrize("n,p", [(1, 1), (4, 2), (8, 5)])
 def test_lp_reports_exchange(n, p):
     lp = elfving_lp(DesignProblem(n, p), np.linspace(-1.0, 1.0, 10001))
     assert lp.iterations >= 1
     assert lp.active_size >= lp.design.size >= 1
+
+
+@pytest.mark.parametrize("n,p", DEGENERATE)
+def test_degenerate_dual_converges_in_few_exchanges(n, p):
+    # the parity candidate stops the exchange at the symmetric optimum
+    # instead of approaching it one LP at a time, and is the reported dual
+    problem, grid = DesignProblem(n, p), np.linspace(-1.0, 1.0, 10001)
+    lp = elfving_lp(problem, grid)
+    assert lp.iterations <= 5
+    _dual_checks(problem, grid, lp)
 
 
 def test_exchange_cap_raises(monkeypatch):
@@ -144,10 +201,21 @@ def test_exchange_cap_raises(monkeypatch):
         elfving_lp(problem, grid)
 
 
-@pytest.mark.parametrize("n", [9, 10])
-def test_oracle_agreement_degrees_9_and_10(n):
+def _assert_oracle_agreement(n):
     for p in range(1, n + 1):
         problem = DesignProblem(n, p)
         variance = solve(problem).variance
         included = oracle_variance(problem, grid_size=10001, include_solver_support=True)
         assert included == pytest.approx(variance, rel=1e-7), (n, p)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_oracle_agreement_degrees_9_and_10(n):
+    _assert_oracle_agreement(n)
+
+
+@pytest.mark.parametrize("n", [16, 23, 30])
+def test_oracle_agreement_high_degrees(n):
+    # every p of three degrees covers all three cases; the full 9 <= n <= 30
+    # sweep is scripts/oracle_sweep.py
+    _assert_oracle_agreement(n)

@@ -16,9 +16,11 @@ from polydesign import (
     chebyshev_t,
     coefficient,
     e_polynomial,
+    regression_vector,
     weights_from_lagrange,
 )
 from polydesign.points import s_points, t_points, x_points
+from polydesign.polynomial import intercept_free_vander
 from polydesign.solver import _lagrange_columns
 
 SQRT2 = math.sqrt(2.0)
@@ -92,6 +94,20 @@ def test_chebyshev_t_converts_to_unit_vector(s):
     expected = np.zeros(s + 1)
     expected[s] = 1.0
     np.testing.assert_array_equal(chebyshev_t(s)._chebyshev, expected)
+
+
+def test_intercept_free_vander_maps_to_regression_vector():
+    # x**q = 2**(1 - q) sum_i C(q, i) g_{q - 2i} over q - 2i >= 1: the
+    # T_j(0) constants cancel because x**q vanishes at 0. This exact inverse
+    # of A takes the g-basis values back to f(x)
+    n = 30
+    x = np.linspace(-1.0, 1.0, 1001)
+    inverse = np.zeros((n, n))
+    for q in range(1, n + 1):
+        for i in range((q - 1) // 2 + 1):
+            inverse[q - 1, q - 2 * i - 1] = math.comb(q, i) * 2.0 ** (1 - q)
+    got = inverse @ intercept_free_vander(x, n).T
+    assert np.abs(got - regression_vector(x, n)).max() <= 1e-13
 
 
 def _fraction_chebyshev(coeffs):
