@@ -6,6 +6,10 @@
 # h * sum_i f(x_i) w_i P(x_i). The optimal variance is then h**2. The
 # verifier checks all of this numerically on a dense grid, so any claimed
 # design can be certified (or refuted) without trusting the solver.
+#
+# Certificates are held in the basis g_j = T_j - T_j(0), j = 1..n: their
+# coefficients are Chebyshev coefficients, of at most 2 in magnitude, and
+# coefficient() reads out the monomial ones.
 
 import numpy as np
 
@@ -14,6 +18,7 @@ from polydesign import (
     DesignProblem,
     Polynomial,
     certificate_for,
+    coefficient,
     solve,
     verify,
 )
@@ -23,7 +28,9 @@ np.set_printoptions(precision=6, suppress=True)
 problem = DesignProblem(n=4, p=2)
 result = solve(problem)
 design = result.designs[0]
-print("certificate coefficients:", result.certificate.coeffs)
+print("certificate Chebyshev coefficients c_1..c_4:", result.certificate.coeffs)
+print("certificate monomial coefficients x..x**4: ",
+      np.array([coefficient(result.certificate, q) for q in range(1, problem.n + 1)]))
 report = verify(design, problem, result.certificate)
 print(f"verdict: {report.verdict}")
 print(f"  sup-norm on grid:        {report.condition1_max:.12f}")
@@ -34,7 +41,7 @@ print()
 
 # The verifier accepts any harmless scaling of the certificate: a monic
 # variant is rescaled to sup-norm one before conditions (2) and (3).
-monic = Polynomial(result.certificate.coeffs / result.certificate.coeffs[-1])
+monic = Polynomial(result.certificate.coeffs / coefficient(result.certificate, problem.n))
 report = verify(design, problem, monic)
 print(f"monic certificate: verdict {report.verdict}, scale applied {report.certificate_scale:.6f}")
 
@@ -53,4 +60,5 @@ print(f"5% weight perturbation: verdict {report.verdict}, "
       f"identity residual {report.condition3_residual:.2e}")
 
 # Certificates depend only on the problem, not on a solved design:
+# (3, 2) has x**2 = g_2 / 2, padded to degree 3.
 print("\ncanonical certificate for (3, 2):", certificate_for(DesignProblem(3, 2)).coeffs)

@@ -9,8 +9,7 @@ import math
 
 import numpy as np
 
-from polydesign import DesignProblem, elfving_lp, oracle_variance, solve
-from polydesign.polynomial import power_coefficients
+from polydesign import DesignProblem, Polynomial, coefficient, elfving_lp, oracle_variance, solve
 
 problem = DesignProblem(n=4, p=2)
 result = solve(problem)
@@ -30,12 +29,11 @@ print()
 
 # The LP also returns the design it found and a dual certificate vector v
 # with |v . g(x)| <= 1 on the grid, in the basis g_j = T_j - T_j(0) -- the
-# same geometry the closed-form certificate lives in. u = A^T v, with
-# A[j, q] the coefficient of x**q in T_j, gives its monomial coefficients.
+# basis the closed-form certificate is stored in, so both are Polynomials.
 grid = np.union1d(np.linspace(-1, 1, 2001), result.designs[0].support)
 lp = elfving_lp(problem, grid)
-a = np.column_stack([power_coefficients(problem.n, q) for q in range(1, problem.n + 1)])
+dual = Polynomial(lp.dual)
 print("LP design support:", np.round(lp.design.support, 6))
 print("LP design weights:", np.round(lp.design.weights, 6))
-print("dual certificate highest coefficient:", round((a.T @ lp.dual)[-1], 6))
-print("certificate from the solver:         ", round(result.certificate.coeffs[-1], 6))
+print("dual certificate coefficient of x**4:", round(coefficient(dual, problem.n), 6))
+print("certificate from the solver:         ", round(coefficient(result.certificate, problem.n), 6))

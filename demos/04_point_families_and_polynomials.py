@@ -7,7 +7,7 @@
 
 import numpy as np
 
-from polydesign import chebyshev_t, e_polynomial, s_points, t_points, x_points
+from polydesign import Polynomial, coefficient, e_polynomial, s_points, t_points, x_points
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -22,9 +22,10 @@ print("X family:", x.points)
 print("T family:", t.points, "(inner points are +-sqrt(sqrt(2) - 1))")
 print()
 
-# Values at the family points alternate between +1 and -1:
-t3 = chebyshev_t(2 * k - 1)
-t5 = chebyshev_t(2 * k + 1)
+# Values at the family points alternate between +1 and -1. Polynomials are
+# held in the basis g_j = T_j - T_j(0); for odd j, g_j is T_j itself.
+t3 = Polynomial([0.0, 0.0, 1.0])
+t5 = Polynomial([0.0, 0.0, 0.0, 0.0, 1.0])
 e4 = e_polynomial(k)
 print("T3 at S family:", np.round(t3(s.points), 12))
 print("T5 at X family:", np.round(t5(x.points), 12))
@@ -32,8 +33,11 @@ print("E4 at T family:", np.round(e4(t.points), 12), "(pairs across the center)"
 print()
 
 # The even polynomial is a Chebyshev polynomial composed with a quadratic
-# that maps [-1, 1] onto the interval where the oscillation happens:
-print("E4 coefficients:", e4.coeffs)
+# that maps [-1, 1] onto the interval where the oscillation happens. Its
+# Chebyshev coefficients sit at the even indices; its monomial ones are
+# (3 + 2 sqrt(2)) x**4 - (2 + 2 sqrt(2)) x**2:
+print("E4 Chebyshev coefficients c_1..c_4:", e4.coeffs)
+print("E4 monomial coefficients x..x**4:  ", np.array([coefficient(e4, q) for q in range(1, 5)]))
 print("equioscillation bound on a dense grid:",
       np.abs(e4(np.linspace(-1, 1, 100001))).max())
 print()

@@ -13,15 +13,15 @@ variance against a linear-programming oracle on a discretized design space.
 16.0
 """
 
-__version__ = "0.1.0"  # set before the submodules import it
+__version__ = "0.2.0"  # set before the submodules import it
 
 from .design import (
     Design,
     DesignProblem,
+    certificate_identity,
     information_matrix,
     phi_c,
     pseudo_inverse,
-    regression_vector,
 )
 from .document import DesignDocument, document_from_result, parse_design_file, parse_document, render_document
 from .elfving import ElfvingReport, verify
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .oracle import OracleResult, elfving_lp, oracle_variance
 from .points import SupportFamily, s_points, t_points, x_points
-from .polynomial import Polynomial, chebyshev_t, coefficient, e_polynomial
+from .polynomial import Polynomial, coefficient, e_polynomial
 from .solver import (
     OptimalResult,
     certificate_for,
@@ -60,7 +60,7 @@ __all__ = [
     "Polynomial",
     "SupportFamily",
     "certificate_for",
-    "chebyshev_t",
+    "certificate_identity",
     "classify",
     "coefficient",
     "document_from_result",
@@ -73,7 +73,6 @@ __all__ = [
     "parse_document",
     "phi_c",
     "pseudo_inverse",
-    "regression_vector",
     "render_document",
     "s_points",
     "solve",

@@ -75,7 +75,8 @@ def _print_design_table(out, result) -> None:
     print(f"case:      {result.case_tag}", file=out)
     print(f"h:         {_fmt(result.h)}", file=out)
     print(f"variance:  {_fmt(result.variance)}", file=out)
-    print(f"certificate coeffs: [{', '.join(_fmt(c) for c in result.certificate.coeffs)}]", file=out)
+    print(f"certificate Chebyshev coeffs c_1..c_n: "
+          f"[{', '.join(_fmt(c) for c in result.certificate.coeffs)}]", file=out)
     for idx, design in enumerate(result.designs, start=1):
         print(f"design {idx}:", file=out)
         print("  support                    weight", file=out)

@@ -1,11 +1,15 @@
 """Design measures, moment matrices and the estimability criterion.
 
-A design is a finitely supported probability measure on [-1, 1]. For the
-degree-n model without intercept the regression vector is
-f(x) = (x, x**2, ..., x**n), the information matrix is the weighted moment
-matrix sum_i w_i f(x_i) f(x_i)^T, and the criterion value for a coefficient
-vector c is c^T M^+ c when c is estimable under the design and infinity
-otherwise. Symmetric matrices are plain float64 numpy arrays throughout.
+A design is a finitely supported probability measure on [-1, 1]. The
+degree-n model without intercept is written in the basis
+g_j = T_j - T_j(0), j = 1..n, of :mod:`polydesign.polynomial`: the
+regression vector is g(x) = A f(x), with f(x) = (x, ..., x**n) and A[j, q]
+the coefficient of x**q in T_j, and monomial coefficient vectors c map to
+d = A c (for the unit vector e_p, d_p = ``power_coefficients(n, p)``). The
+information matrix is the weighted moment matrix
+M = sum_i w_i g(x_i) g(x_i)^T, and the criterion value c^T M_f^- c equals
+d^T M^+ d when c is estimable under the design, and infinity otherwise.
+Symmetric matrices are plain float64 numpy arrays throughout.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDegreeError, InvalidDesignError, InvalidProblemError
+from .polynomial import intercept_free_vander, power_coefficients
 
 #: relative eigenvalue cutoff used by :func:`pseudo_inverse`
 RANK_TOL = 1e-10
@@ -85,38 +90,17 @@ class DesignProblem:
         return e
 
 
-def regression_vector(x, n: int) -> np.ndarray:
-    """f(x) = (x, x**2, ..., x**n) -- no leading 1, the model has no intercept.
-
-    For an array of m points the result is the (n, m) matrix whose column j
-    is f(x_j); a scalar gives shape (n,). This is the only place the model's
-    monomial regression basis is written down; the same space in the
-    well-conditioned basis g_j = T_j - T_j(0), which the solver's weights and
-    the LP oracle use, is :func:`polydesign.polynomial.intercept_free_vander`.
-    Each power is its own ``x**q``, so the rows are bit-identical to
-    computing the powers one by one.
-    """
-    if n < 1:
-        raise InvalidDegreeError("degree must be at least 1")
-    x = np.asarray(x, dtype=float)
-    return np.stack([x**q for q in range(1, n + 1)])
-
-
 def information_matrix(design: Design, n: int) -> np.ndarray:
-    """Weighted moment matrix with entry (q, r) = sum_i w_i x_i**(q+r).
+    """Weighted moment matrix G diag(w) G^T, with G[j, i] = g_j(x_i).
 
-    Entries are filled from a single moment table, so the result is
-    symmetric bit-for-bit and positive semidefinite up to rounding.
+    The product is averaged with its transpose, so the result is symmetric
+    bit-for-bit and positive semidefinite up to rounding.
     """
     if n < 1:
         raise InvalidDegreeError("degree must be at least 1")
-    x, w = design.support, design.weights
-    powers = x[:, None] ** np.arange(0, 2 * n + 1)[None, :]
-    moments = w @ powers
-    m = np.empty((n, n))
-    for q in range(1, n + 1):
-        m[q - 1, :] = moments[q + 1 : q + n + 1]
-    return m
+    g = intercept_free_vander(design.support, n)
+    m = (g.T * design.weights) @ g
+    return 0.5 * (m + m.T)
 
 
 def pseudo_inverse(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -143,21 +127,50 @@ def pseudo_inverse(m: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def phi_c(design: Design, c, n: int) -> float:
-    """Criterion value c^T M^+ c, or ``math.inf`` when c is not estimable.
+    """Criterion value c^T M^- c, or ``math.inf`` when c is not estimable.
 
-    This is the library's one estimability test: c is estimable under the
-    design iff it lies in the column space of M, checked as
-    ``|M M^+ c - c| <= ADMISSIBLE_TOL * max(1, |c|)``, so
+    ``c`` holds monomial coefficients (c . theta for theta the coefficients
+    of x, ..., x**n) and is mapped to d = A c in the basis of
+    :func:`information_matrix`; the value is d^T M^+ d. This is the
+    library's one estimability test: c is estimable under the design iff d
+    lies in the column space of M, checked as
+    ``|M M^+ d - d| <= ADMISSIBLE_TOL * max(1, |d|)``, so
     ``math.isfinite(phi_c(...))`` answers "is c estimable?". For estimable
     c the value does not depend on the choice of generalized inverse;
-    infinity is a sentinel value, not an error.
+    infinity is a sentinel value, not an error. A non-finite ``c`` raises
+    ``ValueError``.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (n,):
         raise ValueError(f"coefficient vector must have length {n}")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficient vector must be finite")
+    d = np.zeros(n)
+    for q in np.flatnonzero(c):  # a unit vector e_p maps to d_p exactly
+        d += c[q] * power_coefficients(n, q + 1)
     m = information_matrix(design, n)
     pinv, _ = pseudo_inverse(m)
-    resid = np.abs(m @ (pinv @ c) - c).max()
-    if resid > ADMISSIBLE_TOL * max(1.0, np.abs(c).max()):
+    resid = np.abs(m @ (pinv @ d) - d).max()
+    if resid > ADMISSIBLE_TOL * max(1.0, np.abs(d).max()):
         return math.inf
-    return float(c @ pinv @ c)
+    return float(d @ pinv @ d)
+
+
+def certificate_identity(design: Design, problem: DesignProblem, values) -> tuple[float, float]:
+    """h and the residual of condition (3), d_p = h * sum_i g(x_i) w_i P(x_i).
+
+    ``values`` are the certificate's values P(x_i) on the support. h is
+    solved from the largest entry of d_p, and the residual is
+    max|h * sum_i g(x_i) w_i P(x_i) - d_p| / max|d_p|: the identity in the
+    basis g carries rounding of order eps * max|d_p|, so it is measured
+    relative to that. A moment that vanishes at the solved entry gives
+    (inf, inf). This is the one owner of condition (3): the verifier and
+    the solver's self-check both call it.
+    """
+    d = power_coefficients(problem.n, problem.p)
+    moment = intercept_free_vander(design.support, problem.n).T @ (design.weights * values)
+    j = int(np.abs(d).argmax())
+    if moment[j] == 0.0:
+        return math.inf, math.inf
+    h = float(d[j] / moment[j])
+    return h, float(np.abs(h * moment - d).max() / abs(d[j]))

@@ -1,10 +1,15 @@
 """Serializable design documents and design-file parsing.
 
 The document is a plain mapping with a fixed field order (degree, coef,
-case_tag, designs, variance, h, certificate_coeffs, metadata). Rendering is
-deterministic and writes every float with 17 significant digits, which is
-enough to reproduce the exact double on parse, so documents round-trip
-losslessly. Design files may be either a full document or the minimal form
+case_tag, designs, variance, h, certificate_chebyshev, metadata).
+``certificate_chebyshev`` holds the certificate's coefficients v_1..v_n of
+g_j = T_j - T_j(0), which are its Chebyshev coefficients c_1..c_n; c_0 is
+implied by the zero intercept. Version 0.1.0 documents stored the monomial
+coefficients of x**0..x**n as ``certificate_coeffs`` instead; they are
+still read, converted exactly. Rendering is deterministic and writes every
+float with 17 significant digits, which is enough to reproduce the exact
+double on parse, so documents round-trip losslessly. Design files may be
+either a full document or the minimal form
 ``{"support": [...], "weights": [...]}``.
 """
 
@@ -29,7 +34,7 @@ class DesignDocument:
     designs: list[dict]  # each {"support": [...], "weights": [...]}
     variance: float
     h: float
-    certificate_coeffs: list[float]
+    certificate_chebyshev: list[float]
     metadata: dict = field(default_factory=dict)
 
 
@@ -54,7 +59,7 @@ def document_from_result(result: OptimalResult, grid_size: int | None = None) ->
         ],
         variance=float(result.variance),
         h=float(result.h),
-        certificate_coeffs=[float(c) for c in result.certificate.coeffs],
+        certificate_chebyshev=[float(c) for c in result.certificate.coeffs],
         metadata=metadata,
     )
 
@@ -130,6 +135,18 @@ def _integer(raw, key: str) -> int:
     raise DocumentError(f"{key} must be an integer, got {value!r}")
 
 
+def _certificate(raw) -> list[float]:
+    """Stored g-coefficients; a 0.1.0 document's monomials are converted.
+
+    A 0.1.0 certificate with a nonzero intercept raises
+    :class:`InvalidCertificateError`, a ``ValueError``.
+    """
+    if "certificate_chebyshev" in raw or "certificate_coeffs" not in raw:
+        return [float(c) for c in raw["certificate_chebyshev"]]
+    monomial = [float(c) for c in raw["certificate_coeffs"]]
+    return Polynomial.from_monomial(monomial).coeffs.tolist() if monomial else []
+
+
 def parse_document(text: str) -> DesignDocument:
     raw = _loads(text, "design document")
     try:
@@ -146,7 +163,7 @@ def parse_document(text: str) -> DesignDocument:
             ],
             variance=float(raw["variance"]),
             h=float(raw["h"]),
-            certificate_coeffs=[float(c) for c in raw["certificate_coeffs"]],
+            certificate_chebyshev=_certificate(raw),
             metadata=raw.get("metadata", {}),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -171,9 +188,9 @@ def parse_design_file(text: str, problem: DesignProblem) -> tuple[list[Design], 
                 f"requested degree {problem.n}, coef {problem.p}"
             )
         entries = doc.designs
-        if doc.certificate_coeffs:
+        if doc.certificate_chebyshev:
             try:
-                certificate = Polynomial(doc.certificate_coeffs)
+                certificate = Polynomial(doc.certificate_chebyshev)
             except ValueError as exc:
                 raise DocumentError(f"invalid certificate in file: {exc}") from exc
     elif "support" in raw and "weights" in raw:

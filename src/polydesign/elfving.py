@@ -5,12 +5,16 @@ certificate polynomial P with zero intercept satisfies
 
   (1) |P(x)| <= 1 on [-1, 1],
   (2) |P(x_i)| = 1 at every support point,
-  (3) e_p = h * sum_i f(x_i) w_i P(x_i) for some constant h,
+  (3) d_p = h * sum_i g(x_i) w_i P(x_i) for some constant h,
 
-and then the optimal variance is h**2. The verifier checks all three
-conditions numerically, computes the variance both from h and from the
-pseudo-inverse criterion, and reports every measurement so a failed verdict
-can be attributed to a specific condition.
+and then the optimal variance is h**2. Condition (3) is written in the
+basis g_j = T_j - T_j(0) of :mod:`polydesign.polynomial`, in which the
+certificate is stored too: g(x) = A f(x) with f(x) = (x, ..., x**n), and
+d_p = A e_p holds the coefficients of x**p in T_1..T_n, so it is the
+monomial identity e_p = h * sum_i f(x_i) w_i P(x_i) multiplied by A. The
+verifier checks all three conditions numerically, computes the variance
+both from h and from the pseudo-inverse criterion, and reports every
+measurement so a failed verdict can be attributed to a specific condition.
 
 Certificates are compared at sup-norm 1: condition (1) is checked on the
 certificate exactly as given (so an over-scaled certificate is detected),
@@ -21,18 +25,19 @@ grid maximum, which accepts harmless down-scalings such as monic variants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, DesignProblem, phi_c, regression_vector
+from .design import Design, DesignProblem, certificate_identity, phi_c
 from .errors import InvalidCertificateError
 from .polynomial import Polynomial
 
 #: default evaluation grid for condition (1)
 DEFAULT_GRID_SIZE = 10001
 
-#: per-condition tolerance (bound excess, extremality, identity residual)
+#: per-condition tolerance (bound excess, extremality, relative identity residual)
 CONDITION_TOL = 1e-9
 
 #: relative tolerance between the two variance computations
@@ -70,23 +75,23 @@ def verify(
 
     Condition (1) takes the maximum of |P| over a uniform grid of
     ``grid_size`` points on [-1, 1] and over the support; condition (2)
-    reuses the values at the exact support points. The constant h is solved
-    from coordinate p of condition (3); the residual is then reported over
-    all n coordinates. An inadmissible design yields ``variance_matrix = inf``
-    and a False verdict.
+    reuses the values at the exact support points. Condition (3) is
+    :func:`~polydesign.design.certificate_identity`: h is solved from the
+    largest entry of d_p, and the residual over all n coordinates is taken
+    relative to max|d_p|. An inadmissible design yields
+    ``variance_matrix = inf`` and a False verdict.
 
     The certificate must lie in the model's span: a nonzero coefficient
-    beyond x**n raises :class:`InvalidCertificateError` (trailing zeros are
-    allowed), and so does a nonzero intercept. A certificate that is zero on
-    the grid or whose values overflow the double range raises it too. A
-    non-finite or negative ``condition_tol`` raises ``ValueError``.
+    beyond g_n raises :class:`InvalidCertificateError` (trailing zeros are
+    allowed); its intercept is zero by construction. A certificate that is
+    zero on the grid or whose values overflow the double range raises it
+    too. A ``grid_size`` that is not an integer of at least 101, and a
+    non-finite or negative ``condition_tol``, raise ``ValueError``.
     """
-    if grid_size < 101:
-        raise ValueError("grid_size must be at least 101")
+    if not isinstance(grid_size, numbers.Integral) or grid_size < 101:
+        raise ValueError(f"grid_size must be an integer of at least 101, got {grid_size!r}")
     if not (math.isfinite(condition_tol) and condition_tol >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {condition_tol!r}")
-    if certificate.coeffs[0] != 0.0:
-        raise InvalidCertificateError("certificate must have zero intercept")
     if certificate.degree > problem.n:
         raise InvalidCertificateError(
             f"certificate has degree {certificate.degree}, above the model degree {problem.n}"
@@ -109,14 +114,7 @@ def verify(
 
     variance_matrix = phi_c(design, problem.unit_vector(), problem.n)
 
-    moment = regression_vector(design.support, problem.n) @ (design.weights * support_vals)
-    target = moment[problem.p - 1]
-    if target == 0.0:
-        h = math.inf
-        condition3_residual = math.inf
-    else:
-        h = 1.0 / float(target)
-        condition3_residual = float(np.abs(h * moment - problem.unit_vector()).max())
+    h, condition3_residual = certificate_identity(design, problem, support_vals)
     variance_formula = h * h
 
     verdict = (

@@ -47,7 +47,7 @@ DEFAULT_GRID_SIZE = 2001
 #: weights below this threshold are dropped from the reported design
 WEIGHT_CUTOFF = 1e-10
 
-#: the exchange stops once no grid point has |u . f(x)| above 1 + this
+#: the exchange stops once no grid point has |v . g(x)| above 1 + this
 EXCHANGE_TOL = 1e-10
 
 #: exchange steps (small LPs solved) before the oracle gives up
@@ -65,14 +65,12 @@ class OracleResult:
 
     ``dual`` is the certificate vector v of the final LP in the basis
     g_j = T_j - T_j(0) of :func:`~polydesign.polynomial.intercept_free_vander`,
-    not in monomials: |dual . g(x_j)| <= 1 + EXCHANGE_TOL on the grid and
+    the vector type of d_p and of a :class:`~polydesign.polynomial.Polynomial`'s
+    coefficients, so ``Polynomial(dual)`` is the LP's certificate polynomial:
+    |dual . g(x_j)| <= 1 + EXCHANGE_TOL on the grid and
     (d_p . dual) * scale_t = 1, where d_p = ``power_coefficients(n, p)``.
-    Its monomial form u = A^T v, with A[j, q] the coefficient of x**q in
-    T_j, is the certificate polynomial's coefficient vector, but the
-    rounding of A's large entries alone lifts max |u . f(x_j)| to
-    1 + 6.9e-6 at n = 30 (p = 18, grid 10001). ``iterations`` counts the
-    LPs the exchange solved and ``active_size`` the grid points in the
-    final one.
+    ``iterations`` counts the LPs the exchange solved and ``active_size``
+    the grid points in the final one.
     """
 
     variance: float

@@ -1,20 +1,19 @@
-"""Dense univariate polynomials over the monomial basis.
+"""Polynomials with zero intercept, held in the intercept-free Chebyshev basis.
 
-Coefficient index j holds the coefficient of x**j, so ``coeffs[0]`` is the
-intercept. Trailing zeros are permitted (padding) and ignored by ``degree``.
-Coefficients are stored as finite float64. Evaluation on [-1, 1] works in
-the Chebyshev basis, where the large alternating monomial coefficients of
-high-degree equioscillating polynomials become small and well conditioned:
-on first use the stored coefficients are converted to Chebyshev coefficients
-exactly, in integer arithmetic, and rounded to double once; every call then
-runs Clenshaw's recurrence in plain double. Only the composition in
-:func:`e_polynomial` still accumulates in extended precision. The Chebyshev
-generator returns exact integer coefficients because the recurrence only
-doubles and subtracts.
+The model space -- polynomials of degree at most m that vanish at 0 -- is
+spanned by g_j = T_j - T_j(0), j = 1..m, and this is the one basis the
+library computes in. A :class:`Polynomial` stores the coefficients
+v_1..v_m of g_1..g_m. They are also its Chebyshev coefficients c_1..c_m;
+c_0 = -sum_j v_j T_j(0) is implied, so a zero intercept is a property of the
+format, not a check. A polynomial bounded by 1 on [-1, 1] has Chebyshev
+coefficients of at most 2 in magnitude, however large and alternating its
+monomial coefficients are, so nothing is lost by storing them in double and
+evaluating them by Clenshaw's recurrence. Monomials appear only at the
+edges: :func:`coefficient` reads out the coefficient of x**p, and
+:meth:`Polynomial.from_monomial` converts monomial coefficients exactly.
 
-The intercept-free Chebyshev basis g_j = T_j - T_j(0), j = 1..m, in which
-the solver's weights and the LP oracle are computed, is owned here: its
-values (:func:`intercept_free_vander`) and the coefficients of x**p in T_j
+The basis is owned here: its values (:func:`intercept_free_vander`, the
+model's regression vector) and the coefficients of x**p in T_j
 (:func:`power_coefficients`) that carry a model coefficient into it.
 """
 
@@ -23,17 +22,22 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
-from .errors import InvalidOrderError
+from .errors import InvalidCertificateError, InvalidOrderError
+
+
+def _t_at_zero(m: int) -> np.ndarray:
+    # T_j(0) = cos(j pi / 2), j = 1..m, rounded to the exact 0, -1, 0, 1, ...
+    return np.rint(np.cos(np.pi / 2 * np.arange(1, m + 1)))
 
 
 @dataclass(frozen=True, eq=False)
 class Polynomial:
-    """Immutable polynomial, lowest-order coefficient first."""
+    """Immutable polynomial sum_j coeffs[j - 1] * (T_j - T_j(0)), j = 1..m."""
 
     coeffs: np.ndarray
 
@@ -43,98 +47,83 @@ class Polynomial:
             raise ValueError("coeffs must be a non-empty one-dimensional sequence")
         if not np.isfinite(c).all():
             raise ValueError("coeffs must be finite")
-        c.setflags(write=False)  # the cached Chebyshev coefficients depend on it
+        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def from_monomial(cls, coeffs) -> "Polynomial":
+        """The polynomial sum_q coeffs[q] x**q, converted exactly.
+
+        ``coeffs[0]`` is the intercept, and anything but an exact 0 raises
+        :class:`InvalidCertificateError`. Every double is a rational, and
+        x**q = 2**(1 - q) sum_i C(q, i) T_{q - 2i} (the T_0 term halved), so
+        each Chebyshev coefficient c_1..c_m is an exact rational sum,
+        rounded to double once. Non-finite coefficients, and sums beyond the
+        double range, raise ``ValueError``.
+        """
+        c = cls(coeffs).coeffs  # the same checks: one-dimensional, non-empty, finite
+        if c[0] != 0.0:
+            raise InvalidCertificateError("certificate must have zero intercept")
+        sums = [Fraction(0)] * c.size
+        for q, c_q in enumerate(c):
+            for i in range((q - 1) // 2 + 1):  # the T_0 term only feeds c_0
+                sums[q - 2 * i] += Fraction(c_q) * math.comb(q, i) / 2 ** (q - 1)
+        try:
+            return cls([float(s) for s in sums[1:]] or [0.0])
+        except OverflowError as exc:
+            raise ValueError("coeffs must be finite in the Chebyshev basis") from exc
 
     @property
     def degree(self) -> int:
         nonzero = np.nonzero(self.coeffs)[0]
-        return int(nonzero[-1]) if nonzero.size else 0
-
-    @cached_property
-    def _chebyshev(self) -> np.ndarray:
-        """Chebyshev coefficients of ``coeffs``, computed exactly, rounded once.
-
-        Every double is an integer times a power of two, and
-        x**j = 2**(1 - j) * sum_i C(j, i) T_{j - 2i} with the T_0 term
-        halved, so every Chebyshev coefficient is an exact sum of integers
-        over one common power-of-two denominator. Python's integer true
-        division rounds each sum to the nearest double; a sum beyond the
-        double range rounds to +-inf.
-        """
-        ratios = [float(c).as_integer_ratio() for c in self.coeffs]
-        # 2**shift clears each c_j's denominator 2**a_j and the 2**(j - 1) of
-        # x**j, with one spare factor 2 for halving the T_0 term
-        exponents = [den.bit_length() - 1 for _, den in ratios]
-        shift = max(j + a for j, a in enumerate(exponents))
-        sums = [0] * len(ratios)
-        for j, ((num, _), a) in enumerate(zip(ratios, exponents)):
-            if num == 0:
-                continue
-            scaled = num << (shift + 1 - j - a)  # c_j * 2**(1 - j) * 2**shift
-            for i in range(j // 2 + 1):
-                term = math.comb(j, i) * scaled
-                k = j - 2 * i
-                sums[k] += term >> 1 if k == 0 else term
-        denominator = 1 << shift
-        out = np.empty(len(sums))
-        for k, total in enumerate(sums):
-            try:
-                out[k] = total / denominator
-            except OverflowError:
-                out[k] = math.inf if total > 0 else -math.inf
-        return out
+        return int(nonzero[-1]) + 1 if nonzero.size else 0
 
     def __call__(self, x):
         """Evaluate at ``x`` (scalar or array) by Clenshaw's recurrence.
 
-        Runs in plain double on the exact Chebyshev coefficients of the
-        polynomial (each rounded once, computed on the first call), so no
-        extended precision is needed and the result does not depend on the
-        platform's ``long double``. A polynomial bounded by 1 on [-1, 1] has
-        Chebyshev coefficients of at most 2 in magnitude, however large and
-        alternating its monomial coefficients are, which is why monomial
-        Horner loses digits at high degree and Clenshaw does not.
+        Runs in plain double on the Chebyshev series [c_0, v_1, ..., v_m],
+        so the result does not depend on the platform's ``long double``.
         """
-        y = ncheb.chebval(np.asarray(x, dtype=float), self._chebyshev)
+        v = self.coeffs
+        series = np.concatenate([[-(v @ _t_at_zero(v.size))], v])
+        y = ncheb.chebval(np.asarray(x, dtype=float), series)
         if np.ndim(x) == 0:
             return float(y)
         return y
 
     def padded(self, degree: int) -> "Polynomial":
         """Return a copy carrying explicit zero coefficients up to ``degree``."""
-        if self.coeffs.size >= degree + 1:
+        if self.coeffs.size >= degree:
             return self
-        c = np.zeros(degree + 1)
+        c = np.zeros(degree)
         c[: self.coeffs.size] = self.coeffs
         return Polynomial(c)
 
 
 def coefficient(poly: Polynomial, p: int) -> float:
-    """Coefficient of x**p, or 0.0 when p exceeds the stored degree."""
+    """Coefficient of x**p: 0.0 for p = 0 and for p above the stored degree."""
     if not isinstance(p, numbers.Integral):
         raise ValueError(f"coefficient index must be an integer, got {p!r}")
     if p < 0:
         raise ValueError("coefficient index must be nonnegative")
-    if p >= poly.coeffs.size:
+    if p == 0:
         return 0.0
-    return float(poly.coeffs[p])
+    return float(poly.coeffs @ power_coefficients(poly.coeffs.size, p))
 
 
 def intercept_free_vander(x, m: int) -> np.ndarray:
     """Values of g_j(x) = T_j(x) - T_j(0), j = 1..m, in the last axis.
 
-    The g_j span the same space as the model's regression vector
-    f(x) = (x, ..., x**m) -- g(x) = A f(x) with A[j, q] the coefficient of
-    x**q in T_j -- but are bounded by 2 on [-1, 1], so matrices of their
-    values stay well conditioned where monomial Vandermonde matrices do not.
-    g_j has the parity of j. For an array ``x`` the result has shape
-    ``x.shape + (m,)``.
+    This is the model's regression vector. The g_j span the same space as
+    the monomials (x, ..., x**m) -- g(x) = A f(x) with A[j, q] the
+    coefficient of x**q in T_j -- but are bounded by 2 on [-1, 1], so
+    matrices of their values stay well conditioned where monomial
+    Vandermonde matrices do not. g_j has the parity of j. For an array
+    ``x`` the result has shape ``x.shape + (m,)``.
     """
     g = ncheb.chebvander(x, m)[..., 1:]
-    # T_j(0) = cos(j pi / 2), rounded to the exact 0, -1, 0, 1, ...; in place,
-    # since a second array of this size costs more than chebvander itself
-    g -= np.rint(np.cos(np.pi / 2 * np.arange(1, m + 1)))
+    # in place, since a second array of this size costs more than chebvander itself
+    g -= _t_at_zero(m)
     return g
 
 
@@ -148,6 +137,7 @@ def power_coefficients(m: int, p: int) -> np.ndarray:
     once; entries with j - p odd, or j < p, are zero. Raises
     ``OverflowError`` beyond the double range (from p = 1025 on).
     """
+    p = int(p)  # a numpy integer p would make the products wrap in int64
     d = np.zeros(m)
     for j in range(p, m + 1, 2):
         r = (j - p) // 2
@@ -155,51 +145,25 @@ def power_coefficients(m: int, p: int) -> np.ndarray:
     return d
 
 
-def chebyshev_t(s: int) -> Polynomial:
-    """Chebyshev polynomial of the first kind of degree s, monomial basis.
-
-    Generated by the recurrence T_0 = 1, T_1 = x, T_s = 2x T_{s-1} - T_{s-2},
-    so the coefficients are exact integers (stored as floats). Satisfies
-    T_s(cos a) = cos(s a).
-    """
-    if s < 0:
-        raise InvalidOrderError("Chebyshev degree must be nonnegative")
-    if s == 0:
-        return Polynomial(np.array([1.0]))
-    prev = np.array([1.0])
-    cur = np.array([0.0, 1.0])
-    for _ in range(s - 1):
-        nxt = np.zeros(cur.size + 1)
-        nxt[1:] = 2.0 * cur
-        nxt[: prev.size] -= prev
-        prev, cur = cur, nxt
-    return Polynomial(cur)
-
-
 def e_polynomial(k: int) -> Polynomial:
     """Even degree-2k polynomial equioscillating between -1 and 1 on [-1, 1].
 
-    Built by composing the degree-k Chebyshev polynomial with the quadratic
-    y(x) = x**2 (1 + cos(pi/2k)) - cos(pi/2k), which maps [-1, 1] onto
-    [-cos(pi/2k), 1]. The result takes the value 1 at x = +-1, has only
-    even-power coefficients, and its 2k extremal points (all of absolute
-    value 1) serve as design support for even coefficient indices.
+    E(x) = T_k(y(x)) with y(x) = (1 + c) x**2 - c and c = cos(pi/2k), which
+    maps [-1, 1] onto [-c, 1]. E takes the value 1 at x = +-1 and 0 at
+    x = 0, and its 2k extremal points (all of absolute value 1) serve as
+    design support for even coefficient indices. Since y = a T_2 + b with
+    a = (1 + c)/2, b = (1 - c)/2 and T_i(T_2(x)) = T_{2i}(x), the
+    coefficient of T_{2i} in E is that of T_i in the degree-k series
+    T_k(a u + b), which :func:`numpy.polynomial.chebyshev.chebinterpolate`
+    recovers from k + 1 samples. The odd coefficients are zero by
+    construction.
     """
     if k < 1:
         raise InvalidOrderError("order k must be at least 1")
-    c = np.longdouble(math.cos(math.pi / (2 * k)))
-    inner = np.array([-c, 0.0, 1.0 + c], dtype=np.longdouble)  # y(x), ascending
-    # Horner in y: repeatedly multiply by the inner quadratic. Extended
-    # precision keeps the stored double coefficients correctly rounded;
-    # their rounding alone already moves the sup-norm by ~1e-10 at k = 10.
-    outer = chebyshev_t(k).coeffs.astype(np.longdouble)
-    out = np.array([outer[-1]], dtype=np.longdouble)
-    for coef in outer[-2::-1]:
-        out = np.convolve(out, inner)
-        out[0] += coef
-    out = out.astype(float)
-    # The value at 0 is cos(k*pi - pi/2) = 0 for every integer k, and odd
-    # powers cancel identically; snap both so downstream zero checks hold.
-    out[0] = 0.0
-    out[1::2] = 0.0
-    return Polynomial(out)
+    c = math.cos(math.pi / (2 * k))
+    a, b = (1.0 + c) / 2.0, (1.0 - c) / 2.0
+    # the samples lie strictly inside [-1, 1], so a u + b stays below 1
+    series = ncheb.chebinterpolate(lambda u: np.cos(k * np.arccos(a * u + b)), k)
+    v = np.zeros(2 * k)
+    v[1::2] = series[1:]
+    return Polynomial(v)

@@ -16,8 +16,9 @@ coefficient of x**p in the i-th intercept-free Lagrange basis polynomial of
 the support, w_i = |a_{i,p}| / sum_j |a_{j,p}|. The scaling constant
 h = sum_j |a_{j,p}| gives the optimal variance h**2, and the equioscillating
 polynomial of the case acts as the optimality certificate: it is bounded by
-1 on [-1, 1], equals +-1 on the support, and reproduces the unit vector e_p
-as h * sum_i f(x_i) w_i P(x_i).
+1 on [-1, 1], equals +-1 on the support, and reproduces d_p, the
+coefficients of x**p in T_1..T_n, as h * sum_i g(x_i) w_i P(x_i) in the
+basis g_j = T_j - T_j(0) of :mod:`polydesign.polynomial`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, DesignProblem, regression_vector
+from .design import Design, DesignProblem, certificate_identity
+from .elfving import CONDITION_TOL
 from .errors import (
     DegenerateCoefficientError,
     InvalidNodesError,
@@ -35,20 +37,11 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .points import s_points, t_points, x_points
-from .polynomial import (
-    Polynomial,
-    chebyshev_t,
-    e_polynomial,
-    intercept_free_vander,
-    power_coefficients,
-)
+from .polynomial import Polynomial, e_polynomial, intercept_free_vander, power_coefficients
 
 CASE_A = "A"
 CASE_B = "B"
 CASE_C = "C"
-
-#: tolerance of the solver's internal certificate check, scaled by max(1, h)
-_SELF_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +50,7 @@ class OptimalResult:
 
     ``variance`` equals ``h**2`` exactly; all designs share it. The
     certificate polynomial is oriented so that
-    h * sum_i f(x_i) w_i certificate(x_i) = e_p with h positive.
+    h * sum_i g(x_i) w_i certificate(x_i) = d_p with h positive.
     """
 
     problem: DesignProblem
@@ -84,8 +77,8 @@ def _certificate_values(case_tag: str, k: int) -> np.ndarray:
 
     The families are extremal points of their certificate, where the value
     alternates with the point index. The closed-form pattern is exact, while
-    evaluating the stored certificate carries the rounding of its monomial
-    coefficients (up to 4.6e-7 for the even certificate of degree 30).
+    evaluating the certificate carries the rounding of its Chebyshev
+    coefficients and of the points (about 1e-14 at degree 30).
     """
     if case_tag == CASE_A:
         half = (-1.0) ** np.arange(k)  # value at the i-th negative point
@@ -96,8 +89,8 @@ def _certificate_values(case_tag: str, k: int) -> np.ndarray:
 def _lagrange_columns(supports: np.ndarray, p: int) -> np.ndarray:
     """a_{i,p} for each row of a (rows, m) stack of supports, in one solve.
 
-    V a = e_p with V[q, i] = t_i**q becomes G a = d in the well-conditioned
-    basis g_j = T_j - T_j(0), j = 1..m: G[j, i] = g_j(t_i), d[j] = the
+    V a = e_p with V[q, i] = t_i**q becomes G a = d_p in the well-conditioned
+    basis g_j = T_j - T_j(0), j = 1..m: G[j, i] = g_j(t_i), d_p[j] = the
     coefficient of x**p in T_j.
     """
     m = supports.shape[-1]
@@ -204,19 +197,17 @@ def certificate_for(problem: DesignProblem) -> Polynomial:
 
     The one place that maps a case to its certificate: the even
     equioscillating polynomial of degree 2k for even p (case A), the
-    Chebyshev polynomial of degree n - 1 for odd p with n even (case B), and
-    the Chebyshev polynomial of degree n for odd p with n odd (case C). For
-    (n, p) = (3, 2) this picks x**2 out of the one-parameter family of valid
-    certificates. :func:`solve` orients it so that h > 0.
+    Chebyshev polynomial T_{n-1} for odd p with n even (case B), and T_n for
+    odd p with n odd (case C). For odd s, T_s = g_s, so the certificate of
+    cases B and C is a unit vector. For (n, p) = (3, 2) this picks x**2 out
+    of the one-parameter family of valid certificates. :func:`solve` orients
+    it so that h > 0.
     """
     tag, k = classify(problem)
     if tag == CASE_A:
-        cert = e_polynomial(k)
-    elif tag == CASE_B:
-        cert = chebyshev_t(2 * k - 1)
-    else:
-        cert = chebyshev_t(2 * k + 1)
-    return cert.padded(problem.n)
+        return e_polynomial(k).padded(problem.n)
+    s = 2 * k - 1 if tag == CASE_B else 2 * k + 1
+    return Polynomial(np.eye(problem.n)[s - 1])
 
 
 def _symmetrized(w: np.ndarray) -> np.ndarray:
@@ -229,8 +220,10 @@ def solve(problem: DesignProblem) -> OptimalResult:
     """Optimal design(s), scaling constant h, variance h**2 and certificate.
 
     Every output is checked internally against the certificate identity
-    h * sum f w P = e_p before it is returned; a violation raises
-    :class:`NumericalDegeneracyError` instead of returning a bad design.
+    d_p = h * sum_i g(x_i) w_i P(x_i), condition (3) of the verifier, at
+    its tolerance, and the identity's h against the returned one; a
+    violation raises :class:`NumericalDegeneracyError` instead of returning
+    a bad design.
     """
     tag, _ = classify(problem)
     solved = _solved_supports(problem)
@@ -242,9 +235,8 @@ def solve(problem: DesignProblem) -> OptimalResult:
         if sigma_s != sigma:
             raise NumericalDegeneracyError("mirror designs disagree on certificate orientation")
         design = Design(support, w if tag == CASE_C else _symmetrized(w))
-        achieved = h * (regression_vector(support, problem.n) @ (design.weights * (sigma * values)))
-        resid = float(np.abs(achieved - problem.unit_vector()).max())
-        if resid > _SELF_CHECK_TOL * max(1.0, h):
+        h_check, resid = certificate_identity(design, problem, sigma * values)
+        if resid > CONDITION_TOL or abs(h_check - h) > CONDITION_TOL * h:
             raise NumericalDegeneracyError(
                 f"certificate identity violated (residual {resid:.3e}) for {problem}"
             )

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ def test_compute_table_golden():
     assert code == 0
     assert "case:      C" in text
     assert "variance:  9" in text
+    assert "certificate Chebyshev coeffs c_1..c_n: [0, 0, -1]" in text
     assert text.count("design") == 2
 
 
@@ -73,6 +75,39 @@ def test_verify_solver_output_file(tmp_path):
     assert code == 0
     assert "verdict:             true" in text
     assert "variance (formula):  16" in text
+
+
+@pytest.mark.parametrize("p", range(1, 31))
+def test_compute_json_verifies_at_degree_30(tmp_path, p):
+    code, text = run_cli(["compute", "--degree", "30", "--coef", str(p), "--format", "json"])
+    assert code == 0
+    path = tmp_path / "design.json"
+    path.write_text(text)
+    code, report = run_cli(["verify", "--file", str(path), "--degree", "30", "--coef", str(p)])
+    assert code == 0, report
+    assert report.count("verdict:             true") == 1  # cases A and B: one design
+
+
+@pytest.mark.parametrize("n, p, expected", [
+    (9, 3, 0), (10, 4, 0), (11, 3, 0), (12, 5, 0),
+    # the stored monomials of E_30 reach max |P| = 1 + 4.6e-7 on the grid
+    (30, 2, 1),
+])
+def test_verify_version_0_1_0_files(n, p, expected):
+    path = Path(__file__).parent / "data" / f"v0.1.0_{n}_{p}.json"
+    code, report = run_cli(["verify", "--file", str(path), "--degree", str(n), "--coef", str(p)])
+    assert code == expected, report
+
+
+def test_verify_version_0_1_0_nonzero_intercept_exits_2(tmp_path, capsys):
+    raw = json.loads((Path(__file__).parent / "data" / "v0.1.0_10_4.json").read_text())
+    raw["certificate_coeffs"][0] = 0.5
+    path = tmp_path / "intercept.json"
+    path.write_text(json.dumps(raw))
+    code, out = run_cli(["verify", "--file", str(path), "--degree", "10", "--coef", "4"])
+    assert code == 2
+    assert out == ""
+    assert "zero intercept" in capsys.readouterr().err
 
 
 def test_verify_perturbed_design_exits_1(tmp_path):
@@ -146,7 +181,7 @@ def test_verify_non_finite_certificate_exits_2(tmp_path, capsys):
     # json reads 1e400 as inf: verify used to print certificate_scale nan and exit 1
     raw = json.loads(render_document(document_from_result(solve(DesignProblem(3, 3)))))
     text = json.dumps(raw).replace(
-        json.dumps(raw["certificate_coeffs"]), "[0, 1e400, 0, 4]", 1
+        json.dumps(raw["certificate_chebyshev"]), "[1e400, 0, 1]", 1
     )
     assert "1e400" in text
     path = tmp_path / "inf_certificate.json"

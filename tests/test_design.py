@@ -10,12 +10,13 @@ from polydesign import (
     DesignProblem,
     InvalidDesignError,
     InvalidProblemError,
+    certificate_identity,
     information_matrix,
     phi_c,
     pseudo_inverse,
-    regression_vector,
     solve,
 )
+from polydesign.polynomial import power_coefficients
 
 TWO_POINT = Design([-1.0, 1.0], [0.5, 0.5])
 ONE_POINT = Design([1.0], [1.0])
@@ -68,21 +69,16 @@ def test_problem_validation():
         DesignProblem(3, 0)
 
 
-def test_regression_vector():
-    np.testing.assert_array_equal(regression_vector(1.0, 3), [1, 1, 1])
-    np.testing.assert_array_equal(regression_vector(-1.0, 3), [-1, 1, -1])
-    np.testing.assert_allclose(regression_vector(0.5, 4), [0.5, 0.25, 0.125, 0.0625], atol=0)
-    with pytest.raises(ValueError):
-        regression_vector(1.0, 0)
-
-
 def test_information_matrix_two_point_symmetric():
+    # g(+-1) = (+-1, 2, +-1) for g_j = T_j - T_j(0), j = 1..3
     m = information_matrix(TWO_POINT, 3)
-    np.testing.assert_array_equal(m, [[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+    np.testing.assert_array_equal(m, [[1, 0, 1], [0, 4, 0], [1, 0, 1]])
 
 
 def test_information_matrix_single_point():
-    np.testing.assert_array_equal(information_matrix(ONE_POINT, 2), [[1, 1], [1, 1]])
+    np.testing.assert_array_equal(information_matrix(ONE_POINT, 2), [[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        information_matrix(ONE_POINT, 0)
 
 
 def test_information_matrix_odd_moments_vanish():
@@ -175,11 +171,45 @@ def test_phi_c_rejects_wrong_length():
         phi_c(TWO_POINT, [1.0, 0.0], 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phi_c_rejects_non_finite_vector(bad):
+    # used to return nan, which is neither a value nor the inf sentinel
+    with pytest.raises(ValueError, match="finite"):
+        phi_c(TWO_POINT, [bad, 0.0], 2)
+
+
+def test_phi_c_maps_monomial_coefficients():
+    # c = (1, 1) asks for theta_1 + theta_2; with d = A c the value matches
+    # the monomial moment matrix sum_i w_i f(x_i) f(x_i)^T
+    design = Design([-0.5, 0.25, 1.0], [0.3, 0.3, 0.4])
+    f = np.vstack([design.support, design.support**2])
+    monomial = (f * design.weights) @ f.T
+    c = np.array([1.0, 1.0])
+    assert phi_c(design, c, 2) == pytest.approx(c @ np.linalg.solve(monomial, c), rel=1e-12)
+
+
+def test_certificate_identity_golden():
+    # (3, 3): h * sum_i g(x_i) w_i T_3(x_i) = d_3 = (0, 0, 4) with h = 4
+    problem = DesignProblem(3, 3)
+    result = solve(problem)
+    for design in result.designs:
+        h, residual = certificate_identity(design, problem, result.certificate(design.support))
+        assert h == pytest.approx(4.0, rel=1e-15)
+        assert residual <= 1e-15
+    h, residual = certificate_identity(ONE_POINT, DesignProblem(2, 1), np.zeros(1))
+    assert h == residual == math.inf
+    # (2, 1): h = 1 from d_1 = (1, 0); only the g_2 coordinate misses, by 2 (0.6 - 0.4)
+    h, residual = certificate_identity(Design([-1.0, 1.0], [0.4, 0.6]), DesignProblem(2, 1),
+                                       np.array([-1.0, 1.0]))
+    assert h == 1.0 and residual == pytest.approx(0.4, rel=1e-15)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_generalized_inverse_independence(seed):
     # for admissible (design, c) the criterion via the eigendecomposition
-    # pseudo-inverse must match c^T v with v a least-squares solution of Mv=c
+    # pseudo-inverse must match d^T v with v a least-squares solution of
+    # Mv = d, where d = A c carries c into the basis of M
     rng = np.random.default_rng(seed)
     size = int(rng.integers(2, 6))
     support = np.unique(np.round(rng.uniform(-1, 1, size=size), 3))
@@ -196,8 +226,9 @@ def test_generalized_inverse_independence(seed):
     if not math.isfinite(value):
         return
     m = information_matrix(design, n)
-    v = np.linalg.lstsq(m, c, rcond=None)[0]
-    assert value == pytest.approx(float(c @ v), rel=1e-8, abs=1e-10)
+    d = power_coefficients(n, p)
+    v = np.linalg.lstsq(m, d, rcond=None)[0]
+    assert value == pytest.approx(float(d @ v), rel=1e-8, abs=1e-10)
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (3, 3), (4, 2), (5, 4)])

@@ -1,4 +1,6 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +8,16 @@ import pytest
 from polydesign import (
     DesignProblem,
     DocumentError,
+    Polynomial,
+    __version__,
     document_from_result,
     parse_design_file,
     parse_document,
     render_document,
     solve,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("key", [(3, 1), (3, 2), (4, 2), (5, 5), (1, 1)])
@@ -46,7 +52,7 @@ def test_parse_design_file_full_document():
     designs, certificate = parse_design_file(text, problem)
     assert len(designs) == 2
     assert certificate is not None
-    np.testing.assert_allclose(certificate.coeffs, [0, -3, 0, 4], atol=1e-14)
+    np.testing.assert_array_equal(certificate.coeffs, [0, 0, 1])  # T_3 = g_3
 
 
 def test_parse_design_file_minimal_form():
@@ -95,8 +101,47 @@ def test_parse_design_file_rejects_non_finite_certificate():
     problem = DesignProblem(3, 3)
     raw = json.loads(render_document(document_from_result(solve(problem))))
     text = json.dumps(raw).replace(
-        json.dumps(raw["certificate_coeffs"]), "[0, 1e400, 0, 4]", 1
+        json.dumps(raw["certificate_chebyshev"]), "[1e400, 0, 1]", 1
     )
     assert "1e400" in text
     with pytest.raises(DocumentError, match="invalid certificate"):
         parse_design_file(text, problem)
+
+
+def test_document_carries_chebyshev_certificate_and_version():
+    text = render_document(document_from_result(solve(DesignProblem(3, 3))))
+    raw = json.loads(text)
+    assert __version__ == "0.2.0" and raw["metadata"]["version"] == __version__
+    assert "certificate_coeffs" not in raw
+    assert raw["certificate_chebyshev"] == [0, 0, 1]
+
+
+@pytest.mark.parametrize("n, p", [(9, 3), (10, 4), (11, 3), (12, 5), (30, 2)])
+def test_version_0_1_0_documents_read_through_from_monomial(n, p):
+    # files written by version 0.1.0 store monomial coefficients x**0..x**n
+    text = (DATA / f"v0.1.0_{n}_{p}.json").read_text()
+    raw = json.loads(text)
+    assert raw["metadata"]["version"] == "0.1.0"
+    doc = parse_document(text)
+    expected = Polynomial.from_monomial(raw["certificate_coeffs"]).coeffs
+    assert doc.certificate_chebyshev == list(expected)
+    assert len(doc.certificate_chebyshev) == n
+    _, certificate = parse_design_file(text, DesignProblem(n, p))
+    np.testing.assert_array_equal(certificate.coeffs, expected)
+
+
+def test_version_0_1_0_nonzero_intercept_is_rejected():
+    raw = json.loads((DATA / "v0.1.0_10_4.json").read_text())
+    raw["certificate_coeffs"][0] = 1e-300
+    with pytest.raises(DocumentError, match="zero intercept"):
+        parse_document(json.dumps(raw))
+
+
+def test_pyproject_reads_the_package_version():
+    # the version has one owner, polydesign.__version__
+    config = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():  # some setuptools mark [tool.setuptools] as beta
+        warnings.simplefilter("ignore")
+        project = config.read_configuration(str(path), expand=True)["project"]
+    assert project["version"] == __version__

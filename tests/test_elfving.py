@@ -9,7 +9,7 @@ from polydesign import (
     InvalidCertificateError,
     Polynomial,
     certificate_for,
-    chebyshev_t,
+    coefficient,
     e_polynomial,
     solve,
     verify,
@@ -19,19 +19,29 @@ from polydesign.elfving import DEFAULT_GRID_SIZE
 SQRT2 = math.sqrt(2.0)
 
 
+def _monomials(poly, n):
+    return [coefficient(poly, q) for q in range(n + 1)]
+
+
 def test_certificate_for_goldens():
-    np.testing.assert_allclose(certificate_for(DesignProblem(3, 3)).coeffs, [0, -3, 0, 4], atol=0)
-    # (3, 2): x**2, padded to degree 3
-    np.testing.assert_allclose(certificate_for(DesignProblem(3, 2)).coeffs, [0, 0, 1, 0], atol=1e-15)
+    # (3, 3): T_3 = g_3, a unit vector, with monomials 4 x**3 - 3 x
+    cert = certificate_for(DesignProblem(3, 3))
+    np.testing.assert_array_equal(cert.coeffs, [0, 0, 1])
+    assert _monomials(cert, 3) == [0, -3, 0, 4]
+    # (3, 2): x**2 = g_2 / 2, padded to degree 3
+    cert = certificate_for(DesignProblem(3, 2))
+    np.testing.assert_allclose(cert.coeffs, [0, 0.5, 0], atol=1e-15)
+    np.testing.assert_allclose(_monomials(cert, 3), [0, 0, 1, 0], atol=1e-15)
     cert = certificate_for(DesignProblem(4, 2))
     np.testing.assert_allclose(cert.coeffs, e_polynomial(2).coeffs, atol=0)
-    assert cert(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert cert(1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_certificate_padding_matches_degree():
-    assert certificate_for(DesignProblem(5, 2)).coeffs.size == 6
-    assert certificate_for(DesignProblem(4, 1)).coeffs.size == 5
-    assert certificate_for(DesignProblem(3, 1)).coeffs.size == 4
+    # one coefficient per g_1..g_n
+    assert certificate_for(DesignProblem(5, 2)).coeffs.size == 5
+    assert certificate_for(DesignProblem(4, 1)).coeffs.size == 4
+    assert certificate_for(DesignProblem(3, 1)).coeffs.size == 3
 
 
 def test_verify_cubic_leading_coefficient():
@@ -66,7 +76,7 @@ def test_verify_accepts_canonical_unsigned_certificate():
 def test_verify_rejects_uniform_weights():
     problem = DesignProblem(4, 3)
     design = Design([-1.0, -0.5, 0.5, 1.0], [0.25, 0.25, 0.25, 0.25])
-    report = verify(design, problem, chebyshev_t(3).padded(4))
+    report = verify(design, problem, Polynomial([0.0, 0.0, 1.0, 0.0]))  # T_3
     assert not report.verdict
     assert report.condition1_ok and report.condition2_ok
     assert report.condition3_residual > 1e-3
@@ -90,10 +100,11 @@ def test_verify_scaling_sanity():
 
 
 def test_verify_rejects_nonzero_intercept():
+    # a zero intercept is part of the format; the monomial reader checks it
     problem = DesignProblem(2, 2)
     design = solve(problem).designs[0]
     with pytest.raises(InvalidCertificateError):
-        verify(design, problem, Polynomial([0.5, 0.0, 0.5]))
+        verify(design, problem, Polynomial.from_monomial([0.5, 0.0, 0.5]))
 
 
 def test_verify_rejects_zero_certificate():
@@ -109,20 +120,20 @@ def test_verify_rejects_certificate_above_model_degree():
     problem = DesignProblem(1, 1)
     design = Design([0.5], [1.0])
     with pytest.raises(InvalidCertificateError):
-        verify(design, problem, Polynomial([0.0, -3.0, 0.0, 4.0]))
+        verify(design, problem, Polynomial([0.0, 0.0, 1.0]))
     # trailing zero padding stays allowed
     optimum = solve(problem).designs[0]
-    assert verify(optimum, problem, Polynomial([0.0, 1.0, 0.0, 0.0])).verdict
+    assert verify(optimum, problem, Polynomial([1.0, 0.0, 0.0])).verdict
 
 
 @pytest.mark.filterwarnings("error")
 def test_verify_rejects_overflowing_certificate():
-    # finite coefficients whose T_1 coefficient (1.5e308 + 0.75e308) overflows;
+    # finite coefficients whose value at 1 (1.5e308 + 1e308) overflows;
     # the error names it, with no numpy RuntimeWarning on the way
     problem = DesignProblem(3, 3)
     design = solve(problem).designs[0]
     with pytest.raises(InvalidCertificateError, match="overflow"):
-        verify(design, problem, Polynomial([0.0, 1.5e308, 0.0, 1e308]))
+        verify(design, problem, Polynomial([1.5e308, 0.0, 1e308]))
 
 
 @pytest.mark.parametrize("n, p, case", [(10, 4, "A"), (12, 5, "B"), (11, 3, "C")])
@@ -152,6 +163,15 @@ def test_verify_rejects_small_grid():
     design = solve(problem).designs[0]
     with pytest.raises(ValueError):
         verify(design, problem, certificate_for(problem), grid_size=50)
+
+
+@pytest.mark.parametrize("grid_size", [101.5, 10000.0, "10001"])
+def test_verify_rejects_non_integer_grid_size(grid_size):
+    # used to fail inside numpy with a TypeError
+    problem = DesignProblem(2, 2)
+    design = solve(problem).designs[0]
+    with pytest.raises(ValueError, match="grid_size must be an integer"):
+        verify(design, problem, certificate_for(problem), grid_size=grid_size)
 
 
 def test_verify_inadmissible_design():

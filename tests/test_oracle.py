@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.chebyshev import cheb2poly, chebvander
 from scipy.optimize import linprog
 
 import polydesign.oracle
 from polydesign import (
     DesignProblem,
     OracleFailureError,
-    chebyshev_t,
+    Polynomial,
     elfving_lp,
     oracle_variance,
     solve,
@@ -113,11 +113,13 @@ def _g_basis(x, n):
 
 def _dual_checks(problem, grid, lp):
     # |v . g(x_j)| <= 1 on the grid and d_p . v = 1 / scale_t, with d_p the
-    # coefficients of x**p in T_1..T_n from the exact recurrence
+    # coefficients of x**p in T_1..T_n from numpy's exact-integer cheb2poly;
+    # the dual is the certificate's coefficient vector, so it evaluates as one
     values = lp.dual @ _g_basis(np.asarray(grid, dtype=float), problem.n)
-    d = np.array([chebyshev_t(j).padded(problem.p).coeffs[problem.p]
+    d = np.array([np.pad(cheb2poly(np.eye(j + 1)[j]), (0, problem.p))[problem.p]
                   for j in range(1, problem.n + 1)])
     assert np.abs(values).max() <= 1.0 + 1e-8
+    np.testing.assert_allclose(Polynomial(lp.dual)(grid), values, rtol=0, atol=1e-13)
     assert (d @ lp.dual) * lp.scale_t == pytest.approx(1.0, abs=1e-8)
 
 

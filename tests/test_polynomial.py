@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as npcheb
 
 from polydesign import (
     DegenerateCoefficientError,
+    InvalidCertificateError,
     InvalidNodesError,
     InvalidOrderError,
     InvalidProblemError,
     NumericalDegeneracyError,
     Polynomial,
-    chebyshev_t,
     coefficient,
     e_polynomial,
-    regression_vector,
     weights_from_lagrange,
 )
 from polydesign.points import s_points, t_points, x_points
@@ -26,23 +26,30 @@ from polydesign.solver import _lagrange_columns
 SQRT2 = math.sqrt(2.0)
 
 
+def _g(s):
+    # g_s = T_s - T_s(0) as a Polynomial; g_0 = T_0 - T_0(0) is the zero polynomial
+    return Polynomial(np.eye(s)[s - 1] if s else [0.0])
+
+
 def test_eval_monomial_cube():
-    assert Polynomial([0, 0, 0, 1])(0.5) == 0.125
+    # x**3 = (3 T_1 + T_3) / 4
+    assert Polynomial.from_monomial([0, 0, 0, 1])(0.5) == 0.125
 
 
 def test_eval_cubic_at_one():
-    assert Polynomial([0, -3, 0, 4])(1.0) == 1.0
+    assert Polynomial([0, 0, 1])(1.0) == 1.0
 
 
 def test_eval_scaled_cubic_at_extremal_point():
-    # x**3 - 0.75 x at x = 0.5, an extremal point of the cubic
-    assert Polynomial([0, -0.75, 0, 1])(0.5) == pytest.approx(-0.25, abs=1e-15)
+    # x**3 - 0.75 x = T_3 / 4 at x = 0.5, an extremal point of the cubic
+    assert Polynomial([0, 0, 0.25])(0.5) == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_eval_vectorized():
+    # T_1 + 2 (T_2 + 1) + 3 T_3 = 12 x**3 + 4 x**2 - 8 x
     poly = Polynomial([1.0, 2.0, 3.0])
     xs = np.array([-1.0, 0.0, 2.0])
-    np.testing.assert_allclose(poly(xs), [2.0, 1.0, 17.0], atol=0)
+    np.testing.assert_allclose(poly(xs), [0.0, 0.0, 96.0], atol=0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -52,48 +59,54 @@ def test_rejects_non_finite_coefficients(bad):
 
 
 def test_stored_coefficients_are_a_read_only_copy():
-    source = np.array([0.0, -3.0, 0.0, 4.0])
+    source = np.array([0.0, 0.0, 1.0])
     poly = Polynomial(source)
-    source[3] = 0.0
+    source[2] = 0.0
     assert poly(1.0) == 1.0
     with pytest.raises(ValueError):
-        poly.coeffs[3] = 0.0
+        poly.coeffs[2] = 0.0
 
 
 def test_degree_ignores_trailing_zeros():
-    assert Polynomial([0.0, 1.0, 0.0, 0.0]).degree == 1
+    assert Polynomial([0.0, 1.0, 0.0, 0.0]).degree == 2
     assert Polynomial([0.0]).degree == 0
 
 
 def test_padded_extends_with_zeros():
     padded = Polynomial([1.0, 2.0]).padded(4)
-    np.testing.assert_array_equal(padded.coeffs, [1.0, 2.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(padded.coeffs, [1.0, 2.0, 0.0, 0.0])
 
 
 def test_chebyshev_low_orders():
-    np.testing.assert_array_equal(chebyshev_t(0).coeffs, [1])
-    np.testing.assert_array_equal(chebyshev_t(1).coeffs, [0, 1])
-    np.testing.assert_array_equal(chebyshev_t(2).coeffs, [-1, 0, 2])
-    np.testing.assert_array_equal(chebyshev_t(3).coeffs, [0, -3, 0, 4])
-
-
-def test_chebyshev_rejects_negative_order():
-    with pytest.raises(InvalidOrderError):
-        chebyshev_t(-1)
+    # g_1 = x, g_2 = T_2 + 1 = 2 x**2 and g_3 = T_3 = 4 x**3 - 3 x, read out in monomials
+    expected = {1: [0, 1, 0, 0], 2: [0, 0, 2, 0], 3: [0, -3, 0, 4]}
+    for s, monomial in expected.items():
+        assert [coefficient(_g(s), q) for q in range(4)] == monomial
 
 
 @pytest.mark.parametrize("s", range(21))
 def test_chebyshev_cosine_identity(s):
     theta = np.linspace(0.0, np.pi, 200)
-    values = chebyshev_t(s)(np.cos(theta))
-    assert np.abs(values - np.cos(s * theta)).max() <= 1e-10
+    values = _g(s)(np.cos(theta))
+    assert np.abs(values - (np.cos(s * theta) - math.cos(s * math.pi / 2))).max() <= 1e-13
 
 
 @pytest.mark.parametrize("s", range(31))
 def test_chebyshev_t_converts_to_unit_vector(s):
-    expected = np.zeros(s + 1)
-    expected[s] = 1.0
-    np.testing.assert_array_equal(chebyshev_t(s)._chebyshev, expected)
+    # T_s - T_s(0) in monomials, from numpy's exact-integer cheb2poly
+    monomial = npcheb.cheb2poly(np.eye(s + 1)[s])
+    monomial[0] = 0.0
+    np.testing.assert_array_equal(Polynomial.from_monomial(monomial).coeffs, _g(s).coeffs)
+
+
+def test_from_monomial_rejects_nonzero_intercept_and_overflow():
+    with pytest.raises(InvalidCertificateError, match="zero intercept"):
+        Polynomial.from_monomial([0.5, 0.0, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        Polynomial.from_monomial([0.0, math.inf])
+    # the T_1 coefficient 1.5e308 + 0.75e308 is beyond the double range
+    with pytest.raises(ValueError, match="finite"):
+        Polynomial.from_monomial([0.0, 1.5e308, 0.0, 1e308])
 
 
 def test_intercept_free_vander_maps_to_regression_vector():
@@ -107,7 +120,7 @@ def test_intercept_free_vander_maps_to_regression_vector():
         for i in range((q - 1) // 2 + 1):
             inverse[q - 1, q - 2 * i - 1] = math.comb(q, i) * 2.0 ** (1 - q)
     got = inverse @ intercept_free_vander(x, n).T
-    assert np.abs(got - regression_vector(x, n)).max() <= 1e-13
+    assert np.abs(got - np.stack([x**q for q in range(1, n + 1)])).max() <= 1e-13
 
 
 def _fraction_chebyshev(coeffs):
@@ -127,8 +140,9 @@ _DYADIC = st.builds(math.ldexp, st.integers(-(2**20), 2**20), st.integers(-60, 2
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(coeffs=st.lists(_DYADIC, min_size=1, max_size=9))
 def test_chebyshev_conversion_matches_exact_rationals(coeffs):
-    got = Polynomial(coeffs)._chebyshev
-    assert [float(c).hex() for c in got] == [c.hex() for c in _fraction_chebyshev(coeffs)]
+    coeffs = [0.0] + coeffs  # zero intercept; c_0 is implied
+    got = Polynomial.from_monomial(coeffs).coeffs
+    assert [float(c).hex() for c in got] == [c.hex() for c in _fraction_chebyshev(coeffs)[1:]]
 
 
 # 101 points of the verify grid, both endpoints included
@@ -136,24 +150,31 @@ _ACCURACY_POINTS = np.linspace(-1.0, 1.0, 10001)[::100]
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: chebyshev_t(29), lambda: chebyshev_t(30), lambda: e_polynomial(15)],
-    ids=["T29", "T30", "E30"],
+    "kind, s", [("T", 29), ("T", 30)] + [("E", 2 * k) for k in range(1, 16)],
+    ids=["T29", "T30"] + [f"E{2 * k}" for k in range(1, 16)],
 )
-def test_evaluation_matches_60_digit_reference(make):
-    # the reference evaluates the same stored double coefficients at 60
-    # digits, so only the evaluation's own rounding is measured
+def test_evaluation_matches_60_digit_reference(kind, s):
+    # g_s = T_s - T_s(0) against cos(s arccos x) - cos(s pi / 2), and the
+    # even certificate E_2k against cos(k arccos(y(x))) with
+    # y(x) = (1 + c) x**2 - c, c = cos(pi / 2k), all at 60 digits: this
+    # measures the stored coefficients' rounding and the evaluation's
     mpmath = pytest.importorskip("mpmath")
-    poly = make()
+    poly = _g(s) if kind == "T" else e_polynomial(s // 2)
     values = poly(_ACCURACY_POINTS)
     with mpmath.workdps(60):
-        coeffs = [mpmath.mpf(float(c)) for c in poly.coeffs]
+        c = mpmath.cos(mpmath.pi / s)
         for x, value in zip(_ACCURACY_POINTS, values):
-            exact = mpmath.polyval(coeffs[::-1], mpmath.mpf(float(x)))
+            x = mpmath.mpf(float(x))
+            if kind == "T":
+                exact = mpmath.cos(s * mpmath.acos(x)) - mpmath.cos(s * mpmath.pi / 2)
+            else:
+                exact = mpmath.cos(s // 2 * mpmath.acos((1 + c) * x**2 - c))
             assert abs(mpmath.mpf(float(value)) - exact) <= 1e-13, x
 
 
 def test_e_polynomial_k1_is_x_squared():
-    np.testing.assert_allclose(e_polynomial(1).coeffs, [0, 0, 1], atol=1e-15)
+    # x**2 = g_2 / 2
+    np.testing.assert_allclose(e_polynomial(1).coeffs, [0, 0.5], atol=1e-15)
 
 
 def test_e_polynomial_k2_coefficients():
@@ -161,7 +182,8 @@ def test_e_polynomial_k2_coefficients():
     # y = x**2 (1 + sqrt(2)/2) - sqrt(2)/2 gives
     # (3 + 2 sqrt(2)) x**4 - (2 + 2 sqrt(2)) x**2
     expected = [0.0, 0.0, -(2 + 2 * SQRT2), 0.0, 3 + 2 * SQRT2]
-    np.testing.assert_allclose(e_polynomial(2).coeffs, expected, atol=1e-14)
+    got = [coefficient(e_polynomial(2), q) for q in range(5)]
+    np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
 def test_e_polynomial_k2_extremal_values():
@@ -176,21 +198,17 @@ def test_e_polynomial_k2_extremal_values():
 @pytest.mark.parametrize("k", range(1, 11))
 def test_e_polynomial_value_one_at_endpoints(k):
     poly = e_polynomial(k)
-    # endpoint values inherit the coefficient-storage rounding (~1.6e-10
-    # at k = 10); for k <= 7 they hold to 1e-12
-    tol = 1e-12 if k <= 7 else 2e-10
-    assert poly(1.0) == pytest.approx(1.0, abs=tol)
-    assert poly(-1.0) == pytest.approx(1.0, abs=tol)
+    assert poly(1.0) == pytest.approx(1.0, abs=1e-14)
+    assert poly(-1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_e_polynomial_even_and_bounded(k):
     poly = e_polynomial(k)
-    assert np.all(poly.coeffs[1::2] == 0.0)
+    assert np.all(poly.coeffs[0::2] == 0.0)  # the coefficients of odd g_j
+    assert poly(0.0) == pytest.approx(0.0, abs=1e-14)
     overshoot = np.abs(poly(np.linspace(-1.0, 1.0, 10001))).max() - 1.0
-    # double-rounding of the stored coefficients alone moves the sup-norm
-    # by up to ~1.3e-10 for k in {9, 10}; below that the 1e-10 bound holds
-    assert overshoot <= (1e-10 if k <= 8 else 2e-10)
+    assert overshoot <= 1e-14
 
 
 def test_e_polynomial_rejects_k_zero():
@@ -240,7 +258,7 @@ def test_lagrange_delta_property(nodes):
     m = len(nodes)
     columns = np.column_stack([_lagrange_columns(np.array([nodes]), p)[0] for p in range(1, m + 1)])
     for i in range(m):
-        poly = Polynomial(np.concatenate([[0.0], columns[i]]))
+        poly = Polynomial.from_monomial(np.concatenate([[0.0], columns[i]]))
         for j, node in enumerate(nodes):
             expected = 1.0 if i == j else 0.0
             assert poly(node) == pytest.approx(expected, abs=1e-10)
@@ -336,9 +354,10 @@ def test_lagrange_basis_matches_mpmath_at_degree_30():
 
 
 def test_coefficient_golden_values():
-    assert coefficient(chebyshev_t(3), 3) == 4.0
-    assert coefficient(Polynomial([0, -0.75, 0, 1]), 0) == 0.0
-    assert coefficient(Polynomial([0, 1]), 5) == 0.0
+    assert coefficient(_g(3), 3) == 4.0
+    scaled = Polynomial.from_monomial([0, -0.75, 0, 1])
+    assert [coefficient(scaled, q) for q in range(4)] == [0.0, -0.75, 0.0, 1.0]
+    assert coefficient(_g(1), 5) == 0.0
 
 
 def test_coefficient_rejects_negative_index():
@@ -348,8 +367,8 @@ def test_coefficient_rejects_negative_index():
 
 def test_coefficient_rejects_non_integer_index():
     with pytest.raises(ValueError):
-        coefficient(chebyshev_t(3), 1.5)
-    assert coefficient(chebyshev_t(3), np.int64(1)) == -3.0
+        coefficient(_g(3), 1.5)
+    assert coefficient(_g(3), np.int64(1)) == -3.0
 
 
 # Interpolation property: sum_i v_i L_i is the unique intercept-free
@@ -380,7 +399,7 @@ def test_lagrange_combination_interpolates(nodes, seed):
             atol = 1e-12 * np.abs(oracle).max()
             np.testing.assert_allclose(column, oracle, rtol=1e-10, atol=atol)
         combo[p] = _lagrange_columns(t[None], p)[0] @ values
-    interp = Polynomial(combo)
+    interp = Polynomial.from_monomial(combo)
     for node, value in zip(nodes, values):
         assert interp(node) == pytest.approx(value, abs=1e-8)
     # the unique coefficient vector over powers 1..m interpolating the values

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import cheb2poly
 
 import polydesign.solver
 from polydesign.polynomial import power_coefficients
@@ -15,8 +16,8 @@ from polydesign import (
     InvalidNodesError,
     InvalidProblemError,
     NumericalDegeneracyError,
-    chebyshev_t,
     classify,
+    coefficient,
     optimal_supports,
     phi_c,
     solve,
@@ -123,14 +124,20 @@ def test_non_finite_nodes_raise(nodes):
 
 
 def test_power_coefficients_match_chebyshev_recurrence_bit_for_bit():
-    # the closed form for the coefficient of x**p in T_j against the exact
-    # integer recurrence of chebyshev_t
+    # the closed form for the coefficient of x**p in T_j against numpy's
+    # cheb2poly, whose recurrence stays in exact integers up to T_30
     for m in range(1, 31):
-        coeffs = [chebyshev_t(j).coeffs for j in range(1, m + 1)]
+        coeffs = [cheb2poly(np.eye(j + 1)[j]) for j in range(1, m + 1)]
         for p in range(1, m + 1):
             expected = np.array([c[p] if p < c.size else 0.0 for c in coeffs])
             got = power_coefficients(m, p)
             np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_power_coefficients_take_numpy_integers_exactly():
+    # 2**63 and beyond: numpy int64 arithmetic used to wrap to zeros here
+    np.testing.assert_array_equal(power_coefficients(70, np.int64(64)), power_coefficients(70, 64))
+    assert power_coefficients(70, 64)[63] == 2.0**63
 
 
 # Reference tables (exact fractions/radicals in double precision).
@@ -180,7 +187,22 @@ def test_solve_degenerate_degree_one():
 
 def test_solve_certificate_is_cubic_chebyshev_for_3_3():
     result = solve(DesignProblem(3, 3))
-    np.testing.assert_allclose(result.certificate.coeffs, [0, -3, 0, 4], atol=1e-14)
+    np.testing.assert_array_equal(result.certificate.coeffs, [0, 0, 1])  # T_3 = g_3
+    assert [coefficient(result.certificate, q) for q in range(4)] == [0, -3, 0, 4]
+
+
+def test_solve_self_check_is_condition_3(monkeypatch):
+    # the self-check calls the verifier's condition (3) and rejects a
+    # residual above its tolerance, or an h other than the returned one
+    original = polydesign.solver.certificate_identity
+    monkeypatch.setattr(polydesign.solver, "certificate_identity",
+                        lambda *args: (original(*args)[0], 2e-9))
+    with pytest.raises(NumericalDegeneracyError, match="certificate identity"):
+        solve(DesignProblem(5, 3))
+    monkeypatch.setattr(polydesign.solver, "certificate_identity",
+                        lambda *args: (original(*args)[0] * (1 + 2e-9), 0.0))
+    with pytest.raises(NumericalDegeneracyError, match="certificate identity"):
+        solve(DesignProblem(6, 2))
 
 
 def test_certificate_identity_across_problems():
