@@ -2,24 +2,27 @@
 #
 # All optimal supports are extremal points of equioscillating polynomials:
 # Chebyshev polynomials of the first kind for odd coefficient indices, and
-# an even composed polynomial for even indices. This script shows the
-# three families and the equioscillation that makes them work.
+# an even composed polynomial for even indices. This script shows the two
+# families and the equioscillation that makes them work. For odd p the
+# certificate is T_s, s the largest odd number <= n, so the Chebyshev
+# family of order k carries T_{2k-1} (even n) and the one of order k + 1
+# carries T_{2k+1} (odd n, where one extremum is then dropped).
 
 import numpy as np
 
-from polydesign import Polynomial, coefficient, e_polynomial, s_points, t_points, x_points
+from polydesign import Polynomial, coefficient, e_polynomial, s_points, t_points
 
 np.set_printoptions(precision=6, suppress=True)
 
 k = 2
-s = s_points(k)   # 2k extrema of the degree-(2k-1) Chebyshev polynomial
-x = x_points(k)   # 2k+2 extrema of the degree-(2k+1) Chebyshev polynomial
-t = t_points(k)   # 2k extrema of the even degree-2k polynomial
+s = s_points(k)      # 2k extrema of the degree-(2k-1) Chebyshev polynomial
+x = s_points(k + 1)  # 2k+2 extrema of the degree-(2k+1) Chebyshev polynomial
+t = t_points(k)      # 2k extrema of the even degree-2k polynomial
 
 print(f"k = {k}")
-print("S family:", s.points)
-print("X family:", x.points)
-print("T family:", t.points, "(inner points are +-sqrt(sqrt(2) - 1))")
+print("s_points(k):    ", s)
+print("s_points(k + 1):", x)
+print("t_points(k):    ", t, "(inner points are +-sqrt(sqrt(2) - 1))")
 print()
 
 # Values at the family points alternate between +1 and -1. Polynomials are
@@ -27,9 +30,9 @@ print()
 t3 = Polynomial([0.0, 0.0, 1.0])
 t5 = Polynomial([0.0, 0.0, 0.0, 0.0, 1.0])
 e4 = e_polynomial(k)
-print("T3 at S family:", np.round(t3(s.points), 12))
-print("T5 at X family:", np.round(t5(x.points), 12))
-print("E4 at T family:", np.round(e4(t.points), 12), "(pairs across the center)")
+print("T3 at s_points(k):    ", np.round(t3(s), 12))
+print("T5 at s_points(k + 1):", np.round(t5(x), 12))
+print("E4 at t_points(k):    ", np.round(e4(t), 12), "(pairs across the center)")
 print()
 
 # The even polynomial is a Chebyshev polynomial composed with a quadratic
@@ -44,6 +47,6 @@ print()
 
 # Families are exactly symmetric (the negative half is a mirrored copy)
 # and always contain the endpoints:
-for fam, name in ((s, "S"), (x, "X"), (t, "T")):
-    mirrored = np.all(fam.points + fam.points[::-1] == 0.0)
-    print(f"{name}: endpoints ({fam.points[0]}, {fam.points[-1]}), exact mirror symmetry: {mirrored}")
+for points, name in ((s, "s_points(k)"), (x, "s_points(k + 1)"), (t, "t_points(k)")):
+    mirrored = np.all(points + points[::-1] == 0.0)
+    print(f"{name}: endpoints ({points[0]}, {points[-1]}), exact mirror symmetry: {mirrored}")

@@ -39,13 +39,12 @@ from .errors import (
     PolydesignError,
 )
 from .oracle import OracleResult, elfving_lp, oracle_variance
-from .points import SupportFamily, s_points, t_points, x_points
+from .points import s_points, t_points
 from .polynomial import Polynomial, coefficient, e_polynomial
 from .solver import (
     OptimalResult,
     certificate_for,
     classify,
-    optimal_supports,
     solve,
     weights_from_lagrange,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "OptimalResult",
     "OracleResult",
     "Polynomial",
-    "SupportFamily",
     "certificate_for",
     "certificate_identity",
     "classify",
@@ -67,7 +65,6 @@ __all__ = [
     "e_polynomial",
     "elfving_lp",
     "information_matrix",
-    "optimal_supports",
     "oracle_variance",
     "parse_design_file",
     "parse_document",
@@ -79,7 +76,6 @@ __all__ = [
     "t_points",
     "verify",
     "weights_from_lagrange",
-    "x_points",
     # errors
     "PolydesignError",
     "DegenerateCoefficientError",

@@ -148,7 +148,11 @@ def _certificate(raw) -> list[float]:
 
 
 def parse_document(text: str) -> DesignDocument:
-    raw = _loads(text, "design document")
+    return _document(_loads(text, "design document"))
+
+
+def _document(raw: dict) -> DesignDocument:
+    """The document held in an already parsed JSON object."""
     try:
         return DesignDocument(
             degree=_integer(raw, "degree"),
@@ -181,7 +185,7 @@ def parse_design_file(text: str, problem: DesignProblem) -> tuple[list[Design], 
 
     certificate = None
     if "designs" in raw:
-        doc = parse_document(text)
+        doc = _document(raw)
         if (doc.degree, doc.coef) != (problem.n, problem.p):
             raise DocumentError(
                 f"document is for degree {doc.degree}, coef {doc.coef}; "

@@ -40,7 +40,8 @@ class DegenerateCoefficientError(PolydesignError, ArithmeticError):
 
 
 class NumericalDegeneracyError(PolydesignError, ArithmeticError):
-    """An internal consistency check failed (singular system, sign pattern)."""
+    """An internal consistency check failed (singular system, sign pattern),
+    or a coefficient of x**p left the double range."""
 
 
 class OracleFailureError(PolydesignError, RuntimeError):

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .design import Design, DesignProblem
-from .errors import OracleFailureError
+from .errors import NumericalDegeneracyError, OracleFailureError
 from .polynomial import intercept_free_vander, power_coefficients
 
 #: uniform grid size used when none is given
@@ -134,8 +134,8 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     basis = intercept_free_vander(g, n).T  # n x J, column j is g(x_j)
     try:
         d = power_coefficients(n, p)
-    except OverflowError as exc:  # from p = 1025 on
-        raise OracleFailureError(f"coefficients of x**{p} overflow the double range") from exc
+    except NumericalDegeneracyError as exc:  # from p = 1025 on
+        raise OracleFailureError(str(exc)) from exc
     cost = -d / np.abs(d).max()  # maximize d_p . v, scaled to unit size
     off_parity = np.arange(1, n + 1) % 2 != p % 2
     active = np.unique(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int))

@@ -1,12 +1,14 @@
 """Closed-form support-point families on [-1, 1].
 
 Each family is the complete set of extremal points (points where the value
-is +-1) of one equioscillating polynomial on the interval:
+is +-1) of one equioscillating polynomial on the interval, returned as a
+sorted array:
 
-* kind "S": 2k extrema of the Chebyshev polynomial of degree 2k - 1,
-* kind "X": 2k + 2 extrema of the Chebyshev polynomial of degree 2k + 1,
-* kind "T": 2k extrema of the even polynomial from
-  :func:`polydesign.polynomial.e_polynomial`.
+* :func:`s_points`: the 2k extrema of the Chebyshev polynomial of odd
+  degree 2k - 1, the candidates for every odd coefficient index;
+* :func:`t_points`: the 2k extrema of the even polynomial from
+  :func:`polydesign.polynomial.e_polynomial`, the candidates for every even
+  coefficient index.
 
 One half of each family is computed from the closed-form cosine/radical
 expressions and the other half is obtained by mirroring, so the symmetry
@@ -17,53 +19,30 @@ exactly -1 and +1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidOrderError
 
 
-@dataclass(frozen=True, eq=False)
-class SupportFamily:
-    """A sorted, symmetric family of candidate support points."""
-
-    kind: str  # "S", "X" or "T"
-    k: int
-    points: np.ndarray
+def _mirrored(positive_half: np.ndarray) -> np.ndarray:
+    return np.concatenate([-positive_half[::-1], positive_half])
 
 
-def _mirrored(positive_half: np.ndarray, kind: str, k: int) -> SupportFamily:
-    pts = np.concatenate([-positive_half[::-1], positive_half])
-    return SupportFamily(kind=kind, k=k, points=pts)
-
-
-def s_points(k: int) -> SupportFamily:
+def s_points(k: int) -> np.ndarray:
     """The 2k extrema of the Chebyshev polynomial of degree 2k - 1.
 
     Explicitly cos(j*pi/(2k-1)) for j = 2k-1, ..., 0; the positive half is
-    j = k-1, ..., 0 and the negative half is its mirror image.
+    j = k-1, ..., 0 and the negative half is its mirror image. k = 1 yields
+    the two endpoint extrema of T_1 = x.
     """
     if k < 1:
         raise InvalidOrderError("order k must be at least 1")
     deg = 2 * k - 1
-    pos = np.array([math.cos(j * math.pi / deg) for j in range(k - 1, -1, -1)])
-    return _mirrored(pos, "S", k)
+    return _mirrored(np.array([math.cos(j * math.pi / deg) for j in range(k - 1, -1, -1)]))
 
 
-def x_points(k: int) -> SupportFamily:
-    """The 2k + 2 extrema of the Chebyshev polynomial of degree 2k + 1.
-
-    k = 0 is allowed and yields the two endpoint extrema of T_1 = x.
-    """
-    if k < 0:
-        raise InvalidOrderError("order k must be nonnegative")
-    deg = 2 * k + 1
-    pos = np.array([math.cos(j * math.pi / deg) for j in range(k, -1, -1)])
-    return _mirrored(pos, "X", k)
-
-
-def t_points(k: int) -> SupportFamily:
+def t_points(k: int) -> np.ndarray:
     """The 2k extrema of the even equioscillating polynomial of degree 2k.
 
     The negative half is
@@ -83,4 +62,4 @@ def t_points(k: int) -> SupportFamily:
             for i in range(1, k + 1)
         ]
     )
-    return _mirrored(-neg[::-1], "T", k)
+    return _mirrored(-neg[::-1])

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
-from .errors import InvalidCertificateError, InvalidOrderError
+from .errors import InvalidCertificateError, InvalidOrderError, NumericalDegeneracyError
 
 
 def _t_at_zero(m: int) -> np.ndarray:
@@ -135,13 +135,17 @@ def power_coefficients(m: int, p: int) -> np.ndarray:
     For j = p + 2r the entry is the integer
     (-1)**r 2**(p - 1) j C(j - r, r) / (j - r), computed exactly and rounded
     once; entries with j - p odd, or j < p, are zero. Raises
-    ``OverflowError`` beyond the double range (from p = 1025 on).
+    :class:`NumericalDegeneracyError` beyond the double range (from p = 1025
+    on), so every caller fails with the library's error.
     """
     p = int(p)  # a numpy integer p would make the products wrap in int64
     d = np.zeros(m)
-    for j in range(p, m + 1, 2):
-        r = (j - p) // 2
-        d[j - 1] = float((-1) ** r * 2 ** (p - 1) * j * math.comb(j - r, r) // (j - r))
+    try:
+        for j in range(p, m + 1, 2):
+            r = (j - p) // 2
+            d[j - 1] = float((-1) ** r * 2 ** (p - 1) * j * math.comb(j - r, r) // (j - r))
+    except OverflowError as exc:
+        raise NumericalDegeneracyError(f"coefficients of x**{p} overflow the double range") from exc
     return d
 
 

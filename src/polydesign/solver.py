@@ -1,24 +1,25 @@
 """Closed-form minimum-variance designs for a single coefficient.
 
 For the degree-n polynomial model without intercept on [-1, 1] the design
-minimizing the variance of the estimate of coefficient p falls into one of
-three cases, keyed on the parities of n and p (k = n // 2 throughout):
+minimizing the variance of the estimate of coefficient p sits on the
+extrema of one equioscillating polynomial, its certificate. With
+k = n // 2 the parities of n and p give three cases, and two of them
+follow one rule:
 
-* case "A" (p even): one design on the 2k extrema of the even
-  equioscillating polynomial of degree 2k;
-* case "B" (n even, p odd): one design on the 2k extrema of the Chebyshev
-  polynomial of degree 2k - 1;
-* case "C" (n odd, p odd): exactly two mirror-image designs, each on 2k + 1
-  of the 2k + 2 extrema of the Chebyshev polynomial of degree 2k + 1.
+* case "A" (p even): the certificate is E_2k, the even equioscillating
+  polynomial of degree 2k, and the one design sits on its 2k extrema;
+* cases "B" (n even) and "C" (n odd), p odd: the certificate is the
+  Chebyshev polynomial T_s, s the largest odd number <= n, with s + 1
+  extrema. In case B they carry the one design; in case C one extremum is
+  dropped, which leaves exactly two mirror-image designs.
 
 In every case the weights have the same closed form: with a_{i,p} the
 coefficient of x**p in the i-th intercept-free Lagrange basis polynomial of
 the support, w_i = |a_{i,p}| / sum_j |a_{j,p}|. The scaling constant
-h = sum_j |a_{j,p}| gives the optimal variance h**2, and the equioscillating
-polynomial of the case acts as the optimality certificate: it is bounded by
-1 on [-1, 1], equals +-1 on the support, and reproduces d_p, the
-coefficients of x**p in T_1..T_n, as h * sum_i g(x_i) w_i P(x_i) in the
-basis g_j = T_j - T_j(0) of :mod:`polydesign.polynomial`.
+h = sum_j |a_{j,p}| gives the optimal variance h**2, and the certificate
+is bounded by 1 on [-1, 1], equals +-1 on the support, and reproduces d_p,
+the coefficients of x**p in T_1..T_n, as h * sum_i g(x_i) w_i P(x_i) in
+the basis g_j = T_j - T_j(0) of :mod:`polydesign.polynomial`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     InvalidProblemError,
     NumericalDegeneracyError,
 )
-from .points import s_points, t_points, x_points
+from .points import s_points, t_points
 from .polynomial import Polynomial, e_polynomial, intercept_free_vander, power_coefficients
 
 CASE_A = "A"
@@ -72,20 +73,6 @@ def classify(problem: DesignProblem) -> tuple[str, int]:
     return CASE_C, k
 
 
-def _certificate_values(case_tag: str, k: int) -> np.ndarray:
-    """Exact values (all +-1) of the certificate at its point family.
-
-    The families are extremal points of their certificate, where the value
-    alternates with the point index. The closed-form pattern is exact, while
-    evaluating the certificate carries the rounding of its Chebyshev
-    coefficients and of the points (about 1e-14 at degree 30).
-    """
-    if case_tag == CASE_A:
-        half = (-1.0) ** np.arange(k)  # value at the i-th negative point
-        return np.concatenate([half, half[::-1]])
-    return (-1.0) ** np.arange(1, 2 * k + (3 if case_tag == CASE_C else 1))
-
-
 def _lagrange_columns(supports: np.ndarray, p: int) -> np.ndarray:
     """a_{i,p} for each row of a (rows, m) stack of supports, in one solve.
 
@@ -95,64 +82,16 @@ def _lagrange_columns(supports: np.ndarray, p: int) -> np.ndarray:
     """
     m = supports.shape[-1]
     g = intercept_free_vander(supports, m)
-    try:  # d overflows the double range from p = 1025 on
-        d = np.broadcast_to(power_coefficients(m, p)[:, None], (*supports.shape, 1))
+    d = np.broadcast_to(power_coefficients(m, p)[:, None], (*supports.shape, 1))
+    try:
         return np.linalg.solve(np.swapaxes(g, -1, -2), d)[..., 0]
-    except (np.linalg.LinAlgError, OverflowError) as exc:
-        raise NumericalDegeneracyError(f"singular or overflowing system for x**{p}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDegeneracyError(f"singular system for x**{p}") from exc
 
 
 def _nondegenerate(abs_a: np.ndarray) -> np.ndarray:
     """Rows of |a_{i,p}| with no numerically zero (or NaN) entry."""
     return np.all(abs_a > 1e-12 * abs_a.max(axis=-1, keepdims=True), axis=-1)
-
-
-def _solved_supports(
-    problem: DesignProblem,
-) -> list[tuple[np.ndarray, np.ndarray, float, float, np.ndarray]]:
-    """(support, weights, h, orientation, certificate values) of each optimal design.
-
-    Cases A and B have one candidate support, case C one per one-point drop
-    of its 2k + 2 candidates. A candidate is optimal iff every a_{i,p} is
-    nonzero and sign(a_{i,p}) * P(t_i), the orientation, is constant.
-    """
-    tag, k = classify(problem)
-    points = {CASE_A: t_points, CASE_B: s_points, CASE_C: x_points}[tag](k).points
-    kept = np.arange(points.size)[None]  # one row of indices per candidate support
-    if tag == CASE_C:
-        # largest dropped candidate first, except that the central pair
-        # (p > 1) drops the candidate just left of 0 first
-        drops = np.arange(2 * k + 1, -1, -1)
-        if problem.p > 1:
-            drops[[k, k + 1]] = k, k + 1
-        kept = np.nonzero(kept != drops[:, None])[1].reshape(2 * k + 2, -1)
-    supports, values = points[kept], _certificate_values(tag, k)[kept]
-    expected = 2 if tag == CASE_C else 1
-    a = _lagrange_columns(supports, problem.p)
-    abs_a = np.abs(a)
-    s = np.sign(a) * values
-    rows = np.flatnonzero(_nondegenerate(abs_a) & np.all(s == s[:, :1], axis=1))
-    if rows.size != expected:
-        raise NumericalDegeneracyError(
-            f"expected {expected} consistent supports for {problem}, found {rows.size}"
-        )
-    h = abs_a[rows].sum(axis=1)
-    return [
-        (supports[r], abs_a[r] / h_r, float(h_r), float(s[r, 0]), values[r])
-        for r, h_r in zip(rows, h)
-    ]
-
-
-def optimal_supports(problem: DesignProblem) -> list[np.ndarray]:
-    """Support point sets of the optimal designs, sorted ascending.
-
-    Case C drops one point from the 2k + 2 candidates, giving two
-    mirror-image supports: the pair whose weights come out positive. For
-    p = 1 and for the endpoint pair (first needed at degree 9, coefficient
-    3) the largest candidate is dropped first; for the central pair, the
-    candidate just left of 0.
-    """
-    return [entry[0] for entry in _solved_supports(problem)]
 
 
 def weights_from_lagrange(support, p: int) -> tuple[np.ndarray, float, np.ndarray]:
@@ -192,22 +131,36 @@ def weights_from_lagrange(support, p: int) -> tuple[np.ndarray, float, np.ndarra
     return abs_a / h, h, np.sign(a)
 
 
-def certificate_for(problem: DesignProblem) -> Polynomial:
-    """Canonical certificate polynomial of a problem, padded to degree n.
+def _case(problem: DesignProblem) -> tuple[Polynomial, np.ndarray, np.ndarray]:
+    """Certificate padded to degree n, candidate points, and its values there.
 
-    The one place that maps a case to its certificate: the even
-    equioscillating polynomial of degree 2k for even p (case A), the
-    Chebyshev polynomial T_{n-1} for odd p with n even (case B), and T_n for
-    odd p with n odd (case C). For odd s, T_s = g_s, so the certificate of
-    cases B and C is a unit vector. For (n, p) = (3, 2) this picks x**2 out
-    of the one-parameter family of valid certificates. :func:`solve` orients
-    it so that h > 0.
+    The one place that maps a case to its certificate: E_2k on
+    ``t_points(k)`` for even p, and T_s on ``s_points((s + 1) // 2)`` for
+    odd p, with s the largest odd number <= n (n - 1 in case B, n in case
+    C). For odd s, T_s = g_s, so that certificate is a unit vector. The
+    points are the certificate's extrema, where the value alternates: from
+    -1 at x = -1 for T_s, and on each half from 1 at x = +-1 for the even
+    E_2k. This closed-form pattern is exact, while evaluating the
+    certificate carries the rounding of its Chebyshev coefficients and of
+    the points (about 1e-14 at degree 30).
     """
     tag, k = classify(problem)
     if tag == CASE_A:
-        return e_polynomial(k).padded(problem.n)
+        half = (-1.0) ** np.arange(k)  # value at the i-th negative point
+        return e_polynomial(k).padded(problem.n), t_points(k), np.concatenate([half, half[::-1]])
     s = 2 * k - 1 if tag == CASE_B else 2 * k + 1
-    return Polynomial(np.eye(problem.n)[s - 1])
+    return Polynomial(np.eye(problem.n)[s - 1]), s_points((s + 1) // 2), (-1.0) ** np.arange(1, s + 2)
+
+
+def certificate_for(problem: DesignProblem) -> Polynomial:
+    """Canonical certificate polynomial of a problem, padded to degree n.
+
+    The even equioscillating polynomial E_2k for even p, and the Chebyshev
+    polynomial T_s, s the largest odd number <= n, for odd p. For
+    (n, p) = (3, 2) this picks x**2 out of the one-parameter family of
+    valid certificates. :func:`solve` orients it so that h > 0.
+    """
+    return _case(problem)[0]
 
 
 def _symmetrized(w: np.ndarray) -> np.ndarray:
@@ -219,36 +172,64 @@ def _symmetrized(w: np.ndarray) -> np.ndarray:
 def solve(problem: DesignProblem) -> OptimalResult:
     """Optimal design(s), scaling constant h, variance h**2 and certificate.
 
+    Cases A and B have one candidate support, the certificate's extrema;
+    case C has one per one-point drop of them. A candidate is optimal iff
+    every a_{i,p} is nonzero and sign(a_{i,p}) * P(t_i), the orientation,
+    is constant. In case C the pair whose weights come out positive is
+    found among the drops tried in this order: for p = 1 and for the
+    endpoint pair (first needed at degree 9, coefficient 3) the largest
+    candidate is dropped first; for the central pair, the candidate just
+    left of 0.
+
     Every output is checked internally against the certificate identity
     d_p = h * sum_i g(x_i) w_i P(x_i), condition (3) of the verifier, at
     its tolerance, and the identity's h against the returned one; a
     violation raises :class:`NumericalDegeneracyError` instead of returning
     a bad design.
     """
-    tag, _ = classify(problem)
-    solved = _solved_supports(problem)
-    _, _, h, sigma, _ = solved[0]
+    tag, k = classify(problem)
+    certificate, points, values = _case(problem)
+    kept = np.arange(points.size)[None]  # one row of indices per candidate support
+    if tag == CASE_C:
+        # largest dropped candidate first, except that the central pair
+        # (p > 1) drops the candidate just left of 0 first
+        drops = np.arange(2 * k + 1, -1, -1)
+        if problem.p > 1:
+            drops[[k, k + 1]] = k, k + 1
+        kept = np.nonzero(kept != drops[:, None])[1].reshape(2 * k + 2, -1)
+    supports, values = points[kept], values[kept]
+    expected = 2 if tag == CASE_C else 1
+    a = _lagrange_columns(supports, problem.p)
+    abs_a = np.abs(a)
+    orientation = np.sign(a) * values
+    consistent = np.all(orientation == orientation[:, :1], axis=1)
+    rows = np.flatnonzero(_nondegenerate(abs_a) & consistent)
+    if rows.size != expected:
+        raise NumericalDegeneracyError(
+            f"expected {expected} consistent supports for {problem}, found {rows.size}"
+        )
+    h_rows = abs_a[rows].sum(axis=1)
+    h, sigma = float(h_rows[0]), float(orientation[rows[0], 0])
     designs: list[Design] = []
-    for support, w, h_s, sigma_s, values in solved:
-        if abs(h_s - h) > 1e-10 * max(1.0, h):
+    for r, h_r in zip(rows, h_rows):
+        if abs(h_r - h) > 1e-10 * max(1.0, h):
             raise NumericalDegeneracyError("mirror designs disagree on the scaling constant")
-        if sigma_s != sigma:
+        if orientation[r, 0] != sigma:
             raise NumericalDegeneracyError("mirror designs disagree on certificate orientation")
-        design = Design(support, w if tag == CASE_C else _symmetrized(w))
-        h_check, resid = certificate_identity(design, problem, sigma * values)
+        w = abs_a[r] / h_r
+        design = Design(supports[r], w if tag == CASE_C else _symmetrized(w))
+        h_check, resid = certificate_identity(design, problem, sigma * values[r])
         if resid > CONDITION_TOL or abs(h_check - h) > CONDITION_TOL * h:
             raise NumericalDegeneracyError(
                 f"certificate identity violated (residual {resid:.3e}) for {problem}"
             )
         designs.append(design)
 
-    # +0.0 clears negative zeros
-    certificate = Polynomial(sigma * certificate_for(problem).coeffs + 0.0)
     return OptimalResult(
         problem=problem,
         designs=tuple(designs),
         h=h,
         variance=h * h,
-        certificate=certificate,
+        certificate=Polynomial(sigma * certificate.coeffs + 0.0),  # +0.0 clears negative zeros
         case_tag=tag,
     )

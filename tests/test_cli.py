@@ -9,7 +9,7 @@ import pytest
 import polydesign.solver
 from polydesign import DesignProblem, document_from_result, render_document, solve
 from polydesign.cli import main
-from polydesign.points import SupportFamily, x_points
+from polydesign.points import s_points
 
 
 def run_cli(argv):
@@ -244,14 +244,13 @@ def test_examples_csv_rows():
 def test_examples_negative_control_off_by_one(monkeypatch):
     # fault injection: an extremal-point generator with one point nudged
     # must be caught by the reference-table comparison
-    real = x_points
+    real = s_points
 
     def shifted(k):
-        fam = real(k)
-        pts = fam.points.copy()
+        pts = real(k).copy()
         pts[1] += 1e-6
-        return SupportFamily(kind=fam.kind, k=fam.k, points=pts)
+        return pts
 
-    monkeypatch.setattr(polydesign.solver, "x_points", shifted)
+    monkeypatch.setattr(polydesign.solver, "s_points", shifted)
     code, _ = run_cli(["examples"])
     assert code != 0

@@ -55,6 +55,22 @@ def test_parse_design_file_full_document():
     np.testing.assert_array_equal(certificate.coeffs, [0, 0, 1])  # T_3 = g_3
 
 
+def test_parse_design_file_parses_the_text_once(monkeypatch):
+    problem = DesignProblem(3, 3)
+    text = render_document(document_from_result(solve(problem)))
+    calls = []
+    real = json.loads
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    designs, certificate = parse_design_file(text, problem)
+    assert len(designs) == 2 and certificate is not None
+    assert calls == [text]
+
+
 def test_parse_design_file_minimal_form():
     problem = DesignProblem(3, 2)
     designs, certificate = parse_design_file(

@@ -9,17 +9,22 @@ from numpy.polynomial import chebyshev as npcheb
 
 from polydesign import (
     DegenerateCoefficientError,
+    Design,
+    DesignProblem,
     InvalidCertificateError,
     InvalidNodesError,
     InvalidOrderError,
     InvalidProblemError,
     NumericalDegeneracyError,
     Polynomial,
+    certificate_identity,
     coefficient,
     e_polynomial,
+    phi_c,
+    verify,
     weights_from_lagrange,
 )
-from polydesign.points import s_points, t_points, x_points
+from polydesign.points import s_points, t_points
 from polydesign.polynomial import intercept_free_vander
 from polydesign.solver import _lagrange_columns
 
@@ -291,8 +296,8 @@ def _per_node_product(nodes, i):
         [0.75],
         [-1.0, 0.5, 1.0],
         [-0.9, -0.3, 0.2, 0.6, 1.0],
-        list(t_points(12).points),
-        list(s_points(15).points),
+        list(t_points(12)),
+        list(s_points(15)),
     ],
 )
 def test_lagrange_columns_batch_matches_single_solves_bit_for_bit(nodes):
@@ -326,8 +331,8 @@ def test_lagrange_basis_matches_mpmath_at_degree_30():
     # relative (7.6e-14 worst); near-cancelling entries of the drops do not
     # (6e4 in a column of 1-norm 3.5e10 is off by 1.9e-11 relative).
     mpmath = pytest.importorskip("mpmath")
-    xs = x_points(14).points
-    supports = [(t_points(15).points, 0, True), (s_points(15).points, 1, True)]
+    xs = s_points(15)
+    supports = [(t_points(15), 0, True), (s_points(15), 1, True)]
     supports += [(np.delete(xs, d), 1, False) for d in (0, 14, 15, 29)]
     with mpmath.workdps(60):
         for nodes, parity, per_entry in supports:
@@ -369,6 +374,22 @@ def test_coefficient_rejects_non_integer_index():
     with pytest.raises(ValueError):
         coefficient(_g(3), 1.5)
     assert coefficient(_g(3), np.int64(1)) == -3.0
+
+
+@pytest.mark.parametrize("entry", ["coefficient", "phi_c", "certificate_identity", "verify"])
+def test_coefficient_index_beyond_double_range_raises_library_error(entry):
+    # the coefficients of x**1050 in T_j exceed the double range; each entry
+    # point used to let the raw OverflowError of the conversion escape
+    problem = DesignProblem(1100, 1050)
+    design = Design([-1.0, 1.0], [0.5, 0.5])
+    calls = {
+        "coefficient": lambda: coefficient(Polynomial([1.0] * 1100), 1050),
+        "phi_c": lambda: phi_c(design, np.eye(1100)[1049], 1100),
+        "certificate_identity": lambda: certificate_identity(design, problem, np.ones(2)),
+        "verify": lambda: verify(design, problem, Polynomial([1.0])),
+    }
+    with pytest.raises(NumericalDegeneracyError, match="overflow"):
+        calls[entry]()
 
 
 # Interpolation property: sum_i v_i L_i is the unique intercept-free

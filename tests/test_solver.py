@@ -18,7 +18,6 @@ from polydesign import (
     NumericalDegeneracyError,
     classify,
     coefficient,
-    optimal_supports,
     phi_c,
     solve,
     weights_from_lagrange,
@@ -45,17 +44,17 @@ def test_classify_rejects_bad_problem():
 
 
 def test_optimal_supports_cubic():
-    first, second = optimal_supports(DesignProblem(3, 1))
-    np.testing.assert_allclose(first, [-1.0, -0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(second, [-0.5, 0.5, 1.0], atol=1e-15)
-    first, second = optimal_supports(DesignProblem(3, 3))
-    np.testing.assert_allclose(first, [-1.0, 0.5, 1.0], atol=1e-15)
-    np.testing.assert_allclose(second, [-1.0, -0.5, 1.0], atol=1e-15)
+    first, second = solve(DesignProblem(3, 1)).designs
+    np.testing.assert_allclose(first.support, [-1.0, -0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(second.support, [-0.5, 0.5, 1.0], atol=1e-15)
+    first, second = solve(DesignProblem(3, 3)).designs
+    np.testing.assert_allclose(first.support, [-1.0, 0.5, 1.0], atol=1e-15)
+    np.testing.assert_allclose(second.support, [-1.0, -0.5, 1.0], atol=1e-15)
 
 
 def test_optimal_supports_quartic_even_coef():
-    (support,) = optimal_supports(DesignProblem(4, 2))
-    np.testing.assert_allclose(support, [-1.0, -RADICAL, RADICAL, 1.0], atol=1e-15)
+    (design,) = solve(DesignProblem(4, 2)).designs
+    np.testing.assert_allclose(design.support, [-1.0, -RADICAL, RADICAL, 1.0], atol=1e-15)
 
 
 def test_weights_from_lagrange_goldens():
