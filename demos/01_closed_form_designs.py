@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from polydesign import DesignProblem, solve, weights_from_lagrange
+from polydesign import DesignProblem, elfving_lp, solve
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -28,11 +28,13 @@ for p in (1, 2, 3):
 # placed at -1, 1/2, 1 (or the mirror image) with masses 1/12, 2/3, 1/4.
 
 # The weights are |a_i| / sum_j |a_j| where a_i is the x**p coefficient of
-# the i-th intercept-free Lagrange basis polynomial of the support:
-weights, h, signs = weights_from_lagrange([-1.0, 0.5, 1.0], p=3)
-print("weight formula on the support (-1, 1/2, 1) for p = 3:")
-print(f"  weights = {weights}, h = {h}, coefficient signs = {signs}")
-print(f"  variance = h**2 = {h * h}")
+# the i-th intercept-free Lagrange basis polynomial of the support. The
+# optimal weights on any given support come from the LP oracle run with
+# that support as its grid; on (-1, 1/2, 1) it reproduces the formula:
+lp = elfving_lp(DesignProblem(n=3, p=3), [-1.0, 0.5, 1.0])
+print("optimal weights on the support (-1, 1/2, 1) for p = 3:")
+print(f"  support {lp.design.support}  weights {lp.design.weights}")
+print(f"  variance = {lp.variance:.6f}")
 print()
 
 # A degenerate but valid case: degree 1. Either endpoint alone estimates

@@ -26,12 +26,10 @@ from .design import (
 from .document import DesignDocument, document_from_result, parse_design_file, parse_document, render_document
 from .elfving import ElfvingReport, verify
 from .errors import (
-    DegenerateCoefficientError,
     DocumentError,
     InvalidCertificateError,
     InvalidDegreeError,
     InvalidDesignError,
-    InvalidNodesError,
     InvalidOrderError,
     InvalidProblemError,
     NumericalDegeneracyError,
@@ -41,13 +39,7 @@ from .errors import (
 from .oracle import OracleResult, elfving_lp, oracle_variance
 from .points import s_points, t_points
 from .polynomial import Polynomial, coefficient, e_polynomial
-from .solver import (
-    OptimalResult,
-    certificate_for,
-    classify,
-    solve,
-    weights_from_lagrange,
-)
+from .solver import OptimalResult, certificate_for, classify, solve
 
 __all__ = [
     "Design",
@@ -75,15 +67,12 @@ __all__ = [
     "solve",
     "t_points",
     "verify",
-    "weights_from_lagrange",
     # errors
     "PolydesignError",
-    "DegenerateCoefficientError",
     "DocumentError",
     "InvalidCertificateError",
     "InvalidDegreeError",
     "InvalidDesignError",
-    "InvalidNodesError",
     "InvalidOrderError",
     "InvalidProblemError",
     "NumericalDegeneracyError",

@@ -37,8 +37,9 @@ ADMISSIBLE_TOL = 1e-8
 class Design:
     """Probability measure with finite support on [-1, 1].
 
-    Support points are strictly increasing, weights are positive and sum to
-    one (within ``WEIGHT_SUM_TOL``).
+    Support and weights are one-dimensional; support points are strictly
+    increasing, weights are positive and sum to one (within
+    ``WEIGHT_SUM_TOL``).
     """
 
     support: np.ndarray
@@ -47,6 +48,8 @@ class Design:
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.support, dtype=float))
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        if x.ndim != 1 or w.ndim != 1:
+            raise InvalidDesignError("support and weights must be one-dimensional")
         if x.size == 0 or x.shape != w.shape:
             raise InvalidDesignError("support and weights must be non-empty and equal length")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):

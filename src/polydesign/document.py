@@ -38,8 +38,8 @@ class DesignDocument:
     metadata: dict = field(default_factory=dict)
 
 
-def document_from_result(result: OptimalResult, grid_size: int | None = None) -> DesignDocument:
-    metadata: dict = {
+def document_from_result(result: OptimalResult) -> DesignDocument:
+    metadata = {
         "version": __version__,
         "tolerances": {
             "rank_tol": RANK_TOL,
@@ -47,8 +47,6 @@ def document_from_result(result: OptimalResult, grid_size: int | None = None) ->
             "variance_rtol": VARIANCE_RTOL,
         },
     }
-    if grid_size is not None:
-        metadata["grid_size"] = int(grid_size)
     return DesignDocument(
         degree=result.problem.n,
         coef=result.problem.p,
@@ -120,6 +118,8 @@ def _loads(text: str, what: str):
         raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{what} is nested too deeply") from exc
     if not isinstance(raw, dict):
         raise DocumentError(f"{what} must be a JSON object")
     return raw
@@ -135,15 +135,19 @@ def _integer(raw, key: str) -> int:
     raise DocumentError(f"{key} must be an integer, got {value!r}")
 
 
-def _certificate(raw) -> list[float]:
+def _certificate(raw, degree: int) -> list[float]:
     """Stored g-coefficients; a 0.1.0 document's monomials are converted.
 
     A 0.1.0 certificate with a nonzero intercept raises
-    :class:`InvalidCertificateError`, a ``ValueError``.
+    :class:`InvalidCertificateError`, and one with a nonzero monomial above
+    ``degree`` raises before the conversion; both are ``ValueError``.
     """
     if "certificate_chebyshev" in raw or "certificate_coeffs" not in raw:
         return [float(c) for c in raw["certificate_chebyshev"]]
     monomial = [float(c) for c in raw["certificate_coeffs"]]
+    top = max((q for q, c in enumerate(monomial) if c != 0.0), default=0)
+    if top > degree:
+        raise ValueError(f"certificate has degree {top}, above the model degree {degree}")
     return Polynomial.from_monomial(monomial).coeffs.tolist() if monomial else []
 
 
@@ -154,8 +158,9 @@ def parse_document(text: str) -> DesignDocument:
 def _document(raw: dict) -> DesignDocument:
     """The document held in an already parsed JSON object."""
     try:
+        degree = _integer(raw, "degree")
         return DesignDocument(
-            degree=_integer(raw, "degree"),
+            degree=degree,
             coef=_integer(raw, "coef"),
             case_tag=str(raw["case_tag"]),
             designs=[
@@ -167,10 +172,10 @@ def _document(raw: dict) -> DesignDocument:
             ],
             variance=float(raw["variance"]),
             h=float(raw["h"]),
-            certificate_chebyshev=_certificate(raw),
+            certificate_chebyshev=_certificate(raw, degree),
             metadata=raw.get("metadata", {}),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed design document: {exc}") from exc
 
 
@@ -206,7 +211,7 @@ def parse_design_file(text: str, problem: DesignProblem) -> tuple[list[Design], 
     for entry in entries:
         try:
             designs.append(Design(entry["support"], entry["weights"]))
-        except (InvalidDesignError, KeyError, TypeError, ValueError) as exc:
+        except (InvalidDesignError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DocumentError(f"invalid design in file: {exc}") from exc
     if not designs:
         raise DocumentError("design file contains no designs")

@@ -1,17 +1,16 @@
 """Exception types raised across the package.
 
-Every class also derives from a builtin (ValueError / ArithmeticError /
-RuntimeError), so callers that do not care about the distinction can catch
-the builtin.
+Every class derives from :class:`PolydesignError` and from a builtin:
+ValueError for invalid input, ArithmeticError for a failed numerical
+check, RuntimeError for the LP oracle. Callers that do not care about the
+distinction can catch the builtin. The CLI exits with code 3 for
+:class:`NumericalDegeneracyError` and :class:`OracleFailureError`, and with
+code 2 for every other error of this package.
 """
 
 
 class PolydesignError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class InvalidNodesError(PolydesignError, ValueError):
-    """Interpolation nodes are not finite, not distinct or contain zero."""
 
 
 class InvalidOrderError(PolydesignError, ValueError):
@@ -32,11 +31,6 @@ class InvalidProblemError(PolydesignError, ValueError):
 
 class InvalidCertificateError(PolydesignError, ValueError):
     """Certificate polynomial has a nonzero intercept or is identically zero."""
-
-
-class DegenerateCoefficientError(PolydesignError, ArithmeticError):
-    """A basis-polynomial coefficient vanished; the support/index pair is
-    outside the closed-form solver's guarantee."""
 
 
 class NumericalDegeneracyError(PolydesignError, ArithmeticError):

@@ -66,6 +66,8 @@ class Polynomial:
             raise InvalidCertificateError("certificate must have zero intercept")
         sums = [Fraction(0)] * c.size
         for q, c_q in enumerate(c):
+            if c_q == 0.0:  # adds nothing; skipping keeps a long zero tail cheap
+                continue
             for i in range((q - 1) // 2 + 1):  # the T_0 term only feeds c_0
                 sums[q - 2 * i] += Fraction(c_q) * math.comb(q, i) / 2 ** (q - 1)
         try:

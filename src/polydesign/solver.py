@@ -20,23 +20,22 @@ h = sum_j |a_{j,p}| gives the optimal variance h**2, and the certificate
 is bounded by 1 on [-1, 1], equals +-1 on the support, and reproduces d_p,
 the coefficients of x**p in T_1..T_n, as h * sum_i g(x_i) w_i P(x_i) in
 the basis g_j = T_j - T_j(0) of :mod:`polydesign.polynomial`.
+
+:func:`solve` evaluates this formula on its candidate supports only. The
+optimal weights on another support of m points, with points of both signs,
+are those of the LP oracle run on that support as its grid,
+``elfving_lp(DesignProblem(m, p), support)``.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .design import Design, DesignProblem, certificate_identity
 from .elfving import CONDITION_TOL
-from .errors import (
-    DegenerateCoefficientError,
-    InvalidNodesError,
-    InvalidProblemError,
-    NumericalDegeneracyError,
-)
+from .errors import NumericalDegeneracyError
 from .points import s_points, t_points
 from .polynomial import Polynomial, e_polynomial, intercept_free_vander, power_coefficients
 
@@ -92,43 +91,6 @@ def _lagrange_columns(supports: np.ndarray, p: int) -> np.ndarray:
 def _nondegenerate(abs_a: np.ndarray) -> np.ndarray:
     """Rows of |a_{i,p}| with no numerically zero (or NaN) entry."""
     return np.all(abs_a > 1e-12 * abs_a.max(axis=-1, keepdims=True), axis=-1)
-
-
-def weights_from_lagrange(support, p: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Closed-form weights for a support, plus the scaling constant h.
-
-    With a_{i,p} the coefficient of x**p in the i-th intercept-free Lagrange
-    basis polynomial of the support (column p of the inverse intercept-free
-    Vandermonde matrix, solved in the Chebyshev basis), returns
-    (|a| / sum|a|, sum|a|, sign(a)). The support must be one-dimensional,
-    with finite, distinct, nonzero points in [-1, 1]. Raises
-    :class:`DegenerateCoefficientError` when any coefficient is numerically
-    zero, which signals a support/index combination with no positive-weight
-    solution of this form.
-    """
-    t = np.asarray(support, dtype=float)
-    if t.ndim > 1:
-        raise InvalidNodesError(f"support must be one-dimensional, got shape {t.shape}")
-    t = np.atleast_1d(t)
-    m = t.size
-    if not isinstance(p, numbers.Integral) or not 1 <= p <= m:
-        raise InvalidProblemError(f"coefficient index {p!r} not an integer in 1..{m}")
-    if not np.all(np.isfinite(t)):
-        raise InvalidNodesError("nodes must be finite")
-    if np.abs(t).max() > 1.0:
-        raise ValueError("support must lie in [-1, 1]")
-    if np.any(t == 0.0):
-        raise InvalidNodesError("nodes must be nonzero")
-    if np.unique(t).size != m:
-        raise InvalidNodesError("nodes must be distinct")
-    a = _lagrange_columns(t[None], p)[0]
-    abs_a = np.abs(a)
-    if not _nondegenerate(abs_a):
-        raise DegenerateCoefficientError(
-            f"basis coefficient for x**{p} vanishes at some support point"
-        )
-    h = float(abs_a.sum())
-    return abs_a / h, h, np.sign(a)
 
 
 def _case(problem: DesignProblem) -> tuple[Polynomial, np.ndarray, np.ndarray]:

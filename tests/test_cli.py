@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,48 @@ def test_verify_non_integral_problem_exits_2(tmp_path, capsys, fields):
     assert code == 2
     assert out == ""
     assert "must be an integer" in capsys.readouterr().err
+
+
+_HUGE = "1" + "0" * 400  # a JSON integer beyond the double range
+
+
+@pytest.mark.parametrize("kind", ["support point", "variance", "nesting"])
+def test_verify_unconvertible_file_exits_2(tmp_path, capsys, kind):
+    # each used to escape as a raw OverflowError or RecursionError, exit 1
+    if kind == "support point":
+        text = f'{{"support": [-1.0, 0.5, {_HUGE}], "weights": [0.25, 0.5, 0.25]}}'
+    elif kind == "variance":
+        raw = json.loads(render_document(document_from_result(solve(DesignProblem(3, 3)))))
+        text = json.dumps(raw).replace(f'"variance": {raw["variance"]}', f'"variance": {_HUGE}')
+        assert _HUGE in text
+    else:
+        text = "[" * 200000 + "]" * 200000
+    path = tmp_path / "unconvertible.json"
+    path.write_text(text)
+    code, out = run_cli(["verify", "--file", str(path), "--degree", "3", "--coef", "3"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("top, expected", [(0.0, 0), (1e-300, 2)])
+def test_verify_version_0_1_0_long_certificate_is_fast(tmp_path, capsys, top, expected):
+    # T_3 in 1,204 stored monomials, zeros above x**3 and `top` at x**1203:
+    # the exact conversion used to take 12 s for either, and a nonzero top
+    # underflowed to a certificate of degree 347 before the degree check
+    monomials = [0.0, -3.0, 0.0, 4.0] + [0.0] * 1200
+    monomials[-1] = top
+    raw = json.loads(render_document(document_from_result(solve(DesignProblem(3, 3)))))
+    del raw["certificate_chebyshev"]
+    raw["certificate_coeffs"] = monomials
+    path = tmp_path / "long_certificate.json"
+    path.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    code, _ = run_cli(["verify", "--file", str(path), "--degree", "3", "--coef", "3"])
+    assert time.perf_counter() - start < 1.0
+    assert code == expected
+    if expected:
+        assert "degree 1203, above the model degree 3" in capsys.readouterr().err
 
 
 def test_verify_unreadable_file_exits_2(tmp_path):

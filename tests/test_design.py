@@ -49,6 +49,19 @@ def test_design_rejects_non_finite_values(support, weights):
         Design(support, weights)
 
 
+def test_design_rejects_two_dimensional_input():
+    # a column used to pass (the duplicate [[0.5], [0.5]] too: the increasing
+    # check ran along the wrong axis) and a row to fail inside numpy
+    for support, weights in [
+        ([[-1.0], [1.0]], [[0.5], [0.5]]),
+        ([[0.5], [0.5]], [[0.5], [0.5]]),
+        ([[-1.0, 1.0]], [[0.5, 0.5]]),
+        ([[-1.0, 0.5], [0.25, 1.0]], [[0.25, 0.25], [0.25, 0.25]]),
+    ]:
+        with pytest.raises(InvalidDesignError, match="one-dimensional"):
+            Design(support, weights)
+
+
 @pytest.mark.parametrize("n, p", [(3.5, 1), (3, 1.0), ("3", 1), (np.float64(4.0), 2)])
 def test_problem_rejects_non_integral_indices(n, p):
     with pytest.raises(InvalidProblemError, match="integers"):

@@ -7,20 +7,20 @@ import pytest
 from numpy.polynomial.chebyshev import cheb2poly
 
 import polydesign.solver
+from polydesign.cli import REFERENCE_DESIGNS
 from polydesign.polynomial import power_coefficients
+from polydesign.solver import _lagrange_columns
 
 from polydesign import (
     Design,
     DesignProblem,
-    DegenerateCoefficientError,
-    InvalidNodesError,
     InvalidProblemError,
     NumericalDegeneracyError,
     classify,
     coefficient,
+    elfving_lp,
     phi_c,
     solve,
-    weights_from_lagrange,
 )
 
 from half_range import symmetric_system_check
@@ -58,68 +58,23 @@ def test_optimal_supports_quartic_even_coef():
 
 
 def test_weights_from_lagrange_goldens():
-    weights, h, signs = weights_from_lagrange([-1.0, 0.5, 1.0], 3)
-    np.testing.assert_allclose(weights, [1 / 12, 2 / 3, 1 / 4], atol=1e-14)
-    assert h == pytest.approx(4.0, abs=1e-13)
+    # the closed-form weights |a_{i,p}| / sum_j |a_{j,p}| and variance h**2
+    # on a given support; outside solve they are read from the LP oracle
+    # with that support as its grid
+    quartic = [SQRT2 / (8 * SQRT2 + 8), (3 * SQRT2 + 4) / (8 * SQRT2 + 8),
+               (3 * SQRT2 + 4) / (8 * SQRT2 + 8), SQRT2 / (8 * SQRT2 + 8)]
+    goldens = [
+        ([-1.0, 0.5, 1.0], 3, [1 / 12, 2 / 3, 1 / 4], 4.0),
+        ([-1.0, -RADICAL, RADICAL, 1.0], 2, quartic, 2 * (SQRT2 + 1)),
+        ([-1.0, 1.0], 2, [0.5, 0.5], 1.0),
+    ]
+    for support, p, weights, h in goldens:
+        result = elfving_lp(DesignProblem(len(support), p), support)
+        np.testing.assert_array_equal(result.design.support, support)
+        np.testing.assert_allclose(result.design.weights, weights, atol=1e-12)
+        assert result.variance == pytest.approx(h * h, rel=1e-12)
+    signs = np.sign(_lagrange_columns(np.array([[-1.0, 0.5, 1.0]]), 3)[0])
     np.testing.assert_array_equal(signs, [-1.0, -1.0, 1.0])
-
-    weights, h, _ = weights_from_lagrange([-1.0, -RADICAL, RADICAL, 1.0], 2)
-    expected = [SQRT2 / (8 * SQRT2 + 8), (3 * SQRT2 + 4) / (8 * SQRT2 + 8),
-                (3 * SQRT2 + 4) / (8 * SQRT2 + 8), SQRT2 / (8 * SQRT2 + 8)]
-    np.testing.assert_allclose(weights, expected, atol=1e-14)
-    assert h == pytest.approx(2 * (SQRT2 + 1), abs=1e-13)
-
-    weights, h, _ = weights_from_lagrange([-1.0, 1.0], 2)
-    np.testing.assert_allclose(weights, [0.5, 0.5], atol=0)
-    assert h == 1.0
-
-
-def test_weights_from_lagrange_degenerate_coefficient():
-    # the two other nodes are symmetric, so the x**2 coefficient of the
-    # third basis polynomial vanishes identically
-    with pytest.raises(DegenerateCoefficientError):
-        weights_from_lagrange([-0.5, 0.5, 0.75], 2)
-
-
-def test_weights_from_lagrange_validates():
-    with pytest.raises(InvalidProblemError):
-        weights_from_lagrange([-1.0, 1.0], 3)
-    with pytest.raises(ValueError):
-        weights_from_lagrange([-1.0, 1.5], 1)
-
-
-def test_weights_from_lagrange_range_check_reads_every_point():
-    # the check used to read only the first and last point, so an unsorted
-    # support with 2.0 in the middle passed while its sorted copy raised
-    with pytest.raises(ValueError):
-        weights_from_lagrange([-0.3, 0.5, 2.0], 1)
-    with pytest.raises(ValueError):
-        weights_from_lagrange([0.5, 2.0, -0.3], 1)
-
-
-def test_weights_from_lagrange_rejects_non_integer_index():
-    with pytest.raises(InvalidProblemError):
-        weights_from_lagrange([-1.0, 0.5, 1.0], 2.5)
-    weights, _, _ = weights_from_lagrange([-1.0, 0.5, 1.0], np.int64(3))
-    np.testing.assert_allclose(weights, [1 / 12, 2 / 3, 1 / 4], atol=1e-14)
-
-
-def test_weights_from_lagrange_rejects_two_dimensional_support():
-    with pytest.raises(InvalidNodesError):
-        weights_from_lagrange([[-1.0, 0.5], [0.25, 1.0]], 1)
-
-
-def test_weights_from_lagrange_overflowing_system_raises():
-    # the coefficient 2**1024 of x**1025 in T_1025 is beyond the double range
-    with pytest.raises(NumericalDegeneracyError):
-        weights_from_lagrange(np.linspace(-1.0, 1.0, 1026), 1025)
-
-
-@pytest.mark.parametrize("nodes", [[math.nan, 0.5], [-0.5, math.nan, 1.0]])
-def test_non_finite_nodes_raise(nodes):
-    # a NaN node slips past the [-1, 1] support check and used to yield NaN weights
-    with pytest.raises(InvalidNodesError):
-        weights_from_lagrange(nodes, 1)
 
 
 def test_power_coefficients_match_chebyshev_recurrence_bit_for_bit():
@@ -139,28 +94,10 @@ def test_power_coefficients_take_numpy_integers_exactly():
     assert power_coefficients(70, 64)[63] == 2.0**63
 
 
-# Reference tables (exact fractions/radicals in double precision).
-CUBIC_QUARTIC_GOLDENS = {
-    (3, 1): [([-1.0, -0.5, 0.5], [1 / 9, 2 / 3, 2 / 9]),
-             ([-0.5, 0.5, 1.0], [2 / 9, 2 / 3, 1 / 9])],
-    (3, 2): [([-1.0, 1.0], [0.5, 0.5])],
-    (3, 3): [([-1.0, 0.5, 1.0], [1 / 12, 2 / 3, 1 / 4]),
-             ([-1.0, -0.5, 1.0], [1 / 4, 2 / 3, 1 / 12])],
-    (4, 1): [([-1.0, -0.5, 0.5, 1.0], [1 / 18, 4 / 9, 4 / 9, 1 / 18])],
-    (4, 2): [([-1.0, -RADICAL, RADICAL, 1.0],
-              [SQRT2 / (8 * SQRT2 + 8), (3 * SQRT2 + 4) / (8 * SQRT2 + 8),
-               (3 * SQRT2 + 4) / (8 * SQRT2 + 8), SQRT2 / (8 * SQRT2 + 8)])],
-    (4, 3): [([-1.0, -0.5, 0.5, 1.0], [1 / 6, 1 / 3, 1 / 3, 1 / 6])],
-    (4, 4): [([-1.0, -RADICAL, RADICAL, 1.0],
-              [SQRT2 / (4 * SQRT2 + 4), (SQRT2 + 2) / (4 * SQRT2 + 4),
-               (SQRT2 + 2) / (4 * SQRT2 + 4), SQRT2 / (4 * SQRT2 + 4)])],
-}
-
-
-@pytest.mark.parametrize("key", sorted(CUBIC_QUARTIC_GOLDENS))
+@pytest.mark.parametrize("key", REFERENCE_DESIGNS)
 def test_solve_reference_designs(key):
-    result = solve(DesignProblem(*key))
-    expected = CUBIC_QUARTIC_GOLDENS[key]
+    degree, coef, expected = key
+    result = solve(DesignProblem(degree, coef))
     assert len(result.designs) == len(expected)
     for design, (support, weights) in zip(result.designs, expected):
         np.testing.assert_allclose(design.support, support, atol=1e-12)
@@ -258,7 +195,7 @@ def test_case_c_sign_products_share_one_sign():
         for p in range(1, n + 1, 2):
             result = solve(DesignProblem(n, p))
             for design in result.designs:
-                _, _, signs = weights_from_lagrange(design.support, p)
+                signs = np.sign(_lagrange_columns(design.support[None], p)[0])
                 products = signs * np.sign(result.certificate(design.support))
                 assert np.all(products == products[0])
 
