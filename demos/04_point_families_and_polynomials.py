@@ -41,8 +41,9 @@ print()
 # (3 + 2 sqrt(2)) x**4 - (2 + 2 sqrt(2)) x**2:
 print("E4 Chebyshev coefficients c_1..c_4:", e4.coeffs)
 print("E4 monomial coefficients x..x**4:  ", np.array([coefficient(e4, q) for q in range(1, 5)]))
-print("equioscillation bound on a dense grid:",
-      np.abs(e4(np.linspace(-1, 1, 100001))).max())
+# Its maximum on [-1, 1] is taken at the endpoints and the critical points:
+points, values = e4.peaks()
+print("E4 peaks:", np.sort(points), " max |E4|:", np.abs(values).max())
 print()
 
 # Families are exactly symmetric (the negative half is a mirrored copy)

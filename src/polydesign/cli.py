@@ -22,7 +22,7 @@ import numpy as np
 
 from .design import DesignProblem
 from .document import document_from_result, format_float as _fmt, parse_design_file, render_document
-from .elfving import CONDITION_TOL, DEFAULT_GRID_SIZE, ElfvingReport, verify
+from .elfving import CONDITION_TOL, ElfvingReport, verify
 from .errors import (
     DocumentError,
     InvalidProblemError,
@@ -116,7 +116,6 @@ def _print_report(out, label: str, report: ElfvingReport) -> None:
     print(f"  h:                   {_fmt(report.h)}", file=out)
     print(f"  variance (formula):  {_fmt(report.variance_formula)}", file=out)
     print(f"  variance (matrix):   {_fmt(report.variance_matrix)}", file=out)
-    print(f"  certificate_scale:   {_fmt(report.certificate_scale)}", file=out)
     print(f"  verdict:             {str(report.verdict).lower()}", file=out)
 
 
@@ -132,8 +131,7 @@ def cmd_verify(args, out) -> int:
         certificate = certificate_for(problem)
     all_ok = True
     for idx, design in enumerate(designs, start=1):
-        report = verify(design, problem, certificate, grid_size=args.grid,
-                        condition_tol=args.tol)
+        report = verify(design, problem, certificate, condition_tol=args.tol)
         _print_report(out, f"design {idx}", report)
         all_ok = all_ok and report.verdict
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
@@ -210,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--file", required=True)
     p_verify.add_argument("--degree", type=int, required=True)
     p_verify.add_argument("--coef", type=int, required=True)
-    p_verify.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
     p_verify.add_argument("--tol", type=float, default=CONDITION_TOL,
                           help="per-condition tolerance")
 

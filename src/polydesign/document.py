@@ -135,6 +135,28 @@ def _integer(raw, key: str) -> int:
     raise DocumentError(f"{key} must be an integer, got {value!r}")
 
 
+def _number(value, key: str) -> float:
+    """A JSON number as a float; strings, booleans and other values are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DocumentError(f"{key}: expected a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the double range
+        raise DocumentError(f"{key}: a number beyond the double range") from exc
+
+
+def _numbers(values, key: str) -> list[float]:
+    if not isinstance(values, list):
+        raise DocumentError(f"{key}: expected a list of JSON numbers, got {values!r}")
+    return [_number(v, key) for v in values]
+
+
+def _design_entry(raw) -> dict:
+    """The support and weights of one design, as lists of floats."""
+    return {"support": _numbers(raw["support"], "support"),
+            "weights": _numbers(raw["weights"], "weights")}
+
+
 def _certificate(raw, degree: int) -> list[float]:
     """Stored g-coefficients; a 0.1.0 document's monomials are converted.
 
@@ -143,8 +165,8 @@ def _certificate(raw, degree: int) -> list[float]:
     ``degree`` raises before the conversion; both are ``ValueError``.
     """
     if "certificate_chebyshev" in raw or "certificate_coeffs" not in raw:
-        return [float(c) for c in raw["certificate_chebyshev"]]
-    monomial = [float(c) for c in raw["certificate_coeffs"]]
+        return _numbers(raw["certificate_chebyshev"], "certificate_chebyshev")
+    monomial = _numbers(raw["certificate_coeffs"], "certificate_coeffs")
     top = max((q for q, c in enumerate(monomial) if c != 0.0), default=0)
     if top > degree:
         raise ValueError(f"certificate has degree {top}, above the model degree {degree}")
@@ -163,15 +185,9 @@ def _document(raw: dict) -> DesignDocument:
             degree=degree,
             coef=_integer(raw, "coef"),
             case_tag=str(raw["case_tag"]),
-            designs=[
-                {
-                    "support": [float(x) for x in d["support"]],
-                    "weights": [float(w) for w in d["weights"]],
-                }
-                for d in raw["designs"]
-            ],
-            variance=float(raw["variance"]),
-            h=float(raw["h"]),
+            designs=[_design_entry(d) for d in raw["designs"]],
+            variance=_number(raw["variance"], "variance"),
+            h=_number(raw["h"], "h"),
             certificate_chebyshev=_certificate(raw, degree),
             metadata=raw.get("metadata", {}),
         )
@@ -203,7 +219,7 @@ def parse_design_file(text: str, problem: DesignProblem) -> tuple[list[Design], 
             except ValueError as exc:
                 raise DocumentError(f"invalid certificate in file: {exc}") from exc
     elif "support" in raw and "weights" in raw:
-        entries = [raw]
+        entries = [_design_entry(raw)]
     else:
         raise DocumentError("design file must contain 'designs' or 'support'/'weights'")
 
@@ -211,7 +227,7 @@ def parse_design_file(text: str, problem: DesignProblem) -> tuple[list[Design], 
     for entry in entries:
         try:
             designs.append(Design(entry["support"], entry["weights"]))
-        except (InvalidDesignError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except InvalidDesignError as exc:
             raise DocumentError(f"invalid design in file: {exc}") from exc
     if not designs:
         raise DocumentError("design file contains no designs")

@@ -18,14 +18,13 @@ measurement so a failed verdict can be attributed to a specific condition.
 
 Certificates are compared at sup-norm 1: condition (1) is checked on the
 certificate exactly as given (so an over-scaled certificate is detected),
-while conditions (2) and (3) are evaluated after dividing by the observed
-grid maximum, which accepts harmless down-scalings such as monic variants.
+while conditions (2) and (3) are evaluated after dividing by its maximum
+on [-1, 1], which accepts harmless down-scalings such as monic variants.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,6 @@ import numpy as np
 from .design import Design, DesignProblem, certificate_identity, phi_c
 from .errors import InvalidCertificateError
 from .polynomial import Polynomial
-
-#: default evaluation grid for condition (1)
-DEFAULT_GRID_SIZE = 10001
 
 #: per-condition tolerance (bound excess, extremality, relative identity residual)
 CONDITION_TOL = 1e-9
@@ -59,7 +55,6 @@ class ElfvingReport:
     h: float
     variance_formula: float
     variance_matrix: float
-    certificate_scale: float
     verdict: bool
 
 
@@ -67,15 +62,15 @@ def verify(
     design: Design,
     problem: DesignProblem,
     certificate: Polynomial,
-    grid_size: int = DEFAULT_GRID_SIZE,
     *,
     condition_tol: float = CONDITION_TOL,
 ) -> ElfvingReport:
     """Check the three certificate conditions and both variance paths.
 
-    Condition (1) takes the maximum of |P| over a uniform grid of
-    ``grid_size`` points on [-1, 1] and over the support; condition (2)
-    reuses the values at the exact support points. Condition (3) is
+    Condition (1) takes the maximum of |P| over
+    :meth:`~polydesign.polynomial.Polynomial.peaks` and the support, which
+    is its supremum on [-1, 1]; condition (2) reuses the values at the
+    support points. Condition (3) is
     :func:`~polydesign.design.certificate_identity`: h is solved from the
     largest entry of d_p, and the residual over all n coordinates is taken
     relative to max|d_p|. An inadmissible design yields
@@ -84,12 +79,9 @@ def verify(
     The certificate must lie in the model's span: a nonzero coefficient
     beyond g_n raises :class:`InvalidCertificateError` (trailing zeros are
     allowed); its intercept is zero by construction. A certificate that is
-    zero on the grid or whose values overflow the double range raises it
-    too. A ``grid_size`` that is not an integer of at least 101, and a
-    non-finite or negative ``condition_tol``, raise ``ValueError``.
+    identically zero or whose values overflow the double range raises it
+    too. A non-finite or negative ``condition_tol`` raises ``ValueError``.
     """
-    if not isinstance(grid_size, numbers.Integral) or grid_size < 101:
-        raise ValueError(f"grid_size must be an integer of at least 101, got {grid_size!r}")
     if not (math.isfinite(condition_tol) and condition_tol >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {condition_tol!r}")
     if certificate.degree > problem.n:
@@ -99,16 +91,14 @@ def verify(
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
         support_raw = certificate(design.support)
-        grid_raw = certificate(np.linspace(-1.0, 1.0, grid_size))
-    # the maximum over the grid united with the support, without the union's sort
-    grid_max = float(np.maximum(np.abs(grid_raw).max(), np.abs(support_raw).max()))
-    if grid_max == 0.0:
+        peak_raw = certificate.peaks()[1]
+    scale = float(np.maximum(np.abs(peak_raw).max(), np.abs(support_raw).max()))
+    if scale == 0.0:
         raise InvalidCertificateError("certificate is identically zero")
-    if not math.isfinite(grid_max):
+    if not math.isfinite(scale):
         raise InvalidCertificateError("certificate values overflow on [-1, 1]")
-    condition1_ok = grid_max <= 1.0 + condition_tol
+    condition1_ok = scale <= 1.0 + condition_tol
 
-    scale = grid_max
     support_vals = support_raw / scale
     condition2_ok = bool(np.abs(np.abs(support_vals) - 1.0).max() <= condition_tol)
 
@@ -126,12 +116,11 @@ def verify(
     )
     return ElfvingReport(
         condition1_ok=condition1_ok,
-        condition1_max=grid_max,
+        condition1_max=scale,
         condition2_ok=condition2_ok,
         condition3_residual=condition3_residual,
         h=h,
         variance_formula=variance_formula,
         variance_matrix=variance_matrix,
-        certificate_scale=scale,
         verdict=bool(verdict),
     )

@@ -35,6 +35,11 @@ def _t_at_zero(m: int) -> np.ndarray:
     return np.rint(np.cos(np.pi / 2 * np.arange(1, m + 1)))
 
 
+def _series(v: np.ndarray) -> np.ndarray:
+    # the Chebyshev series [c_0, v_1, ..., v_m] of sum_j v_j g_j
+    return np.concatenate([[-(v @ _t_at_zero(v.size))], v])
+
+
 @dataclass(frozen=True, eq=False)
 class Polynomial:
     """Immutable polynomial sum_j coeffs[j - 1] * (T_j - T_j(0)), j = 1..m."""
@@ -86,12 +91,28 @@ class Polynomial:
         Runs in plain double on the Chebyshev series [c_0, v_1, ..., v_m],
         so the result does not depend on the platform's ``long double``.
         """
-        v = self.coeffs
-        series = np.concatenate([[-(v @ _t_at_zero(v.size))], v])
-        y = ncheb.chebval(np.asarray(x, dtype=float), series)
+        y = ncheb.chebval(np.asarray(x, dtype=float), _series(self.coeffs))
         if np.ndim(x) == 0:
             return float(y)
         return y
+
+    def peaks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Points of [-1, 1] where |P| can peak, and P's values there.
+
+        The points are -1, 1 and the real parts, clipped to [-1, 1], of the
+        roots of P', so max |values| is the supremum of |P| on [-1, 1] up to
+        the rounding of the roots, and never above it. The roots are those
+        of (P / max|v|)', which stay finite wherever v does; values beyond
+        the double range come back as inf or nan.
+
+        >>> float(abs(Polynomial([0.0, 0.0, 1.0]).peaks()[1]).max())  # T_3
+        1.0
+        """
+        v = self.coeffs
+        unit = _series(v / (np.abs(v).max() or 1.0))
+        roots = ncheb.chebroots(ncheb.chebder(unit))
+        x = np.concatenate([[-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)])
+        return x, self(x)
 
     def padded(self, degree: int) -> "Polynomial":
         """Return a copy carrying explicit zero coefficients up to ``degree``."""

@@ -75,7 +75,7 @@ def test_criterion_3_certification_sweep():
             problem = DesignProblem(n, p)
             result = solve(problem)
             for design in result.designs:
-                report = verify(design, problem, result.certificate, grid_size=10001)
+                report = verify(design, problem, result.certificate)
                 if not report.verdict:
                     failures.append((n, p))
                 value = phi_c(design, problem.unit_vector(), n)
@@ -194,7 +194,7 @@ def test_criterion_8_negative_controls():
                     worst_increase = min(worst_increase, increase)
                     if increase < 1e-10:
                         failures.append((n, p, i, increase))
-                    report = verify(perturbed, problem, result.certificate, grid_size=2001)
+                    report = verify(perturbed, problem, result.certificate)
                     smallest_residual = min(smallest_residual, report.condition3_residual)
                     if report.verdict:
                         failures.append((n, p, i, "verified"))

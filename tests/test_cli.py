@@ -12,6 +12,8 @@ from polydesign import DesignProblem, document_from_result, render_document, sol
 from polydesign.cli import main
 from polydesign.points import s_points
 
+from test_elfving import moved_support_case
+
 
 def run_cli(argv):
     out = io.StringIO()
@@ -91,7 +93,7 @@ def test_compute_json_verifies_at_degree_30(tmp_path, p):
 
 @pytest.mark.parametrize("n, p, expected", [
     (9, 3, 0), (10, 4, 0), (11, 3, 0), (12, 5, 0),
-    # the stored monomials of E_30 reach max |P| = 1 + 4.6e-7 on the grid
+    # the stored monomials of E_30 reach max |P| = 1 + 4.6e-7 on [-1, 1]
     (30, 2, 1),
 ])
 def test_verify_version_0_1_0_files(n, p, expected):
@@ -156,6 +158,55 @@ def test_verify_non_integral_problem_exits_2(tmp_path, capsys, fields):
     assert code == 2
     assert out == ""
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [
+    {"variance": "1"},
+    {"h": True},
+    {"certificate_chebyshev": ["0", True]},
+    {"certificate_chebyshev": None, "certificate_coeffs": [0, 0, "1"]},
+    {"designs": [{"support": ["-1", 1.0], "weights": [0.5, 0.5]}]},
+    {"designs": [{"support": [-1.0, 1.0], "weights": ["0.5", "0.5"]}]},
+    None,  # the minimal form
+])
+def test_verify_non_number_exits_2(tmp_path, capsys, fields):
+    # float() used to convert "-1" and true, so all but the first certificate
+    # verified (exit 0); fields set to None are removed
+    if fields is None:
+        raw = {"support": ["-1", True], "weights": ["0.5", "0.5"]}
+    else:
+        raw = json.loads(render_document(document_from_result(solve(DesignProblem(2, 2)))))
+        raw.update(fields)
+        raw = {key: value for key, value in raw.items() if value is not None}
+    path = tmp_path / "non_number.json"
+    path.write_text(json.dumps(raw))
+    code, out = run_cli(["verify", "--file", str(path), "--degree", "2", "--coef", "2"])
+    assert code == 2
+    assert out == ""
+    assert "expected a JSON number" in capsys.readouterr().err
+
+
+def test_verify_peak_between_grid_points_exits_1(tmp_path):
+    # exit 0 while verify sampled condition (1) on a grid of 10001 points
+    problem, design, certificate = moved_support_case(30, 29)
+    raw = json.loads(render_document(document_from_result(solve(problem))))
+    raw["designs"] = [{"support": design.support.tolist(), "weights": design.weights.tolist()}]
+    raw["certificate_chebyshev"] = certificate.coeffs.tolist()
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(raw))
+    code, report = run_cli(["verify", "--file", str(path), "--degree", "30", "--coef", "29"])
+    assert code == 1
+    assert "condition1_ok:       false  (max |P| = 1.0001" in report
+
+
+def test_verify_grid_option_exits_2(tmp_path):
+    # condition (1) is checked at the certificate's critical points; the
+    # grid, and verify's --grid option, are gone
+    path = tmp_path / "design.json"
+    path.write_text(render_document(document_from_result(solve(DesignProblem(3, 3)))))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--file", str(path), "--degree", "3", "--coef", "3", "--grid", "10001"])
+    assert excinfo.value.code == 2
 
 
 _HUGE = "1" + "0" * 400  # a JSON integer beyond the double range

@@ -11,10 +11,12 @@ from polydesign import (
     certificate_for,
     coefficient,
     e_polynomial,
+    phi_c,
     solve,
     verify,
 )
-from polydesign.elfving import DEFAULT_GRID_SIZE
+from polydesign.polynomial import intercept_free_vander
+from polydesign.solver import _lagrange_columns
 
 SQRT2 = math.sqrt(2.0)
 
@@ -95,7 +97,7 @@ def test_verify_scaling_sanity():
     monic = Polynomial(result.certificate.coeffs * 0.25)
     report = verify(design, problem, monic)
     assert report.verdict
-    assert report.certificate_scale == pytest.approx(0.25, rel=1e-12)
+    assert report.condition1_max == pytest.approx(0.25, rel=1e-12)
     assert report.variance_formula == pytest.approx(16.0, rel=1e-10)
 
 
@@ -142,10 +144,10 @@ def test_condition1_max_is_the_maximum_over_grid_and_support(n, p, case):
     result = solve(problem)
     assert result.case_tag == case
     assert len(result.designs) == (2 if case == "C" else 1)
-    grid = np.linspace(-1.0, 1.0, DEFAULT_GRID_SIZE)
+    peaks = result.certificate.peaks()[0]
     for design in result.designs:
         report = verify(design, problem, result.certificate)
-        union = np.union1d(grid, design.support)
+        union = np.union1d(peaks, design.support)
         expected = float(np.abs(result.certificate(union)).max())
         assert report.condition1_max.hex() == expected.hex()
 
@@ -156,22 +158,6 @@ def test_verify_rejects_invalid_tolerance(tol):
     result = solve(problem)
     with pytest.raises(ValueError):
         verify(result.designs[0], problem, result.certificate, condition_tol=tol)
-
-
-def test_verify_rejects_small_grid():
-    problem = DesignProblem(2, 2)
-    design = solve(problem).designs[0]
-    with pytest.raises(ValueError):
-        verify(design, problem, certificate_for(problem), grid_size=50)
-
-
-@pytest.mark.parametrize("grid_size", [101.5, 10000.0, "10001"])
-def test_verify_rejects_non_integer_grid_size(grid_size):
-    # used to fail inside numpy with a TypeError
-    problem = DesignProblem(2, 2)
-    design = solve(problem).designs[0]
-    with pytest.raises(ValueError, match="grid_size must be an integer"):
-        verify(design, problem, certificate_for(problem), grid_size=grid_size)
 
 
 def test_verify_inadmissible_design():
@@ -189,8 +175,38 @@ def test_verify_solved_designs_small_sweep():
             problem = DesignProblem(n, p)
             result = solve(problem)
             for design in result.designs:
-                report = verify(design, problem, result.certificate, grid_size=2001)
+                report = verify(design, problem, result.certificate)
                 assert report.verdict, (n, p)
                 assert report.variance_formula == pytest.approx(
                     report.variance_matrix, rel=1e-8
                 )
+
+
+def moved_support_case(n, p):
+    """A design that is not optimal, whose certificate peaks between grid points.
+
+    Design 1 of ``solve`` with support point 28 moved by +6e-5, weights
+    |a_i| / sum |a_i| from the intercept-free Lagrange coefficients of x**p
+    on the moved support, and as certificate the interpolant of sign(a_i)
+    there. The certificate is +-1 on the support and meets condition (3),
+    but exceeds 1 by 1.3e-4 near x = 0.99, which a grid of 10001 points
+    misses.
+    """
+    problem = DesignProblem(n, p)
+    x = solve(problem).designs[0].support.copy()
+    x[28] += 6e-5
+    a = _lagrange_columns(x[None], p)[0]
+    certificate = Polynomial(np.linalg.solve(intercept_free_vander(x, n), np.sign(a)))
+    return problem, Design(x, np.abs(a) / np.abs(a).sum()), certificate
+
+
+@pytest.mark.parametrize("n, p", [(30, 29), (30, 15), (30, 1)])
+def test_verify_rejects_peak_between_grid_points(n, p):
+    problem, design, certificate = moved_support_case(n, p)
+    np.testing.assert_allclose(np.abs(certificate(design.support)), 1.0, atol=1e-12)
+    report = verify(design, problem, certificate)
+    assert report.condition3_residual <= 1e-9
+    assert not report.condition1_ok
+    assert report.condition1_max - 1.0 >= 1e-4
+    assert not report.verdict
+    assert phi_c(design, problem.unit_vector(), n) > solve(problem).variance

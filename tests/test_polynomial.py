@@ -209,8 +209,60 @@ def test_e_polynomial_even_and_bounded(k):
     poly = e_polynomial(k)
     assert np.all(poly.coeffs[0::2] == 0.0)  # the coefficients of odd g_j
     assert poly(0.0) == pytest.approx(0.0, abs=1e-14)
-    overshoot = np.abs(poly(np.linspace(-1.0, 1.0, 10001))).max() - 1.0
+    overshoot = np.abs(poly.peaks()[1]).max() - 1.0  # on the whole of [-1, 1]
     assert overshoot <= 1e-14
+
+
+def test_peaks_of_padded_degree_one_are_the_endpoints():
+    # P' is a nonzero constant: no critical point inside
+    points, values = Polynomial([2.0, 0.0, 0.0, 0.0]).peaks()
+    np.testing.assert_array_equal(points, [-1.0, 1.0])
+    np.testing.assert_array_equal(values, [-2.0, 2.0])
+
+
+def test_peaks_of_zero_polynomial():
+    points, values = Polynomial([0.0, 0.0, 0.0]).peaks()
+    np.testing.assert_array_equal(points, [-1.0, 1.0])
+    assert np.abs(values).max() == 0.0
+
+
+def test_peaks_near_the_double_range():
+    # P' of the raw coefficients overflows, and chebroots then raises a
+    # LinAlgError; P is scaled down first, by a power of two here, so the
+    # points are those of the scaled-down P to the bit
+    small = Polynomial([1.5, 0.0, 1.0])
+    points = small.peaks()[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        big_points, big_values = Polynomial(small.coeffs * 2.0**1023).peaks()
+    np.testing.assert_array_equal(big_points, points)
+    assert not np.isfinite(big_values).all()  # P(1) = 2.5 * 2**1023
+    tame_points, tame_values = Polynomial(small.coeffs * 2.0**1020).peaks()
+    np.testing.assert_array_equal(tame_points, points)
+    np.testing.assert_array_equal(tame_values, small(points) * 2.0**1020)
+
+
+def _unit(s):
+    v = np.zeros(s)
+    v[-1] = 1.0
+    return Polynomial(v)
+
+
+def test_peaks_maximum_matches_a_fine_grid():
+    # E_2k and T_s = g_s (odd s): a grid of 2,000,001 points holds their
+    # peaks closely enough, since each reaches its maximum at x = +-1
+    grid = np.linspace(-1.0, 1.0, 2_000_001)
+    polys = [e_polynomial(k) for k in range(1, 16)] + [_unit(s) for s in range(1, 31, 2)]
+    for poly in polys:
+        peak = np.abs(poly.peaks()[1]).max()
+        assert abs(peak - np.abs(poly(grid)).max()) <= 1e-13, poly.coeffs.size
+
+
+@pytest.mark.parametrize("s", range(1, 31))
+def test_peaks_maximum_of_g_s_is_exact(s):
+    # max |T_s - T_s(0)| = 1 + |T_s(0)|; for s = 4, 8, ... it lies inside,
+    # where the grid above falls short by up to 1.9e-11 (s = 20)
+    expected = 1.0 + abs(math.cos(s * math.pi / 2))
+    assert np.abs(_unit(s).peaks()[1]).max() == pytest.approx(expected, abs=1e-13)
 
 
 def test_e_polynomial_rejects_k_zero():
