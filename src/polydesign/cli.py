@@ -15,6 +15,7 @@ identical invocations produce byte-identical text.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -191,7 +192,13 @@ def cmd_examples(args, out) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    ``parse_args`` returns a fresh namespace on each call, so one call's
+    arguments never leak into the next.
+    """
     parser = argparse.ArgumentParser(
         prog="polydesign",
         description="Minimum-variance designs for single coefficients of "
@@ -227,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "compute": cmd_compute,
         "verify": cmd_verify,

@@ -27,6 +27,10 @@ Because grid designs are a subset of all designs, the grid optimum can only
 be larger than the continuous one; with the true support included in the
 grid the two coincide. This route never touches the closed-form solver's
 weight formula, so it is an independent numerical check.
+
+SciPy, whose HiGHS solver runs the LPs, is imported on the first call of
+:func:`elfving_lp` only; the rest of the library needs numpy alone, and
+importing SciPy would triple its start-up time.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .design import Design, DesignProblem
 from .errors import NumericalDegeneracyError, OracleFailureError
@@ -136,6 +139,8 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
         d = power_coefficients(n, p)
     except NumericalDegeneracyError as exc:  # from p = 1025 on
         raise OracleFailureError(str(exc)) from exc
+    from scipy.optimize import linprog  # imported here, see the module docstring
+
     cost = -d / np.abs(d).max()  # maximize d_p . v, scaled to unit size
     off_parity = np.arange(1, n + 1) % 2 != p % 2
     active = np.unique(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int))

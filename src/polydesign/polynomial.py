@@ -90,8 +90,14 @@ class Polynomial:
 
         Runs in plain double on the Chebyshev series [c_0, v_1, ..., v_m],
         so the result does not depend on the platform's ``long double``.
+        The series is scaled by 2**-e, e the binary exponent of max|v|, and
+        the values scaled back: exact, and the recurrence's intermediates
+        stay finite wherever P's values are.
         """
-        y = ncheb.chebval(np.asarray(x, dtype=float), _series(self.coeffs))
+        e = math.frexp(np.abs(self.coeffs).max())[1]
+        # np.ldexp, since 2.0**e overflows at e = 1024
+        series = _series(np.ldexp(self.coeffs, -e))
+        y = np.ldexp(ncheb.chebval(np.asarray(x, dtype=float), series), e)
         if np.ndim(x) == 0:
             return float(y)
         return y

@@ -1,12 +1,16 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polydesign
 import polydesign.solver
 from polydesign import DesignProblem, document_from_result, render_document, solve
 from polydesign.cli import main
@@ -67,6 +71,54 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["nonsense"])
     assert excinfo.value.code == 2
+
+
+def test_main_calls_do_not_share_arguments(tmp_path):
+    # the parser is built once; each call still starts from the defaults
+    run_cli(["compute", "--degree", "3", "--coef", "1", "--format", "json"])
+    code, text = run_cli(["compute", "--degree", "3", "--coef", "1"])
+    assert code == 0
+    assert text.startswith("degree:    3\n")
+    path = _moved_support_file(tmp_path)
+    argv = ["verify", "--file", str(path), "--degree", "30", "--coef", "29"]
+    _, report = run_cli(argv + ["--tol", "1e-3"])
+    assert "condition1_ok:       true" in report
+    _, report = run_cli(argv)
+    assert "condition1_ok:       false" in report
+
+
+# tier-1 imports SciPy in this process (test_oracle), so a fresh interpreter
+# reports which CLI calls load it
+_SCIPY_PROBE = """
+import io, json, sys
+import polydesign
+from polydesign.cli import main
+path = sys.argv[1]
+loaded = {"import": "scipy" in sys.modules}
+out = io.StringIO()
+main(["compute", "--degree", "5", "--coef", "3", "--format", "json"], out=out)
+loaded["compute"] = "scipy" in sys.modules
+with open(path, "w", encoding="utf-8") as handle:
+    handle.write(out.getvalue())
+main(["verify", "--file", path, "--degree", "5", "--coef", "3"], out=io.StringIO())
+loaded["verify"] = "scipy" in sys.modules
+main(["examples"], out=io.StringIO())
+loaded["examples"] = "scipy" in sys.modules
+main(["oracle", "--degree", "4", "--coef", "2", "--include-support"], out=io.StringIO())
+loaded["oracle"] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_with_the_lp_oracle(tmp_path):
+    src = os.path.dirname(os.path.dirname(polydesign.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "design.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": False, "compute": False, "verify": False, "examples": False, "oracle": True,
+    }
 
 
 def test_verify_solver_output_file(tmp_path):
@@ -186,14 +238,20 @@ def test_verify_non_number_exits_2(tmp_path, capsys, fields):
     assert "expected a JSON number" in capsys.readouterr().err
 
 
-def test_verify_peak_between_grid_points_exits_1(tmp_path):
-    # exit 0 while verify sampled condition (1) on a grid of 10001 points
+def _moved_support_file(tmp_path):
+    # a design file whose certificate peaks at 1 + 1.3e-4 between grid points
     problem, design, certificate = moved_support_case(30, 29)
     raw = json.loads(render_document(document_from_result(solve(problem))))
     raw["designs"] = [{"support": design.support.tolist(), "weights": design.weights.tolist()}]
     raw["certificate_chebyshev"] = certificate.coeffs.tolist()
     path = tmp_path / "moved.json"
     path.write_text(json.dumps(raw))
+    return path
+
+
+def test_verify_peak_between_grid_points_exits_1(tmp_path):
+    # exit 0 while verify sampled condition (1) on a grid of 10001 points
+    path = _moved_support_file(tmp_path)
     code, report = run_cli(["verify", "--file", str(path), "--degree", "30", "--coef", "29"])
     assert code == 1
     assert "condition1_ok:       false  (max |P| = 1.0001" in report

@@ -138,6 +138,18 @@ def test_verify_rejects_overflowing_certificate():
         verify(design, problem, Polynomial([1.5e308, 0.0, 1e308]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_certificate_near_the_double_range():
+    # 1e308 (4 x - 4 x**3) peaks at 1.54e308, inside the double range: a
+    # report with a False verdict, not "certificate values overflow"
+    problem = DesignProblem(3, 3)
+    design = solve(problem).designs[0]
+    report = verify(design, problem, Polynomial([1e308, 0.0, -1e308]))
+    assert report.condition1_max == pytest.approx(8 / 3**1.5 * 1e308, rel=1e-15)  # at x = 3**-0.5
+    assert not report.condition1_ok
+    assert not report.verdict
+
+
 @pytest.mark.parametrize("n, p, case", [(10, 4, "A"), (12, 5, "B"), (11, 3, "C")])
 def test_condition1_max_is_the_maximum_over_grid_and_support(n, p, case):
     problem = DesignProblem(n, p)

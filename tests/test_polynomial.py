@@ -54,6 +54,22 @@ def test_eval_vectorized():
     np.testing.assert_allclose(poly(xs), [0.0, 0.0, 96.0], atol=0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_eval_near_the_double_range():
+    # 1e308 (4 x - 4 x**3): Clenshaw on the raw coefficients overflows in its
+    # intermediates, giving [nan, inf, nan]; the values are finite
+    poly = Polynomial([1e308, 0.0, -1e308])
+    np.testing.assert_array_equal(poly([-1.0, 0.5, 1.0]), [0.0, 1.5e308, 0.0])
+
+
+def test_eval_scaling_is_exact():
+    # scaling the series by a power of two, and back, changes no bit
+    v = np.array([0.3, -1.7, 2.9, 0.1])
+    series = np.concatenate([[-(v @ [0.0, -1.0, 0.0, 1.0])], v])  # c_0 = -sum_j v_j T_j(0)
+    xs = np.linspace(-1.0, 1.0, 101)
+    np.testing.assert_array_equal(Polynomial(v)(xs), npcheb.chebval(xs, series))
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_rejects_non_finite_coefficients(bad):
     with pytest.raises(ValueError, match="finite"):
