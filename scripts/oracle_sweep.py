@@ -7,7 +7,7 @@ acceptance criterion 4: within 1e-7 relative of ``solve`` with the support;
 without it, no more than 1e-9 below ``solve`` and within 1e-3 relative.
 Prints the worst gaps and exits 1 on any miss (an oracle failure counts as
 one). Tier-1 covers n <= 10 and every p of n in {16, 23, 30}; this sweep
-takes a few tens of seconds, so it runs as its own CI step:
+takes about 10 s on 2 cores, so it runs as its own CI step:
 
     PYTHONPATH=src python scripts/oracle_sweep.py
 """

@@ -23,7 +23,7 @@ import numpy as np
 
 from .design import DesignProblem
 from .document import document_from_result, format_float as _fmt, parse_design_file, render_document
-from .elfving import CONDITION_TOL, ElfvingReport, verify
+from .elfving import CONDITION_TOL, VARIANCE_RTOL, ElfvingReport, verify
 from .errors import (
     DocumentError,
     InvalidProblemError,
@@ -117,6 +117,8 @@ def _print_report(out, label: str, report: ElfvingReport) -> None:
     print(f"  h:                   {_fmt(report.h)}", file=out)
     print(f"  variance (formula):  {_fmt(report.variance_formula)}", file=out)
     print(f"  variance (matrix):   {_fmt(report.variance_matrix)}", file=out)
+    print(f"  variances_agree:     {str(report.variances_agree).lower()}"
+          f"  (|formula - matrix| <= {_fmt(VARIANCE_RTOL)} * matrix)", file=out)
     print(f"  verdict:             {str(report.verdict).lower()}", file=out)
 
 

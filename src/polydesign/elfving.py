@@ -45,7 +45,10 @@ class ElfvingReport:
     """Outcome of one verification run.
 
     ``verdict`` is True iff conditions (1) and (2) hold, the condition (3)
-    residual is within tolerance, and both variance computations agree.
+    residual is within tolerance, and ``variances_agree``: both variance
+    computations are finite and within ``VARIANCE_RTOL`` of each other,
+    relative to ``variance_matrix``, a tolerance ``condition_tol`` does not
+    change.
     """
 
     condition1_ok: bool
@@ -55,6 +58,7 @@ class ElfvingReport:
     h: float
     variance_formula: float
     variance_matrix: float
+    variances_agree: bool
     verdict: bool
 
 
@@ -107,12 +111,15 @@ def verify(
     h, condition3_residual = certificate_identity(design, problem, support_vals)
     variance_formula = h * h
 
+    variances_agree = (
+        math.isfinite(variance_matrix)
+        and abs(variance_formula - variance_matrix) <= VARIANCE_RTOL * variance_matrix
+    )
     verdict = (
         condition1_ok
         and condition2_ok
         and condition3_residual <= condition_tol
-        and math.isfinite(variance_matrix)
-        and abs(variance_formula - variance_matrix) <= VARIANCE_RTOL * variance_matrix
+        and variances_agree
     )
     return ElfvingReport(
         condition1_ok=condition1_ok,
@@ -122,5 +129,6 @@ def verify(
         h=h,
         variance_formula=variance_formula,
         variance_matrix=variance_matrix,
+        variances_agree=bool(variances_agree),
         verdict=bool(verdict),
     )

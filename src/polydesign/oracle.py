@@ -19,9 +19,14 @@ The grid has thousands of points but only about n + 1 constraints are
 active, so the program is solved by exchange (the Remez exchange applied to
 Elfving's problem): solve it on a small active set of grid points, evaluate
 |v . g| on the whole grid, add every local maximum that violates the bound,
-and repeat. Where the optimal v is not unique, its parity-matched part --
-v with the entries of the other parity than p zeroed -- has the same
-objective and is often already feasible, which ends the exchange early.
+and repeat. As Remez's exchange starts from the Chebyshev alternant, the
+first active set holds the grid points nearest the extrema of T_n and
+T_{n-1}, where the optimal designs for odd p sit (on grid 10001 every
+odd-p problem with n <= 30 ends after one LP); evenly spaced points join
+them to keep the first LP bounded. Where the optimal v is not unique, its
+parity-matched part -- v with the entries of the other parity than p
+zeroed -- has the same objective and is often already feasible, which ends
+the exchange early.
 
 Because grid designs are a subset of all designs, the grid optimum can only
 be larger than the continuous one; with the true support included in the
@@ -30,7 +35,9 @@ weight formula, so it is an independent numerical check.
 
 SciPy, whose HiGHS solver runs the LPs, is imported on the first call of
 :func:`elfving_lp` only; the rest of the library needs numpy alone, and
-importing SciPy would triple its start-up time.
+importing SciPy would triple its start-up time. So is :mod:`logging`, for
+the exchange's debug records: ``scipy.optimize`` loads it anyway, while at
+the top of this module it would add about 5 ms to ``import polydesign``.
 """
 
 from __future__ import annotations
@@ -98,8 +105,11 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     The program is solved in the basis g_j = T_j - T_j(0), j = 1..n, which
     spans the same space as f(x) but stays well conditioned up to n = 30:
     with u = A^T v it reads ``maximize d_p . v s.t. |v . g(x)| <= 1``, the
-    objective scaled by 1 / max|d_p|. Starting from 2n + 2 evenly spaced
-    grid points (both ends included), HiGHS solves it on the active points.
+    objective scaled by 1 / max|d_p|. HiGHS solves it on the active points,
+    first the grid points nearest the extrema cos(j pi / m), j = 0..m, of
+    T_n and T_{n-1} together with 2n + 2 evenly spaced ones (both ends
+    included; a grid of 2n + 2 points or fewer starts from all of them).
+    The start depends on n alone, never on the closed-form solution.
     Each LP also yields the parity candidate v_sym: v with the entries of
     parity j != p (mod 2) zeroed. g_j has the parity of j and d_p vanishes
     on those entries, so v_sym has the same objective. Where the optimal v
@@ -110,7 +120,9 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     reports that one, v first; otherwise the violating peaks of both join
     the active set. A point feasible on the grid that attains the active
     LP's optimum is optimal on the grid, so the final LP's inequality
-    marginals are an optimal design, from which the design is read.
+    marginals are an optimal design, from which the design is read. Each
+    step logs one DEBUG record to this module's logger: the step, the
+    active-set size, the number of new points and which of v, v_sym stood.
 
     Dropping grid constraints can only raise the objective, so the reported
     variance (d_p . v)**2 is never below the grid optimum (beyond HiGHS's
@@ -120,7 +132,11 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     grids are accepted (the target direction may still be representable)
     and surface as :class:`OracleFailureError` when they are not, as do a
     HiGHS failure, a d_p beyond the double range (p > 1024) and
-    ``MAX_EXCHANGES`` steps without convergence.
+    ``MAX_EXCHANGES`` steps without convergence. On very sparse grids the
+    optimal v can be so large (|v| ~ 2e5 on 31 points at n = 29) that the
+    rounding of v . g exceeds ``_LP_OPTIONS``' 1e-10; when HiGHS reports
+    such numerical difficulties the LP is solved once more at its default
+    tolerances (1e-7), a retry that grid 10001 never needs.
     """
     g = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -139,21 +155,25 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
         d = power_coefficients(n, p)
     except NumericalDegeneracyError as exc:  # from p = 1025 on
         raise OracleFailureError(str(exc)) from exc
-    from scipy.optimize import linprog  # imported here, see the module docstring
+    import logging  # imported here, as SciPy is: see the module docstring
+    from scipy.optimize import linprog
+
+    log = logging.getLogger(__name__)
 
     cost = -d / np.abs(d).max()  # maximize d_p . v, scaled to unit size
     off_parity = np.arange(1, n + 1) % 2 != p % 2
-    active = np.unique(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int))
+    # the first active set, see the docstring
+    extrema = np.cos(np.pi * np.concatenate([np.arange(m + 1) / m for m in (n, n - 1) if m]))
+    right = np.searchsorted(g, extrema).clip(1, g.size - 1)
+    nearest = np.where(extrema - g[right - 1] <= g[right] - extrema, right - 1, right)
+    active = np.union1d(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int), nearest)
     for iteration in range(1, MAX_EXCHANGES + 1):
         rows = basis[:, active].T
-        res = linprog(
-            cost,
-            A_ub=np.vstack([rows, -rows]),
-            b_ub=np.ones(2 * active.size),
-            bounds=(None, None),
-            method="highs",
-            options=_LP_OPTIONS,
-        )
+        lp = {"A_ub": np.vstack([rows, -rows]), "b_ub": np.ones(2 * active.size),
+              "bounds": (None, None), "method": "highs"}
+        res = linprog(cost, **lp, options=_LP_OPTIONS)
+        if res.status == 4:  # numerical difficulties, see the docstring
+            res = linprog(cost, **lp)
         if not res.success:  # an unbounded v means e_p is not representable
             raise OracleFailureError(f"LP did not terminate with an optimum: {res.message}")
         v = np.asarray(res.x, dtype=float)
@@ -162,6 +182,11 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
         over = _peaks(level) & (level > 1.0 + EXCHANGE_TOL)
         feasible = ~over.any(axis=1)
         new = np.setdiff1d(np.flatnonzero(over.any(axis=0)), active)
+        log.debug(
+            "exchange step %d: %d active points, %d new, stood: %s",
+            iteration, active.size, new.size,
+            "v" if feasible[0] else "v_sym" if feasible[1] else "neither",
+        )
         # with no new point, v exceeds the bound only at active points, by
         # HiGHS's feasibility tolerance, and stands as the optimum
         if feasible.any() or new.size == 0:

@@ -94,7 +94,7 @@ import io, json, sys
 import polydesign
 from polydesign.cli import main
 path = sys.argv[1]
-loaded = {"import": "scipy" in sys.modules}
+loaded = {"import": "scipy" in sys.modules, "logging": "logging" in sys.modules}
 out = io.StringIO()
 main(["compute", "--degree", "5", "--coef", "3", "--format", "json"], out=out)
 loaded["compute"] = "scipy" in sys.modules
@@ -117,7 +117,8 @@ def test_scipy_loads_only_with_the_lp_oracle(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "import": False, "compute": False, "verify": False, "examples": False, "oracle": True,
+        "import": False, "logging": False, "compute": False, "verify": False, "examples": False,
+        "oracle": True,
     }
 
 
@@ -255,6 +256,19 @@ def test_verify_peak_between_grid_points_exits_1(tmp_path):
     code, report = run_cli(["verify", "--file", str(path), "--degree", "30", "--coef", "29"])
     assert code == 1
     assert "condition1_ok:       false  (max |P| = 1.0001" in report
+
+
+def test_verify_names_the_variance_agreement_check(tmp_path):
+    # --tol 1e-3 passes the three conditions, but the two variances differ
+    # by 2.6e-4 relative, beyond the fixed 1e-8 that --tol does not reach
+    path = _moved_support_file(tmp_path)
+    argv = ["verify", "--file", str(path), "--degree", "30", "--coef", "29", "--tol", "1e-3"]
+    code, report = run_cli(argv)
+    assert code == 1
+    assert "condition1_ok:       true" in report
+    assert "condition2_ok:       true" in report
+    assert "variances_agree:     false  (|formula - matrix| <= 1e-08 * matrix)" in report
+    assert "verdict:             false" in report
 
 
 def test_verify_grid_option_exits_2(tmp_path):

@@ -178,6 +178,7 @@ def test_verify_inadmissible_design():
     design = Design([1.0], [1.0])
     report = verify(design, problem, certificate_for(problem))
     assert report.variance_matrix == math.inf
+    assert not report.variances_agree
     assert not report.verdict
 
 
@@ -189,6 +190,7 @@ def test_verify_solved_designs_small_sweep():
             for design in result.designs:
                 report = verify(design, problem, result.certificate)
                 assert report.verdict, (n, p)
+                assert report.variances_agree
                 assert report.variance_formula == pytest.approx(
                     report.variance_matrix, rel=1e-8
                 )
@@ -222,3 +224,14 @@ def test_verify_rejects_peak_between_grid_points(n, p):
     assert report.condition1_max - 1.0 >= 1e-4
     assert not report.verdict
     assert phi_c(design, problem.unit_vector(), n) > solve(problem).variance
+
+
+def test_verify_reports_the_variance_agreement():
+    # every condition passes at a loose tolerance, so the false verdict is
+    # the variance check's, which the report names
+    problem, design, certificate = moved_support_case(30, 29)
+    report = verify(design, problem, certificate, condition_tol=1e-3)
+    assert report.condition1_ok and report.condition2_ok
+    assert report.condition3_residual <= 1e-3
+    assert not report.variances_agree
+    assert not report.verdict

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -196,11 +197,85 @@ def test_degenerate_dual_converges_in_few_exchanges(n, p):
 
 
 def test_exchange_cap_raises(monkeypatch):
-    problem, grid = DesignProblem(8, 5), np.linspace(-1.0, 1.0, 10001)
+    # an even p: every odd p ends after one LP
+    problem, grid = DesignProblem(8, 4), np.linspace(-1.0, 1.0, 10001)
     assert elfving_lp(problem, grid).iterations > 1
     monkeypatch.setattr(polydesign.oracle, "MAX_EXCHANGES", 1)
     with pytest.raises(OracleFailureError, match="did not converge"):
         elfving_lp(problem, grid)
+
+
+def _grid_10001(problem, include_solver_support):
+    grid = np.linspace(-1.0, 1.0, 10001)
+    if include_solver_support:
+        grid = np.union1d(grid, np.concatenate([d.support for d in solve(problem).designs]))
+    return grid
+
+
+@pytest.fixture(scope="module")
+def criterion_4_exchanges():
+    # LPs solved by each of acceptance criterion 4's 72 calls:
+    # 1 <= p <= n <= 8 on grid 10001, the solver's support included and not
+    return {
+        (n, p, included): elfving_lp(
+            DesignProblem(n, p), _grid_10001(DesignProblem(n, p), included)
+        ).iterations
+        for n in range(1, 9)
+        for p in range(1, n + 1)
+        for included in (True, False)
+    }
+
+
+def test_odd_p_converges_in_one_lp(criterion_4_exchanges):
+    # the start holds the grid points nearest the extrema of T_n and
+    # T_{n-1}, where the optimal designs for odd p sit
+    odd = {key: count for key, count in criterion_4_exchanges.items() if key[1] % 2}
+    assert len(odd) == 40
+    assert odd == dict.fromkeys(odd, 1)
+
+
+def test_criterion_4_lp_count(criterion_4_exchanges):
+    # 126 measured; 200 when the start held only 2n + 2 evenly spaced points
+    assert len(criterion_4_exchanges) == 72
+    assert sum(criterion_4_exchanges.values()) <= 130
+
+
+def test_sparse_uniform_grids_stay_solvable():
+    # n + 2 points keep the LP bounded; at (29, 7) the optimal |v| is 2.3e5,
+    # HiGHS cannot reach the 1e-10 tolerances and the LP is solved again at
+    # its defaults
+    for n in range(1, 31):
+        for p in range(1, n + 1):
+            problem = DesignProblem(n, p)
+            lp = elfving_lp(problem, np.linspace(-1.0, 1.0, n + 2))
+            assert lp.variance >= solve(problem).variance * (1.0 - 1e-9), (n, p)
+
+
+def test_solver_supports_as_grids():
+    # the LP on an optimal support alone recovers the closed-form variance;
+    # n = 1 is left out, its supports {-1} and {1} are not valid grids
+    for n in range(2, 31):
+        for p in range(1, n + 1):
+            problem = DesignProblem(n, p)
+            result = solve(problem)
+            for design in result.designs:
+                lp = elfving_lp(problem, design.support)
+                assert lp.variance == pytest.approx(result.variance, rel=1e-9), (n, p)
+
+
+def test_exchange_logs_each_step(caplog):
+    caplog.set_level(logging.DEBUG, logger="polydesign.oracle")
+    lp = elfving_lp(DesignProblem(8, 4), np.linspace(-1.0, 1.0, 10001))
+    messages = [r.getMessage() for r in caplog.records if r.name == "polydesign.oracle"]
+    assert lp.iterations > 1
+    assert len(messages) == lp.iterations
+    assert messages[0].startswith("exchange step 1: ")
+    assert all(" active points, " in m for m in messages)
+    assert all(m.endswith("stood: neither") for m in messages[:-1])
+    assert messages[-1].endswith(("stood: v", "stood: v_sym"))
+    last = f"exchange step {lp.iterations}: {lp.active_size} active points, 0 new"
+    assert messages[-1].startswith(last)
+    assert logging.getLogger("polydesign.oracle").handlers == []
 
 
 def _assert_oracle_agreement(n):
