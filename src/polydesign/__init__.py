@@ -28,7 +28,6 @@ from .elfving import ElfvingReport, verify
 from .errors import (
     DocumentError,
     InvalidCertificateError,
-    InvalidDegreeError,
     InvalidDesignError,
     InvalidOrderError,
     InvalidProblemError,
@@ -71,7 +70,6 @@ __all__ = [
     "PolydesignError",
     "DocumentError",
     "InvalidCertificateError",
-    "InvalidDegreeError",
     "InvalidDesignError",
     "InvalidOrderError",
     "InvalidProblemError",

@@ -108,12 +108,14 @@ def cmd_compute(args, out) -> int:
     return EXIT_OK
 
 
-def _print_report(out, label: str, report: ElfvingReport) -> None:
+def _print_report(out, label: str, report: ElfvingReport, tol: float) -> None:
     print(f"{label}:", file=out)
     print(f"  condition1_ok:       {str(report.condition1_ok).lower()}"
-          f"  (max |P| = {_fmt(report.condition1_max)})", file=out)
-    print(f"  condition2_ok:       {str(report.condition2_ok).lower()}", file=out)
-    print(f"  condition3_residual: {_fmt(report.condition3_residual)}", file=out)
+          f"  (max |P| = {_fmt(report.condition1_max)}; ok when <= 1 + {tol!r})", file=out)
+    print(f"  condition2_ok:       {str(report.condition2_ok).lower()}"
+          f"  (ok when ||P(x_i)| - 1| <= {tol!r})", file=out)
+    print(f"  condition3_residual: {_fmt(report.condition3_residual)}"
+          f"  (ok when <= {tol!r})", file=out)
     print(f"  h:                   {_fmt(report.h)}", file=out)
     print(f"  variance (formula):  {_fmt(report.variance_formula)}", file=out)
     print(f"  variance (matrix):   {_fmt(report.variance_matrix)}", file=out)
@@ -135,7 +137,7 @@ def cmd_verify(args, out) -> int:
     all_ok = True
     for idx, design in enumerate(designs, start=1):
         report = verify(design, problem, certificate, condition_tol=args.tol)
-        _print_report(out, f"design {idx}", report)
+        _print_report(out, f"design {idx}", report, args.tol)
         all_ok = all_ok and report.verdict
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
@@ -248,10 +250,7 @@ def main(argv=None, out=None) -> int:
     except (OracleFailureError, NumericalDegeneracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except PolydesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (PolydesignError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDegreeError, InvalidDesignError, InvalidProblemError
+from .errors import InvalidDesignError, InvalidProblemError
 from .polynomial import intercept_free_vander, power_coefficients
 
 #: relative eigenvalue cutoff used by :func:`pseudo_inverse`
@@ -100,7 +100,7 @@ def information_matrix(design: Design, n: int) -> np.ndarray:
     bit-for-bit and positive semidefinite up to rounding.
     """
     if n < 1:
-        raise InvalidDegreeError("degree must be at least 1")
+        raise InvalidProblemError(f"degree must be positive, got {n}")
     g = intercept_free_vander(design.support, n)
     m = (g.T * design.weights) @ g
     return 0.5 * (m + m.T)

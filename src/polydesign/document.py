@@ -4,19 +4,22 @@ The document is a plain mapping with a fixed field order (degree, coef,
 case_tag, designs, variance, h, certificate_chebyshev, metadata).
 ``certificate_chebyshev`` holds the certificate's coefficients v_1..v_n of
 g_j = T_j - T_j(0), which are its Chebyshev coefficients c_1..c_n; c_0 is
-implied by the zero intercept. Version 0.1.0 documents stored the monomial
-coefficients of x**0..x**n as ``certificate_coeffs`` instead; they are
-still read, converted exactly. Rendering is deterministic and writes every
-float with 17 significant digits, which is enough to reproduce the exact
-double on parse, so documents round-trip losslessly. Design files may be
-either a full document or the minimal form
+implied by the zero intercept. ``metadata`` (the version and tolerances of
+the library that wrote the file) is written on output and ignored on read,
+so re-rendering a parsed document writes the current version. Version 0.1.0
+documents stored the monomial coefficients of x**0..x**n as
+``certificate_coeffs`` instead; they are still read, converted exactly, and
+rendered as version 0.2.0 documents. Rendering is deterministic and writes
+every float with 17 significant digits, which is enough to reproduce the
+exact double on parse, so documents round-trip losslessly. Design files
+may be either a full document or the minimal form
 ``{"support": [...], "weights": [...]}``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .design import RANK_TOL, Design, DesignProblem
@@ -35,30 +38,18 @@ class DesignDocument:
     variance: float
     h: float
     certificate_chebyshev: list[float]
-    metadata: dict = field(default_factory=dict)
 
 
 def document_from_result(result: OptimalResult) -> DesignDocument:
-    metadata = {
-        "version": __version__,
-        "tolerances": {
-            "rank_tol": RANK_TOL,
-            "condition_tol": CONDITION_TOL,
-            "variance_rtol": VARIANCE_RTOL,
-        },
-    }
     return DesignDocument(
         degree=result.problem.n,
         coef=result.problem.p,
         case_tag=result.case_tag,
-        designs=[
-            {"support": [float(x) for x in d.support], "weights": [float(w) for w in d.weights]}
-            for d in result.designs
-        ],
+        designs=[{"support": d.support.tolist(), "weights": d.weights.tolist()}
+                 for d in result.designs],
         variance=float(result.variance),
         h=float(result.h),
-        certificate_chebyshev=[float(c) for c in result.certificate.coeffs],
-        metadata=metadata,
+        certificate_chebyshev=result.certificate.coeffs.tolist(),
     )
 
 
@@ -67,45 +58,39 @@ def format_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(value, indent: int, pieces: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            pieces.append(f"{pad}  {json.dumps(key)}: ")
-            _emit(item, indent + 1, pieces)
-            pieces.append(",\n" if i < len(value) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        pieces.append("[")
-        for i, item in enumerate(value):
-            _emit(item, indent, pieces)
-            if i < len(value) - 1:
-                pieces.append(", ")
-        pieces.append("]")
-    elif isinstance(value, bool):
-        pieces.append("true" if value else "false")
-    elif isinstance(value, float):
-        pieces.append(format_float(value))
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    elif isinstance(value, str):
-        pieces.append(json.dumps(value))
-    elif value is None:
-        pieces.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+def _floats(values) -> str:
+    return "[" + ", ".join(format_float(v) for v in values) + "]"
 
 
 def render_document(doc: DesignDocument) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
-    pieces: list[str] = []
-    _emit(asdict(doc), 0, pieces)
-    pieces.append("\n")
-    return "".join(pieces)
+    """Deterministic JSON text with 17-significant-digit floats.
+
+    The ``metadata`` block is written here, from this library's version and
+    tolerances; :func:`parse_document` ignores it.
+    """
+    designs = ", ".join(
+        f'{{\n    "support": {_floats(d["support"])},\n    "weights": {_floats(d["weights"])}\n  }}'
+        for d in doc.designs
+    )
+    return (
+        "{\n"
+        f'  "degree": {doc.degree},\n'
+        f'  "coef": {doc.coef},\n'
+        f'  "case_tag": {json.dumps(doc.case_tag)},\n'
+        f'  "designs": [{designs}],\n'
+        f'  "variance": {format_float(doc.variance)},\n'
+        f'  "h": {format_float(doc.h)},\n'
+        f'  "certificate_chebyshev": {_floats(doc.certificate_chebyshev)},\n'
+        '  "metadata": {\n'
+        f'    "version": {json.dumps(__version__)},\n'
+        '    "tolerances": {\n'
+        f'      "rank_tol": {format_float(RANK_TOL)},\n'
+        f'      "condition_tol": {format_float(CONDITION_TOL)},\n'
+        f'      "variance_rtol": {format_float(VARIANCE_RTOL)}\n'
+        "    }\n"
+        "  }\n"
+        "}\n"
+    )
 
 
 def _reject_constant(token: str):
@@ -133,6 +118,14 @@ def _integer(raw, key: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise DocumentError(f"{key} must be an integer, got {value!r}")
+
+
+def _string(raw, key: str) -> str:
+    """``raw[key]`` as a str; numbers, lists and other values are rejected."""
+    value = raw[key]
+    if not isinstance(value, str):
+        raise DocumentError(f"{key} must be a JSON string, got {value!r}")
+    return value
 
 
 def _number(value, key: str) -> float:
@@ -184,12 +177,11 @@ def _document(raw: dict) -> DesignDocument:
         return DesignDocument(
             degree=degree,
             coef=_integer(raw, "coef"),
-            case_tag=str(raw["case_tag"]),
+            case_tag=_string(raw, "case_tag"),
             designs=[_design_entry(d) for d in raw["designs"]],
             variance=_number(raw["variance"], "variance"),
             h=_number(raw["h"], "h"),
             certificate_chebyshev=_certificate(raw, degree),
-            metadata=raw.get("metadata", {}),
         )
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed design document: {exc}") from exc

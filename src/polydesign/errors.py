@@ -17,10 +17,6 @@ class InvalidOrderError(PolydesignError, ValueError):
     """Point-family order k is out of range."""
 
 
-class InvalidDegreeError(PolydesignError, ValueError):
-    """Model degree is out of range."""
-
-
 class InvalidDesignError(PolydesignError, ValueError):
     """Design violates its invariants (weights, support ordering, bounds)."""
 

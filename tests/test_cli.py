@@ -239,6 +239,32 @@ def test_verify_non_number_exits_2(tmp_path, capsys, fields):
     assert "expected a JSON number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case_tag", [[1], 3, True, None])
+def test_verify_non_string_case_tag_exits_2(tmp_path, capsys, case_tag):
+    # str() used to convert any value, so "case_tag": [1] verified (exit 0)
+    raw = json.loads(render_document(document_from_result(solve(DesignProblem(2, 2)))))
+    raw["case_tag"] = case_tag
+    path = tmp_path / "case_tag.json"
+    path.write_text(json.dumps(raw))
+    code, out = run_cli(["verify", "--file", str(path), "--degree", "2", "--coef", "2"])
+    assert code == 2
+    assert out == ""
+    assert "case_tag must be a JSON string" in capsys.readouterr().err
+
+
+def test_verify_prints_the_condition_tolerance(tmp_path):
+    # each condition line names the --tol in effect
+    path = tmp_path / "design.json"
+    path.write_text(run_cli(["compute", "--degree", "3", "--coef", "1", "--format", "json"])[1])
+    argv = ["verify", "--file", str(path), "--degree", "3", "--coef", "1"]
+    for tol, text in [([], "1e-09"), (["--tol", "1e-3"], "0.001")]:
+        code, report = run_cli(argv + tol)
+        assert code == 0
+        assert f"condition1_ok:       true  (max |P| = 1; ok when <= 1 + {text})\n" in report
+        assert f"condition2_ok:       true  (ok when ||P(x_i)| - 1| <= {text})\n" in report
+        assert f"  (ok when <= {text})\n  h:" in report
+
+
 def _moved_support_file(tmp_path):
     # a design file whose certificate peaks at 1 + 1.3e-4 between grid points
     problem, design, certificate = moved_support_case(30, 29)

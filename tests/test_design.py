@@ -90,8 +90,8 @@ def test_information_matrix_two_point_symmetric():
 
 def test_information_matrix_single_point():
     np.testing.assert_array_equal(information_matrix(ONE_POINT, 2), [[1, 2], [2, 4]])
-    with pytest.raises(ValueError):
-        information_matrix(ONE_POINT, 0)
+    with pytest.raises(InvalidProblemError, match="degree must be positive"):
+        information_matrix(ONE_POINT, 0)  # the same error as DesignProblem(0, 1)
 
 
 def test_information_matrix_odd_moments_vanish():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -124,6 +125,29 @@ def test_parse_design_file_rejects_non_finite_certificate():
         parse_design_file(text, problem)
 
 
+def test_rendered_documents_are_byte_stable():
+    # the sha256 of every document with n <= 30, concatenated in (n, p) order
+    digest = hashlib.sha256()
+    for n in range(1, 31):
+        for p in range(1, n + 1):
+            text = render_document(document_from_result(solve(DesignProblem(n, p))))
+            digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == "b72b29789eea26cd90db3f0ae0296d5e8b0eef140ef72c4d981e76764c07b2ce"
+
+
+def test_metadata_is_written_on_output_and_ignored_on_read():
+    doc = document_from_result(solve(DesignProblem(3, 3)))
+    raw = json.loads(render_document(doc))
+    assert raw["metadata"] == {
+        "version": __version__,
+        "tolerances": {"rank_tol": 1e-10, "condition_tol": 1e-9, "variance_rtol": 1e-8},
+    }
+    raw["metadata"] = [1, True, None]
+    assert parse_document(json.dumps(raw)) == doc
+    del raw["metadata"]
+    assert parse_document(json.dumps(raw)) == doc
+
+
 def test_document_carries_chebyshev_certificate_and_version():
     text = render_document(document_from_result(solve(DesignProblem(3, 3))))
     raw = json.loads(text)
@@ -144,6 +168,16 @@ def test_version_0_1_0_documents_read_through_from_monomial(n, p):
     assert len(doc.certificate_chebyshev) == n
     _, certificate = parse_design_file(text, DesignProblem(n, p))
     np.testing.assert_array_equal(certificate.coeffs, expected)
+
+
+@pytest.mark.parametrize("n, p", [(9, 3), (10, 4), (11, 3), (12, 5), (30, 2)])
+def test_version_0_1_0_documents_render_as_0_2_0(n, p):
+    doc = parse_document((DATA / f"v0.1.0_{n}_{p}.json").read_text())
+    text = render_document(doc)
+    raw = json.loads(text)
+    assert raw["metadata"]["version"] == "0.2.0"
+    assert "certificate_coeffs" not in raw
+    assert parse_document(text) == doc
 
 
 def test_version_0_1_0_nonzero_intercept_is_rejected():

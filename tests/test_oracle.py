@@ -240,15 +240,53 @@ def test_criterion_4_lp_count(criterion_4_exchanges):
     assert sum(criterion_4_exchanges.values()) <= 130
 
 
-def test_sparse_uniform_grids_stay_solvable():
+def _recording_linprog(monkeypatch):
+    """The status of every LP HiGHS solves, in order."""
+    statuses = []
+
+    def recording(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr("scipy.optimize.linprog", recording)
+    return statuses
+
+
+def _grid_excess(lp, grid, tol):
+    """max |dual . g| - 1 on the grid, and the bound OracleResult states for
+    a final LP solved at primal feasibility tolerance ``tol``."""
+    excess = np.abs(Polynomial(lp.dual)(grid)).max() - 1.0
+    return excess, tol + 2e-13 * np.abs(lp.dual).sum()
+
+
+def test_sparse_uniform_grids_stay_solvable(monkeypatch):
     # n + 2 points keep the LP bounded; at (29, 7) the optimal |v| is 2.3e5,
     # HiGHS cannot reach the 1e-10 tolerances and the LP is solved again at
-    # its defaults
+    # its defaults. On many of these grids the dual exceeds 1 + EXCHANGE_TOL
+    # (by up to 1.8e-8 at (30, 8), with no retry), never the bound that
+    # OracleResult states
+    statuses = _recording_linprog(monkeypatch)
     for n in range(1, 31):
         for p in range(1, n + 1):
             problem = DesignProblem(n, p)
-            lp = elfving_lp(problem, np.linspace(-1.0, 1.0, n + 2))
+            grid = np.linspace(-1.0, 1.0, n + 2)
+            statuses.clear()
+            lp = elfving_lp(problem, grid)
             assert lp.variance >= solve(problem).variance * (1.0 - 1e-9), (n, p)
+            excess, bound = _grid_excess(lp, grid, 1e-7 if 4 in statuses else 1e-10)
+            assert excess <= bound, (n, p)
+
+
+def test_grid_bound_at_29_7(monkeypatch):
+    # on 31 uniform points HiGHS reports numerical difficulties (status 4,
+    # SciPy 1.17) and the LP is solved again at its defaults; the dual then
+    # exceeds 1 + EXCHANGE_TOL by 1.6e-9, within the stated bound
+    statuses = _recording_linprog(monkeypatch)
+    grid = np.linspace(-1.0, 1.0, 31)
+    lp = elfving_lp(DesignProblem(29, 7), grid)
+    excess, bound = _grid_excess(lp, grid, 1e-7 if 4 in statuses else 1e-10)
+    assert excess <= bound
 
 
 def test_solver_supports_as_grids():
