@@ -1,13 +1,15 @@
-"""Cross-check the LP oracle against the closed forms for 9 <= n <= 30.
+"""Cross-check the LP oracle against the closed forms for 1 <= n <= 30.
 
-Runs ``oracle_variance`` on grid 10001 for all 429 problems
-1 <= p <= n with 9 <= n <= 30, with the solver's support in the grid and
-without it, and applies the gates of
-acceptance criterion 4: within 1e-7 relative of ``solve`` with the support;
-without it, no more than 1e-9 below ``solve`` and within 1e-3 relative.
+Runs ``elfving_lp`` on grid 10001 for all 465 problems 1 <= p <= n <= 30,
+with the solver's support united into the grid (as
+``oracle_variance(..., include_solver_support=True)`` does) and without it,
+and applies the gates of acceptance criterion 4: within 1e-7 relative of
+``solve`` with the support; without it, no more than 1e-9 below ``solve``
+and within 1e-3 relative. Every one of the 930 calls must also end after
+one LP, as the exchange's start at the certificates' extrema makes it.
 Prints the worst gaps and exits 1 on any miss (an oracle failure counts as
 one). Tier-1 covers n <= 10 and every p of n in {16, 23, 30}; this sweep
-takes about 10 s on 2 cores, so it runs as its own CI step:
+takes about 4 s on 2 cores, so it runs as its own CI step:
 
     PYTHONPATH=src python scripts/oracle_sweep.py
 """
@@ -17,10 +19,12 @@ from __future__ import annotations
 import sys
 import time
 
-from polydesign import DesignProblem, OracleFailureError, oracle_variance, solve
+import numpy as np
+
+from polydesign import DesignProblem, OracleFailureError, elfving_lp, solve
 
 GRID_SIZE = 10001
-DEGREES = range(9, 31)
+DEGREES = range(1, 31)
 #: relative gap to ``solve`` allowed with the support in the grid and without
 RTOL = {"included": 1e-7, "excluded": 1e-3}
 #: without the support the grid optimum may not fall below ``solve`` by more
@@ -31,31 +35,36 @@ def main() -> int:
     start = time.perf_counter()
     misses = []
     worst = {label: (0.0, None) for label in RTOL}
+    lps = 0
     problems = [DesignProblem(n, p) for n in DEGREES for p in range(1, n + 1)]
+    uniform = np.linspace(-1.0, 1.0, GRID_SIZE)
     for problem in problems:
         key = (problem.n, problem.p)
-        variance = solve(problem).variance
+        result = solve(problem)
+        support = np.concatenate([d.support for d in result.designs])
         for label in RTOL:
+            grid = np.union1d(uniform, support) if label == "included" else uniform
             try:
-                value = oracle_variance(
-                    problem, grid_size=GRID_SIZE, include_solver_support=label == "included"
-                )
+                lp = elfving_lp(problem, grid)
             except OracleFailureError as exc:
                 misses.append((key, label, str(exc)))
                 continue
-            rel = abs(value - variance) / variance
+            lps += lp.iterations
+            if lp.iterations != 1:
+                misses.append((key, label, f"{lp.iterations} LPs"))
+            rel = abs(lp.variance - result.variance) / result.variance
             if rel >= worst[label][0]:
                 worst[label] = (rel, key)
             if rel > RTOL[label]:
                 misses.append((key, label, f"relative gap {rel:.3e}"))
-            if label == "excluded" and value < variance - LOWER_BOUND_ATOL:
-                misses.append((key, label, f"{value - variance:.3e} below solve"))
+            if label == "excluded" and lp.variance < result.variance - LOWER_BOUND_ATOL:
+                misses.append((key, label, f"{lp.variance - result.variance:.3e} below solve"))
     elapsed = time.perf_counter() - start
     for label, (rel, key) in worst.items():
         print(f"worst {label} relative gap: {rel:.3e} at (n, p) = {key}")
     for key, label, reason in misses:
         print(f"MISS {key} {label}: {reason}")
-    print(f"{len(problems)} problems, {len(misses)} misses, {elapsed:.1f} s")
+    print(f"{len(problems)} problems, {lps} LPs, {len(misses)} misses, {elapsed:.1f} s")
     return 1 if misses else 0
 
 

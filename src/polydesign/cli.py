@@ -8,8 +8,10 @@ Subcommands:
 * ``examples`` -- recompute the built-in reference tables for degrees 3, 4.
 
 Exit codes: 0 success / verified, 1 verification or reference-table failure,
-2 usage or parse error, 3 numerical failure. Output is deterministic:
-identical invocations produce byte-identical text.
+2 usage or parse error, 3 numerical failure, 141 (128 + SIGPIPE, as a shell
+reports a tool killed by it) when stdout is closed before the output is
+written, as in ``polydesign verify ... | head -1``, without a traceback.
+Output is deterministic: identical invocations produce byte-identical text.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -31,13 +34,14 @@ from .errors import (
     OracleFailureError,
     PolydesignError,
 )
-from .oracle import DEFAULT_GRID_SIZE as ORACLE_GRID_SIZE, oracle_variance
+from .oracle import DEFAULT_GRID_SIZE as ORACLE_GRID_SIZE, elfving_lp
 from .solver import certificate_for, solve
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 MAX_DEGREE = 30
 
@@ -144,9 +148,13 @@ def cmd_verify(args, out) -> int:
 
 def cmd_oracle(args, out) -> int:
     problem = _check_problem(args.degree, args.coef)
+    if args.grid < 2:
+        raise ValueError(f"grid must have at least 2 points, got {args.grid}")
     result = solve(problem)
-    variance = oracle_variance(problem, grid_size=args.grid,
-                               include_solver_support=args.include_support)
+    grid = np.linspace(-1.0, 1.0, args.grid)
+    if args.include_support:  # as oracle_variance does, from the one solve
+        grid = np.union1d(grid, np.concatenate([d.support for d in result.designs]))
+    variance = elfving_lp(problem, grid).variance
     gap = variance - result.variance
     rel = abs(gap) / result.variance
     print(f"degree:          {problem.n}", file=out)
@@ -256,7 +264,14 @@ def main(argv=None, out=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # Python flushes stdout once more at exit, which would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

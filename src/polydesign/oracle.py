@@ -21,12 +21,12 @@ Elfving's problem): solve it on a small active set of grid points, evaluate
 |v . g| on the whole grid, add every local maximum that violates the bound,
 and repeat. As Remez's exchange starts from the Chebyshev alternant, the
 first active set holds the grid points nearest the extrema of T_n and
-T_{n-1}, where the optimal designs for odd p sit (on grid 10001 every
-odd-p problem with n <= 30 ends after one LP); evenly spaced points join
-them to keep the first LP bounded. Where the optimal v is not unique, its
-parity-matched part -- v with the entries of the other parity than p
-zeroed -- has the same objective and is often already feasible, which ends
-the exchange early.
+T_{n-1}, where the optimal designs for odd p sit, and of E_2k, k = n // 2,
+where those for even p sit (on grid 10001 every problem with n <= 30 ends
+after one LP); evenly spaced points join them to keep the first LP
+bounded. Where the optimal v is not unique, its parity-matched part -- v
+with the entries of the other parity than p zeroed -- has the same
+objective and is often already feasible, which ends the exchange early.
 
 Because grid designs are a subset of all designs, the grid optimum can only
 be larger than the continuous one; with the true support included in the
@@ -49,6 +49,7 @@ import numpy as np
 
 from .design import Design, DesignProblem
 from .errors import NumericalDegeneracyError, OracleFailureError
+from .points import t_points
 from .polynomial import intercept_free_vander, power_coefficients
 
 #: uniform grid size used when none is given
@@ -88,6 +89,13 @@ class OracleResult:
     31-point uniform grid at (29, 7), where |dual| reaches 2.3e5 and the
     LP is retried, it is 1.6e-9. ``iterations`` counts the LPs the exchange
     solved and ``active_size`` the grid points in the final one.
+
+    ``design`` holds the final LP's marginals above ``WEIGHT_CUTOFF``. On
+    grids as sparse as that one it need not be admissible at
+    :data:`~polydesign.design.ADMISSIBLE_TOL`: at (29, 7) on 31 uniform
+    points it has 28 points and ``phi_c`` of it is inf, while ``variance``
+    matches a primal LP in the same basis to 1.1e-10. ``variance`` is the
+    result; the design is its witness only where it is admissible.
     """
 
     variance: float
@@ -114,7 +122,8 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     with u = A^T v it reads ``maximize d_p . v s.t. |v . g(x)| <= 1``, the
     objective scaled by 1 / max|d_p|. HiGHS solves it on the active points,
     first the grid points nearest the extrema cos(j pi / m), j = 0..m, of
-    T_n and T_{n-1} together with 2n + 2 evenly spaced ones (both ends
+    T_n and T_{n-1} and the 2k extrema ``t_points(k)`` of E_2k, k = n // 2
+    (none at n = 1), together with 2n + 2 evenly spaced ones (both ends
     included; a grid of 2n + 2 points or fewer starts from all of them).
     The start depends on n alone, never on the closed-form solution.
     Each LP also yields the parity candidate v_sym: v with the entries of
@@ -171,6 +180,8 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     off_parity = np.arange(1, n + 1) % 2 != p % 2
     # the first active set, see the docstring
     extrema = np.cos(np.pi * np.concatenate([np.arange(m + 1) / m for m in (n, n - 1) if m]))
+    if n > 1:
+        extrema = np.concatenate([extrema, t_points(n // 2)])
     right = np.searchsorted(g, extrema).clip(1, g.size - 1)
     nearest = np.where(extrema - g[right - 1] <= g[right] - extrema, right - 1, right)
     active = np.union1d(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int), nearest)

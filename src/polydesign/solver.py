@@ -135,13 +135,15 @@ def solve(problem: DesignProblem) -> OptimalResult:
     """Optimal design(s), scaling constant h, variance h**2 and certificate.
 
     Cases A and B have one candidate support, the certificate's extrema;
-    case C has one per one-point drop of them. A candidate is optimal iff
+    case C drops one of its 2k + 2 extrema. A candidate is optimal iff
     every a_{i,p} is nonzero and sign(a_{i,p}) * P(t_i), the orientation,
-    is constant. In case C the pair whose weights come out positive is
-    found among the drops tried in this order: for p = 1 and for the
-    endpoint pair (first needed at degree 9, coefficient 3) the largest
-    candidate is dropped first; for the central pair, the candidate just
-    left of 0.
+    is constant. In case C the two optimal designs drop the endpoint pair,
+    extrema 2k + 1 and 0, for p up to a bound that grows with n (1 below
+    degree 9, 3 up to degree 19), and the central pair, extrema k and
+    k + 1, above it; no other drop is ever optimal (checked for every odd
+    n <= 101), so only those four are tried, in that order, which is also
+    the order of the designs. Where the pattern failed, fewer than two
+    would pass and :class:`NumericalDegeneracyError` would be raised.
 
     Every output is checked internally against the certificate identity
     d_p = h * sum_i g(x_i) w_i P(x_i), condition (3) of the verifier, at
@@ -153,12 +155,9 @@ def solve(problem: DesignProblem) -> OptimalResult:
     certificate, points, values = _case(problem)
     kept = np.arange(points.size)[None]  # one row of indices per candidate support
     if tag == CASE_C:
-        # largest dropped candidate first, except that the central pair
-        # (p > 1) drops the candidate just left of 0 first
-        drops = np.arange(2 * k + 1, -1, -1)
-        if problem.p > 1:
-            drops[[k, k + 1]] = k, k + 1
-        kept = np.nonzero(kept != drops[:, None])[1].reshape(2 * k + 2, -1)
+        # the endpoint pair, then the central pair (one pair at n = 1)
+        drops = np.array(list(dict.fromkeys([2 * k + 1, 0, k, k + 1])))
+        kept = np.nonzero(kept != drops[:, None])[1].reshape(drops.size, -1)
     supports, values = points[kept], values[kept]
     expected = 2 if tag == CASE_C else 1
     a = _lagrange_columns(supports, problem.p)

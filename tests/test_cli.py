@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import polydesign
+import polydesign.cli
 import polydesign.solver
 from polydesign import DesignProblem, document_from_result, render_document, solve
 from polydesign.cli import main
@@ -87,6 +88,11 @@ def test_main_calls_do_not_share_arguments(tmp_path):
     assert "condition1_ok:       false" in report
 
 
+def _cli_env():
+    src = os.path.dirname(os.path.dirname(polydesign.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # tier-1 imports SciPy in this process (test_oracle), so a fresh interpreter
 # reports which CLI calls load it
 _SCIPY_PROBE = """
@@ -111,15 +117,51 @@ print(json.dumps(loaded))
 
 
 def test_scipy_loads_only_with_the_lp_oracle(tmp_path):
-    src = os.path.dirname(os.path.dirname(polydesign.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "design.json")],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_cli_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "import": False, "logging": False, "compute": False, "verify": False, "examples": False,
         "oracle": True,
     }
+
+
+def test_closed_stdout_exits_quietly():
+    # stdout is a pipe whose read end is closed before the CLI writes, so
+    # every write fails with EPIPE, as after `| head -1` has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "polydesign.cli", "examples"],
+                              env=_cli_env(), stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
+def test_oracle_command_solves_once(monkeypatch):
+    calls = []
+    real = polydesign.solver.solve
+
+    def counting(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(polydesign.solver, "solve", counting)
+    monkeypatch.setattr(polydesign.cli, "solve", counting)
+    code, _ = run_cli(["oracle", "--degree", "4", "--coef", "2", "--include-support"])
+    assert code == 0
+    assert calls == [DesignProblem(4, 2)]
+
+
+@pytest.mark.parametrize("extra", [[], ["--include-support"]])
+def test_oracle_rejects_grid_below_two_points(capsys, extra):
+    code, out = run_cli(["oracle", "--degree", "3", "--coef", "1", "--grid", "1", *extra])
+    assert code == 2
+    assert out == ""
+    assert "grid must have at least 2 points" in capsys.readouterr().err
 
 
 def test_verify_solver_output_file(tmp_path):

@@ -13,6 +13,7 @@ from polydesign import (
     Polynomial,
     elfving_lp,
     oracle_variance,
+    phi_c,
     solve,
 )
 
@@ -197,8 +198,9 @@ def test_degenerate_dual_converges_in_few_exchanges(n, p):
 
 
 def test_exchange_cap_raises(monkeypatch):
-    # an even p: every odd p ends after one LP
-    problem, grid = DesignProblem(8, 4), np.linspace(-1.0, 1.0, 10001)
+    # on grid 10001 every problem with n <= 30 ends after one LP; on the
+    # default grid 2001 the even p of n = 16 and 17 take two
+    problem, grid = DesignProblem(16, 2), np.linspace(-1.0, 1.0, 2001)
     assert elfving_lp(problem, grid).iterations > 1
     monkeypatch.setattr(polydesign.oracle, "MAX_EXCHANGES", 1)
     with pytest.raises(OracleFailureError, match="did not converge"):
@@ -226,18 +228,16 @@ def criterion_4_exchanges():
     }
 
 
-def test_odd_p_converges_in_one_lp(criterion_4_exchanges):
+def test_every_p_converges_in_one_lp(criterion_4_exchanges):
     # the start holds the grid points nearest the extrema of T_n and
-    # T_{n-1}, where the optimal designs for odd p sit
-    odd = {key: count for key, count in criterion_4_exchanges.items() if key[1] % 2}
-    assert len(odd) == 40
-    assert odd == dict.fromkeys(odd, 1)
+    # T_{n-1}, where the optimal designs for odd p sit, and of E_2k, where
+    # those for even p sit
+    assert criterion_4_exchanges == dict.fromkeys(criterion_4_exchanges, 1)
 
 
 def test_criterion_4_lp_count(criterion_4_exchanges):
-    # 126 measured; 200 when the start held only 2n + 2 evenly spaced points
     assert len(criterion_4_exchanges) == 72
-    assert sum(criterion_4_exchanges.values()) <= 130
+    assert sum(criterion_4_exchanges.values()) == 72
 
 
 def _recording_linprog(monkeypatch):
@@ -289,6 +289,18 @@ def test_grid_bound_at_29_7(monkeypatch):
     assert excess <= bound
 
 
+def test_sparse_grid_design_need_not_be_admissible():
+    # on 31 uniform points at (29, 7) the final LP's marginals leave 28
+    # points, under which e_7 is not estimable at ADMISSIBLE_TOL; the
+    # variance, a grid optimum, still bounds solve's from above
+    problem = DesignProblem(29, 7)
+    lp = elfving_lp(problem, np.linspace(-1.0, 1.0, 31))
+    assert lp.design.size == 28
+    assert phi_c(lp.design, np.eye(29)[6], 29) == math.inf
+    assert math.isfinite(lp.variance)
+    assert lp.variance >= solve(problem).variance
+
+
 def test_solver_supports_as_grids():
     # the LP on an optimal support alone recovers the closed-form variance;
     # n = 1 is left out, its supports {-1} and {1} are not valid grids
@@ -302,8 +314,11 @@ def test_solver_supports_as_grids():
 
 
 def test_exchange_logs_each_step(caplog):
+    # five LPs: on 3002 random points the ones nearest the extrema miss the
+    # grid optimum's support
     caplog.set_level(logging.DEBUG, logger="polydesign.oracle")
-    lp = elfving_lp(DesignProblem(8, 4), np.linspace(-1.0, 1.0, 10001))
+    grid = np.concatenate([[-1.0, 1.0], np.random.default_rng(0).uniform(-1.0, 1.0, 3000)])
+    lp = elfving_lp(DesignProblem(7, 4), grid)
     messages = [r.getMessage() for r in caplog.records if r.name == "polydesign.oracle"]
     assert lp.iterations > 1
     assert len(messages) == lp.iterations
@@ -331,6 +346,6 @@ def test_oracle_agreement_degrees_9_and_10(n):
 
 @pytest.mark.parametrize("n", [16, 23, 30])
 def test_oracle_agreement_high_degrees(n):
-    # every p of three degrees covers all three cases; the full 9 <= n <= 30
+    # every p of three degrees covers all three cases; the full n <= 30
     # sweep is scripts/oracle_sweep.py
     _assert_oracle_agreement(n)
