@@ -25,11 +25,23 @@ the basis g_j = T_j - T_j(0) of :mod:`polydesign.polynomial`.
 optimal weights on another support of m points, with points of both signs,
 are those of the LP oracle run on that support as its grid,
 ``elfving_lp(DesignProblem(m, p), support)``.
+
+Everything but the target d_p is fixed by n and the case: the certificate,
+its extrema with their +-1 values, the candidate supports and the basis
+values g(x) at those extrema. :func:`_geometry` computes them once per
+(n, case tag) and keeps the ``_GEOMETRY_CACHE_SIZE`` = 64 most recently
+used keys, enough for every key with n <= 30 (59 of them). An entry is dominated by its basis values,
+8 * n * (n + 1) bytes, so the cache holds under 0.2 MB for n <= 30 and
+about 5 MB at most for n <= 100. The cached arrays are read-only and
+:func:`solve` indexes fresh copies out of them, so its results are
+bit-identical to a call on a cold cache and never alias it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +55,8 @@ CASE_A = "A"
 CASE_B = "B"
 CASE_C = "C"
 
+_GEOMETRY_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True, eq=False)
 class OptimalResult:
@@ -51,6 +65,9 @@ class OptimalResult:
     ``variance`` equals ``h**2`` exactly; all designs share it. The
     certificate polynomial is oriented so that
     h * sum_i g(x_i) w_i certificate(x_i) = d_p with h positive.
+    ``case_c_pair`` names the pair of extrema the two case-C designs drop:
+    "endpoint" (extrema 0 and 2k + 1) or "central" (k and k + 1); it is
+    None in cases A and B.
     """
 
     problem: DesignProblem
@@ -59,6 +76,7 @@ class OptimalResult:
     variance: float
     certificate: Polynomial
     case_tag: str
+    case_c_pair: str | None = None
 
 
 def classify(problem: DesignProblem) -> tuple[str, int]:
@@ -72,16 +90,16 @@ def classify(problem: DesignProblem) -> tuple[str, int]:
     return CASE_C, k
 
 
-def _lagrange_columns(supports: np.ndarray, p: int) -> np.ndarray:
-    """a_{i,p} for each row of a (rows, m) stack of supports, in one solve.
+def _lagrange_columns(g: np.ndarray, p: int) -> np.ndarray:
+    """a_{i,p} for each support of a stack, in one solve.
 
-    V a = e_p with V[q, i] = t_i**q becomes G a = d_p in the well-conditioned
-    basis g_j = T_j - T_j(0), j = 1..m: G[j, i] = g_j(t_i), d_p[j] = the
-    coefficient of x**p in T_j.
+    ``g`` holds the basis values of a (rows, m) stack of supports t,
+    ``intercept_free_vander(t, m)``. V a = e_p with V[q, i] = t_i**q becomes
+    G a = d_p in the well-conditioned basis g_j = T_j - T_j(0), j = 1..m:
+    G[j, i] = g_j(t_i), d_p[j] = the coefficient of x**p in T_j.
     """
-    m = supports.shape[-1]
-    g = intercept_free_vander(supports, m)
-    d = np.broadcast_to(power_coefficients(m, p)[:, None], (*supports.shape, 1))
+    m = g.shape[-1]
+    d = np.broadcast_to(power_coefficients(m, p)[:, None], (*g.shape[:-1], 1))
     try:
         return np.linalg.solve(np.swapaxes(g, -1, -2), d)[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -93,25 +111,53 @@ def _nondegenerate(abs_a: np.ndarray) -> np.ndarray:
     return np.all(abs_a > 1e-12 * abs_a.max(axis=-1, keepdims=True), axis=-1)
 
 
-def _case(problem: DesignProblem) -> tuple[Polynomial, np.ndarray, np.ndarray]:
-    """Certificate padded to degree n, candidate points, and its values there.
+class _Geometry(NamedTuple):
+    certificate: Polynomial  # padded to degree n
+    points: np.ndarray  # the certificate's extrema, sorted
+    values: np.ndarray  # the certificate's exact value, +-1, at each point
+    kept: np.ndarray  # one row of point indices per candidate support
+    pairs: tuple  # the pair each case-C row belongs to, else (None,)
+    g: np.ndarray  # intercept_free_vander(points, m), m = kept.shape[1]
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
+def _geometry(n: int, tag: str) -> _Geometry:
+    """The case's certificate, candidate points and supports, and g there.
 
     The one place that maps a case to its certificate: E_2k on
     ``t_points(k)`` for even p, and T_s on ``s_points((s + 1) // 2)`` for
-    odd p, with s the largest odd number <= n (n - 1 in case B, n in case
-    C). For odd s, T_s = g_s, so that certificate is a unit vector. The
-    points are the certificate's extrema, where the value alternates: from
-    -1 at x = -1 for T_s, and on each half from 1 at x = +-1 for the even
-    E_2k. This closed-form pattern is exact, while evaluating the
-    certificate carries the rounding of its Chebyshev coefficients and of
-    the points (about 1e-14 at degree 30).
+    odd p, with k = n // 2 and s the largest odd number <= n (n - 1 in case
+    B, n in case C). For odd s, T_s = g_s, so that certificate is a unit
+    vector. The points are the certificate's extrema, where the value
+    alternates: from -1 at x = -1 for T_s, and on each half from 1 at
+    x = +-1 for the even E_2k. This closed-form pattern is exact, while
+    evaluating the certificate carries the rounding of its Chebyshev
+    coefficients and of the points (about 1e-14 at degree 30).
+
+    Cases A and B have one candidate support, all points; case C has the
+    one-point drops that :func:`solve` tries, one row of ``kept`` each.
+    The basis values are computed once over the points; g[kept] stacks
+    them per support. Nothing here depends on p, so it is cached (see the
+    module docstring), and every array is read-only.
     """
-    tag, k = classify(problem)
+    k = n // 2
     if tag == CASE_A:
         half = (-1.0) ** np.arange(k)  # value at the i-th negative point
-        return e_polynomial(k).padded(problem.n), t_points(k), np.concatenate([half, half[::-1]])
-    s = 2 * k - 1 if tag == CASE_B else 2 * k + 1
-    return Polynomial(np.eye(problem.n)[s - 1]), s_points((s + 1) // 2), (-1.0) ** np.arange(1, s + 2)
+        certificate, points = e_polynomial(k).padded(n), t_points(k)
+        values = np.concatenate([half, half[::-1]])
+    else:
+        s = 2 * k - 1 if tag == CASE_B else 2 * k + 1
+        certificate, points = Polynomial(np.eye(n)[s - 1]), s_points((s + 1) // 2)
+        values = (-1.0) ** np.arange(1, s + 2)
+    kept, pairs = np.arange(points.size)[None], (None,)
+    if tag == CASE_C:
+        drops = dict.fromkeys([2 * k + 1, 0, k, k + 1])  # deduplicated at n = 1
+        kept = np.nonzero(kept != np.array(list(drops))[:, None])[1].reshape(len(drops), -1)
+        pairs = ("endpoint", "endpoint", "central", "central")[: len(drops)]
+    g = intercept_free_vander(points, kept.shape[1])
+    for array in (points, values, kept, g):
+        array.setflags(write=False)
+    return _Geometry(certificate, points, values, kept, pairs, g)
 
 
 def certificate_for(problem: DesignProblem) -> Polynomial:
@@ -122,7 +168,7 @@ def certificate_for(problem: DesignProblem) -> Polynomial:
     (n, p) = (3, 2) this picks x**2 out of the one-parameter family of
     valid certificates. :func:`solve` orients it so that h > 0.
     """
-    return _case(problem)[0]
+    return _geometry(problem.n, classify(problem)[0]).certificate
 
 
 def _symmetrized(w: np.ndarray) -> np.ndarray:
@@ -151,16 +197,12 @@ def solve(problem: DesignProblem) -> OptimalResult:
     violation raises :class:`NumericalDegeneracyError` instead of returning
     a bad design.
     """
-    tag, k = classify(problem)
-    certificate, points, values = _case(problem)
-    kept = np.arange(points.size)[None]  # one row of indices per candidate support
-    if tag == CASE_C:
-        # the endpoint pair, then the central pair (one pair at n = 1)
-        drops = np.array(list(dict.fromkeys([2 * k + 1, 0, k, k + 1])))
-        kept = np.nonzero(kept != drops[:, None])[1].reshape(drops.size, -1)
-    supports, values = points[kept], values[kept]
+    tag, _ = classify(problem)
+    case = _geometry(problem.n, tag)
+    # fancy indexing copies, so no returned array aliases the cache
+    supports, values = case.points[case.kept], case.values[case.kept]
     expected = 2 if tag == CASE_C else 1
-    a = _lagrange_columns(supports, problem.p)
+    a = _lagrange_columns(case.g[case.kept], problem.p)
     abs_a = np.abs(a)
     orientation = np.sign(a) * values
     consistent = np.all(orientation == orientation[:, :1], axis=1)
@@ -177,6 +219,8 @@ def solve(problem: DesignProblem) -> OptimalResult:
             raise NumericalDegeneracyError("mirror designs disagree on the scaling constant")
         if orientation[r, 0] != sigma:
             raise NumericalDegeneracyError("mirror designs disagree on certificate orientation")
+        if case.pairs[r] != case.pairs[rows[0]]:
+            raise NumericalDegeneracyError("mirror designs drop different pairs of extrema")
         w = abs_a[r] / h_r
         design = Design(supports[r], w if tag == CASE_C else _symmetrized(w))
         h_check, resid = certificate_identity(design, problem, sigma * values[r])
@@ -191,6 +235,7 @@ def solve(problem: DesignProblem) -> OptimalResult:
         designs=tuple(designs),
         h=h,
         variance=h * h,
-        certificate=Polynomial(sigma * certificate.coeffs + 0.0),  # +0.0 clears negative zeros
+        certificate=Polynomial(sigma * case.certificate.coeffs + 0.0),  # +0.0 clears negative zeros
         case_tag=tag,
+        case_c_pair=case.pairs[rows[0]],
     )

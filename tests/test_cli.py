@@ -475,16 +475,28 @@ def test_examples_csv_rows():
     assert len(lines) == 1 + expected_rows + 2  # header + rows + two summary lines
 
 
-def test_examples_negative_control_off_by_one(monkeypatch):
+@pytest.fixture
+def cold_geometry():
+    # solve caches each case's points: clear them so that a patched point
+    # family reaches solve, and so that no patched points outlive the test
+    polydesign.solver._geometry.cache_clear()
+    yield
+    polydesign.solver._geometry.cache_clear()
+
+
+def test_examples_negative_control_off_by_one(cold_geometry, monkeypatch):
     # fault injection: an extremal-point generator with one point nudged
     # must be caught by the reference-table comparison
     real = s_points
+    calls = []
 
     def shifted(k):
+        calls.append(k)
         pts = real(k).copy()
         pts[1] += 1e-6
         return pts
 
     monkeypatch.setattr(polydesign.solver, "s_points", shifted)
     code, _ = run_cli(["examples"])
+    assert calls
     assert code != 0

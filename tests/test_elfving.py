@@ -209,7 +209,7 @@ def moved_support_case(n, p):
     problem = DesignProblem(n, p)
     x = solve(problem).designs[0].support.copy()
     x[28] += 6e-5
-    a = _lagrange_columns(x[None], p)[0]
+    a = _lagrange_columns(intercept_free_vander(x[None], x.size), p)[0]
     certificate = Polynomial(np.linalg.solve(intercept_free_vander(x, n), np.sign(a)))
     return problem, Design(x, np.abs(a) / np.abs(a).sum()), certificate
 

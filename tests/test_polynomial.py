@@ -286,10 +286,16 @@ def test_e_polynomial_rejects_k_zero():
         e_polynomial(0)
 
 
+def _columns(supports, p):
+    # a_{i,p} for each row of a (rows, m) stack of supports
+    supports = np.asarray(supports, dtype=float)
+    return _lagrange_columns(intercept_free_vander(supports, supports.shape[-1]), p)
+
+
 def _signed_column(nodes, p):
     # a_{i,p}, the coefficient of x**p in the i-th intercept-free Lagrange
     # basis polynomial, for every node i
-    return _lagrange_columns(np.array([nodes], dtype=float), p)[0]
+    return _columns([nodes], p)[0]
 
 
 def test_lagrange_two_nodes():
@@ -308,7 +314,7 @@ def test_lagrange_zero_intercept_exact():
     # makes the system exactly singular rather than merely ill conditioned
     for p in (1, 2, 3):
         with pytest.raises(NumericalDegeneracyError):
-            _lagrange_columns(np.array([[-1.0, 0.0, 0.5]]), p)
+            _columns(np.array([[-1.0, 0.0, 0.5]]), p)
 
 
 @pytest.mark.parametrize(
@@ -324,7 +330,7 @@ def test_lagrange_delta_property(nodes):
     # L_i(x) = sum_p a_{i,p} x**p equals delta_ij at t_j, also where some
     # a_{i,p} vanish (for (-1, 1/2, 1), L_2 has no x**2 term)
     m = len(nodes)
-    columns = np.column_stack([_lagrange_columns(np.array([nodes]), p)[0] for p in range(1, m + 1)])
+    columns = np.column_stack([_columns(np.array([nodes]), p)[0] for p in range(1, m + 1)])
     for i in range(m):
         poly = Polynomial.from_monomial(np.concatenate([[0.0], columns[i]]))
         for j, node in enumerate(nodes):
@@ -337,7 +343,7 @@ def test_lagrange_rejects_bad_nodes():
     # so it is exactly singular; the solve does not return a basis for it
     for nodes in ([-1.0, -1.0, 0.5], [0.5, -0.25, 0.5]):
         with pytest.raises(NumericalDegeneracyError, match="singular"):
-            _lagrange_columns(np.array([nodes]), 2)
+            _columns(np.array([nodes]), 2)
 
 
 def _per_node_product(nodes, i):
@@ -368,9 +374,9 @@ def test_lagrange_columns_batch_matches_single_solves_bit_for_bit(nodes):
     t = np.asarray(nodes)
     stack = np.array([t, -t[::-1], 0.5 * t])
     for p in range(1, t.size + 1):
-        batch = _lagrange_columns(stack, p)
+        batch = _columns(stack, p)
         for row, support in zip(batch, stack):
-            alone = _lagrange_columns(support[None], p)[0]
+            alone = _columns(support[None], p)[0]
             np.testing.assert_array_equal(row.view(np.int64), alone.view(np.int64))
         product = np.array([_per_node_product(t, i)[p] for i in range(1, t.size + 1)])
         assert np.abs(batch[0] - product).sum() <= 1e-12 * np.abs(product).sum(), p

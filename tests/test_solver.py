@@ -8,7 +8,7 @@ from numpy.polynomial.chebyshev import cheb2poly
 
 import polydesign.solver
 from polydesign.cli import REFERENCE_DESIGNS
-from polydesign.polynomial import power_coefficients
+from polydesign.polynomial import intercept_free_vander, power_coefficients
 from polydesign.solver import _lagrange_columns
 
 from polydesign import (
@@ -16,10 +16,12 @@ from polydesign import (
     DesignProblem,
     InvalidProblemError,
     NumericalDegeneracyError,
+    certificate_for,
     classify,
     coefficient,
     elfving_lp,
     phi_c,
+    s_points,
     solve,
 )
 
@@ -73,7 +75,7 @@ def test_weights_from_lagrange_goldens():
         np.testing.assert_array_equal(result.design.support, support)
         np.testing.assert_allclose(result.design.weights, weights, atol=1e-12)
         assert result.variance == pytest.approx(h * h, rel=1e-12)
-    signs = np.sign(_lagrange_columns(np.array([[-1.0, 0.5, 1.0]]), 3)[0])
+    signs = np.sign(_lagrange_columns(intercept_free_vander(np.array([[-1.0, 0.5, 1.0]]), 3), 3)[0])
     np.testing.assert_array_equal(signs, [-1.0, -1.0, 1.0])
 
 
@@ -195,7 +197,8 @@ def test_case_c_sign_products_share_one_sign():
         for p in range(1, n + 1, 2):
             result = solve(DesignProblem(n, p))
             for design in result.designs:
-                signs = np.sign(_lagrange_columns(design.support[None], p)[0])
+                g = intercept_free_vander(design.support[None], design.size)
+                signs = np.sign(_lagrange_columns(g, p)[0])
                 products = signs * np.sign(result.certificate(design.support))
                 assert np.all(products == products[0])
 
@@ -238,37 +241,107 @@ def test_symmetric_system_check_detects_tampered_weights():
     assert not symmetric_system_check(problem, tampered)
 
 
-def test_solve_matches_golden_bits():
+def _golden():
     # float.hex of h and of every support point and weight for all 465
     # problems with n <= 30, as produced by the batched solve in the
-    # intercept-free Chebyshev basis; every bit must reproduce
+    # intercept-free Chebyshev basis
     golden = json.loads((Path(__file__).parent / "data" / "solve_golden.json").read_text())
     assert len(golden) == 465
-    for entry in golden:
-        result = solve(DesignProblem(entry["n"], entry["p"]))
-        got = {
-            "n": entry["n"],
-            "p": entry["p"],
-            "h": float(result.h).hex(),
-            "designs": [
-                {"support": [float(x).hex() for x in d.support],
-                 "weights": [float(w).hex() for w in d.weights]}
-                for d in result.designs
-            ],
-        }
-        assert got == entry
+    return golden
+
+
+def _bits(result):
+    return {
+        "n": result.problem.n,
+        "p": result.problem.p,
+        "h": float(result.h).hex(),
+        "designs": [
+            {"support": [float(x).hex() for x in d.support],
+             "weights": [float(w).hex() for w in d.weights]}
+            for d in result.designs
+        ],
+    }
+
+
+def test_solve_matches_golden_bits():
+    # every bit must reproduce
+    for entry in _golden():
+        assert _bits(solve(DesignProblem(entry["n"], entry["p"]))) == entry
+
+
+def test_cold_geometry_cache_reproduces_golden_bits_in_either_order():
+    # a result must not depend on which problems filled the cache before it
+    golden = _golden()
+    polydesign.solver._geometry.cache_clear()
+    for order in (golden[::-1], golden):
+        for entry in order:
+            assert _bits(solve(DesignProblem(entry["n"], entry["p"]))) == entry
+
+
+@pytest.mark.parametrize("n, p, q", [(9, 3, 5), (9, 2, 4), (10, 3, 9), (10, 2, 10), (1, 1, 1)])
+def test_writing_into_a_result_leaves_the_next_solve_unchanged(n, p, q):
+    # p and q share (n, parity of p), so both read one cache entry
+    expected = _bits(solve(DesignProblem(n, q)))
+    for design in solve(DesignProblem(n, p)).designs:
+        design.support[:] = 0.5
+        design.weights[:] = 2.0
+    assert _bits(solve(DesignProblem(n, q))) == expected
+
+
+@pytest.mark.parametrize("n, p", [(9, 3), (9, 2), (10, 3), (10, 2), (1, 1)])
+def test_cached_geometry_is_read_only(n, p):
+    problem = DesignProblem(n, p)
+    case = polydesign.solver._geometry(n, classify(problem)[0])
+    for array in (case.points, case.values, case.kept, case.g, certificate_for(problem).coeffs):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_geometry_cache_stays_bounded():
+    for n in range(1, 101):
+        for p in {1, 2} & set(range(1, n + 1)):
+            solve(DesignProblem(n, p))
+    info = polydesign.solver._geometry.cache_info()
+    assert info.currsize <= info.maxsize == polydesign.solver._GEOMETRY_CACHE_SIZE == 64
+
+
+def _p_star(n):
+    # the largest p whose case-C designs drop the endpoint pair (ROADMAP's
+    # table, measured for every odd n <= 101)
+    for bound, p_star in ((7, 1), (19, 3), (35, 5), (57, 7)):
+        if n <= bound:
+            return p_star
+    raise ValueError(n)
+
+
+def test_case_c_pair_follows_the_threshold_table():
+    for n in range(1, 58, 2):
+        for p in range(1, n + 1, 2):
+            result = solve(DesignProblem(n, p))
+            pair = "endpoint" if p <= _p_star(n) else "central"
+            assert result.case_c_pair == pair, (n, p)
+            k = n // 2
+            dropped = [np.flatnonzero(~np.isin(s_points(k + 1), d.support)) for d in result.designs]
+            expected = [[2 * k + 1], [0]] if pair == "endpoint" else [[k], [k + 1]]
+            assert [list(d) for d in dropped] == expected, (n, p)
+
+
+def test_case_c_pair_is_none_in_cases_a_and_b():
+    for n, p in ((2, 1), (2, 2), (3, 2), (10, 5), (30, 30)):
+        assert solve(DesignProblem(n, p)).case_c_pair is None
 
 
 @pytest.mark.parametrize("key, calls", [((3, 2), 1), ((4, 3), 1), ((5, 3), 1), ((9, 3), 1)])
 def test_solve_computes_each_weight_vector_once(monkeypatch, key, calls):
     # every candidate support of a problem is solved in one batch: the one
-    # support of cases A and B, all 2k + 2 one-point drops of case C
+    # support of cases A and B, the four one-point drops of case C
     seen = []
     original = polydesign.solver._lagrange_columns
 
-    def counting(supports, p):
-        seen.append(len(supports))
-        return original(supports, p)
+    def counting(g, p):
+        seen.append(len(g))
+        return original(g, p)
 
     monkeypatch.setattr(polydesign.solver, "_lagrange_columns", counting)
     solve(DesignProblem(*key))
