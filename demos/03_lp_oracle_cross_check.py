@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from polydesign import DesignProblem, Polynomial, coefficient, elfving_lp, oracle_variance, solve
+from polydesign import DesignProblem, Polynomial, coefficient, elfving_lp, oracle_grid, oracle_variance, solve
 
 problem = DesignProblem(n=4, p=2)
 result = solve(problem)
@@ -30,8 +30,7 @@ print()
 # The LP also returns the design it found and a dual certificate vector v
 # with |v . g(x)| <= 1 on the grid, in the basis g_j = T_j - T_j(0) -- the
 # basis the closed-form certificate is stored in, so both are Polynomials.
-grid = np.union1d(np.linspace(-1, 1, 2001), result.designs[0].support)
-lp = elfving_lp(problem, grid)
+lp = elfving_lp(problem, oracle_grid(2001, result.designs))
 dual = Polynomial(lp.dual)
 print("LP design support:", np.round(lp.design.support, 6))
 print("LP design weights:", np.round(lp.design.weights, 6))

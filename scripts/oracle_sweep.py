@@ -1,12 +1,12 @@
 """Cross-check the LP oracle against the closed forms for 1 <= n <= 30.
 
-Runs ``elfving_lp`` on grid 10001 for all 465 problems 1 <= p <= n <= 30,
-with the solver's support united into the grid (as
-``oracle_variance(..., include_solver_support=True)`` does) and without it,
+Runs ``elfving_lp`` on ``oracle_grid(10001)`` for all 465 problems
+1 <= p <= n <= 30, with the supports of the solver's designs united into
+the grid and without them,
 and applies the gates of acceptance criterion 4: within 1e-7 relative of
 ``solve`` with the support; without it, no more than 1e-9 below ``solve``
 and within 1e-3 relative. Every one of the 930 calls must also end after
-one LP, as the exchange's start at the certificates' extrema makes it.
+one LP, as the exchange's start at the two point families makes it.
 Prints the worst gaps and exits 1 on any miss (an oracle failure counts as
 one). Tier-1 covers n <= 10 and every p of n in {16, 23, 30}; this sweep
 takes about 4 s on 2 cores, so it runs as its own CI step:
@@ -19,9 +19,7 @@ from __future__ import annotations
 import sys
 import time
 
-import numpy as np
-
-from polydesign import DesignProblem, OracleFailureError, elfving_lp, solve
+from polydesign import DesignProblem, OracleFailureError, elfving_lp, oracle_grid, solve
 
 GRID_SIZE = 10001
 DEGREES = range(1, 31)
@@ -37,13 +35,12 @@ def main() -> int:
     worst = {label: (0.0, None) for label in RTOL}
     lps = 0
     problems = [DesignProblem(n, p) for n in DEGREES for p in range(1, n + 1)]
-    uniform = np.linspace(-1.0, 1.0, GRID_SIZE)
+    uniform = oracle_grid(GRID_SIZE)
     for problem in problems:
         key = (problem.n, problem.p)
         result = solve(problem)
-        support = np.concatenate([d.support for d in result.designs])
         for label in RTOL:
-            grid = np.union1d(uniform, support) if label == "included" else uniform
+            grid = oracle_grid(GRID_SIZE, result.designs) if label == "included" else uniform
             try:
                 lp = elfving_lp(problem, grid)
             except OracleFailureError as exc:

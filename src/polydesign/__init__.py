@@ -35,7 +35,7 @@ from .errors import (
     OracleFailureError,
     PolydesignError,
 )
-from .oracle import OracleResult, elfving_lp, oracle_variance
+from .oracle import OracleResult, elfving_lp, oracle_grid, oracle_variance
 from .points import s_points, t_points
 from .polynomial import Polynomial, coefficient, e_polynomial
 from .solver import OptimalResult, certificate_for, classify, solve
@@ -56,6 +56,7 @@ __all__ = [
     "e_polynomial",
     "elfving_lp",
     "information_matrix",
+    "oracle_grid",
     "oracle_variance",
     "parse_design_file",
     "parse_document",

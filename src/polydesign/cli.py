@@ -34,7 +34,7 @@ from .errors import (
     OracleFailureError,
     PolydesignError,
 )
-from .oracle import DEFAULT_GRID_SIZE as ORACLE_GRID_SIZE, elfving_lp
+from .oracle import DEFAULT_GRID_SIZE as ORACLE_GRID_SIZE, elfving_lp, oracle_grid
 from .solver import certificate_for, solve
 
 EXIT_OK = 0
@@ -148,12 +148,8 @@ def cmd_verify(args, out) -> int:
 
 def cmd_oracle(args, out) -> int:
     problem = _check_problem(args.degree, args.coef)
-    if args.grid < 2:
-        raise ValueError(f"grid must have at least 2 points, got {args.grid}")
     result = solve(problem)
-    grid = np.linspace(-1.0, 1.0, args.grid)
-    if args.include_support:  # as oracle_variance does, from the one solve
-        grid = np.union1d(grid, np.concatenate([d.support for d in result.designs]))
+    grid = oracle_grid(args.grid, result.designs if args.include_support else ())
     variance = elfving_lp(problem, grid).variance
     gap = variance - result.variance
     rel = abs(gap) / result.variance

@@ -20,11 +20,11 @@ active, so the program is solved by exchange (the Remez exchange applied to
 Elfving's problem): solve it on a small active set of grid points, evaluate
 |v . g| on the whole grid, add every local maximum that violates the bound,
 and repeat. As Remez's exchange starts from the Chebyshev alternant, the
-first active set holds the grid points nearest the extrema of T_n and
-T_{n-1}, where the optimal designs for odd p sit, and of E_2k, k = n // 2,
-where those for even p sit (on grid 10001 every problem with n <= 30 ends
-after one LP); evenly spaced points join them to keep the first LP
-bounded. Where the optimal v is not unique, its parity-matched part -- v
+first active set holds the grid points nearest the two point families,
+the extrema of T_s (s the largest odd number <= n), where the optimal
+designs for odd p sit, and of E_2k (k = n // 2), where those for even p
+sit (on grid 10001 every problem with n <= 30 ends after one LP); evenly
+spaced points join them to keep the first LP bounded. Where the optimal v is not unique, its parity-matched part -- v
 with the entries of the other parity than p zeroed -- has the same
 objective and is often already feasible, which ends the exchange early.
 
@@ -49,7 +49,7 @@ import numpy as np
 
 from .design import Design, DesignProblem
 from .errors import NumericalDegeneracyError, OracleFailureError
-from .points import t_points
+from .points import s_points, t_points
 from .polynomial import intercept_free_vander, power_coefficients
 
 #: uniform grid size used when none is given
@@ -72,13 +72,13 @@ _LP_OPTIONS = {
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
-    """Grid-restricted optimum: variance = 1 / scale_t**2.
+    """Grid-restricted optimum: variance = (d_p . dual)**2.
 
     ``dual`` is the certificate vector v of the final LP in the basis
     g_j = T_j - T_j(0) of :func:`~polydesign.polynomial.intercept_free_vander`,
     the vector type of d_p and of a :class:`~polydesign.polynomial.Polynomial`'s
-    coefficients, so ``Polynomial(dual)`` is the LP's certificate polynomial,
-    with (d_p . dual) * scale_t = 1, where d_p = ``power_coefficients(n, p)``.
+    coefficients, so ``Polynomial(dual)`` is the LP's certificate polynomial;
+    d_p = ``power_coefficients(n, p)``.
     On the grid, |dual . g(x_j)| <= 1 + EXCHANGE_TOL when the exchange
     stopped on a feasible v or v_sym. When it stopped because no new point
     violates the bound, the excess sits at active points and is the final
@@ -100,8 +100,6 @@ class OracleResult:
 
     variance: float
     design: Design
-    scale_t: float
-    grid_size: int
     dual: np.ndarray
     iterations: int
     active_size: int
@@ -121,11 +119,11 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     spans the same space as f(x) but stays well conditioned up to n = 30:
     with u = A^T v it reads ``maximize d_p . v s.t. |v . g(x)| <= 1``, the
     objective scaled by 1 / max|d_p|. HiGHS solves it on the active points,
-    first the grid points nearest the extrema cos(j pi / m), j = 0..m, of
-    T_n and T_{n-1} and the 2k extrema ``t_points(k)`` of E_2k, k = n // 2
-    (none at n = 1), together with 2n + 2 evenly spaced ones (both ends
-    included; a grid of 2n + 2 points or fewer starts from all of them).
-    The start depends on n alone, never on the closed-form solution.
+    first the grid points nearest the extrema ``s_points((n + 1) // 2)`` of
+    T_s, s the largest odd number <= n, and ``t_points(k)`` of E_2k,
+    k = n // 2 (both {-1, 1} at n = 1), and 2n + 2 evenly spaced ones (both
+    ends included; a grid of 2n + 2 points or fewer starts from all of
+    them). The start depends on n alone, never on the closed-form solution.
     Each LP also yields the parity candidate v_sym: v with the entries of
     parity j != p (mod 2) zeroed. g_j has the parity of j and d_p vanishes
     on those entries, so v_sym has the same objective. Where the optimal v
@@ -178,10 +176,8 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
 
     cost = -d / np.abs(d).max()  # maximize d_p . v, scaled to unit size
     off_parity = np.arange(1, n + 1) % 2 != p % 2
-    # the first active set, see the docstring
-    extrema = np.cos(np.pi * np.concatenate([np.arange(m + 1) / m for m in (n, n - 1) if m]))
-    if n > 1:
-        extrema = np.concatenate([extrema, t_points(n // 2)])
+    # the first active set, see the docstring; t_points(1) = s_points(1) = {-1, 1}
+    extrema = np.concatenate([s_points((n + 1) // 2), t_points(max(n // 2, 1))])
     right = np.searchsorted(g, extrema).clip(1, g.size - 1)
     nearest = np.where(extrema - g[right - 1] <= g[right] - extrema, right - 1, right)
     active = np.union1d(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int), nearest)
@@ -223,12 +219,19 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     return OracleResult(
         variance=u_p * u_p,
         design=Design(g[active[keep]], weights / weights.sum()),
-        scale_t=1.0 / u_p,
-        grid_size=int(g.size),
         dual=dual,
         iterations=iteration,
         active_size=int(active.size),
     )
+
+
+def oracle_grid(grid_size: int, designs=()) -> np.ndarray:
+    """``grid_size`` evenly spaced points on [-1, 1] united with the supports of ``designs``."""
+    if not isinstance(grid_size, numbers.Integral) or grid_size < 2:
+        raise ValueError(f"grid must have at least 2 points, given as an integer, got {grid_size!r}")
+    grid = np.linspace(-1.0, 1.0, grid_size)
+    supports = [d.support for d in designs]
+    return np.union1d(grid, np.concatenate(supports)) if supports else grid
 
 
 def oracle_variance(
@@ -236,19 +239,16 @@ def oracle_variance(
     grid_size: int = DEFAULT_GRID_SIZE,
     include_solver_support: bool = False,
 ) -> float:
-    """Grid-restricted optimal variance on a uniform grid.
+    """Grid-restricted optimal variance on :func:`oracle_grid`.
 
     With ``include_solver_support`` the closed-form solver's support points
     are united into the grid, making the LP reproduce the continuous
     optimum exactly (up to LP tolerance); without them the result is an
     upper bound that tightens as the grid is refined.
     """
-    if not isinstance(grid_size, numbers.Integral) or grid_size < 2:
-        raise ValueError(f"grid_size must be an integer of at least 2, got {grid_size!r}")
-    grid = np.linspace(-1.0, 1.0, grid_size)
+    designs = ()
     if include_solver_support:
         from .solver import solve  # local import: solver is the object under test
 
-        result = solve(problem)
-        grid = np.union1d(grid, np.concatenate([d.support for d in result.designs]))
-    return elfving_lp(problem, grid).variance
+        designs = solve(problem).designs
+    return elfving_lp(problem, oracle_grid(grid_size, designs)).variance

@@ -90,20 +90,21 @@ def classify(problem: DesignProblem) -> tuple[str, int]:
     return CASE_C, k
 
 
-def _lagrange_columns(g: np.ndarray, p: int) -> np.ndarray:
+def _lagrange_columns(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     """a_{i,p} for each support of a stack, in one solve.
 
     ``g`` holds the basis values of a (rows, m) stack of supports t,
     ``intercept_free_vander(t, m)``. V a = e_p with V[q, i] = t_i**q becomes
     G a = d_p in the well-conditioned basis g_j = T_j - T_j(0), j = 1..m:
-    G[j, i] = g_j(t_i), d_p[j] = the coefficient of x**p in T_j.
+    G[j, i] = g_j(t_i), d_p[j] = the coefficient of x**p in T_j: the first
+    m entries of ``d = power_coefficients(n, p)``, n >= m.
     """
     m = g.shape[-1]
-    d = np.broadcast_to(power_coefficients(m, p)[:, None], (*g.shape[:-1], 1))
+    target = np.broadcast_to(d[:m, None], (*g.shape[:-1], 1))
     try:
-        return np.linalg.solve(np.swapaxes(g, -1, -2), d)[..., 0]
+        return np.linalg.solve(np.swapaxes(g, -1, -2), target)[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"singular system for x**{p}") from exc
+        raise NumericalDegeneracyError("singular system for the target coefficient") from exc
 
 
 def _nondegenerate(abs_a: np.ndarray) -> np.ndarray:
@@ -198,11 +199,12 @@ def solve(problem: DesignProblem) -> OptimalResult:
     a bad design.
     """
     tag, _ = classify(problem)
+    d = power_coefficients(problem.n, problem.p)  # raises from p = 1025 on, before the cache fills
     case = _geometry(problem.n, tag)
     # fancy indexing copies, so no returned array aliases the cache
     supports, values = case.points[case.kept], case.values[case.kept]
     expected = 2 if tag == CASE_C else 1
-    a = _lagrange_columns(case.g[case.kept], problem.p)
+    a = _lagrange_columns(case.g[case.kept], d)
     abs_a = np.abs(a)
     orientation = np.sign(a) * values
     consistent = np.all(orientation == orientation[:, :1], axis=1)

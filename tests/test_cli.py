@@ -156,7 +156,8 @@ def test_oracle_command_solves_once(monkeypatch):
     assert calls == [DesignProblem(4, 2)]
 
 
-@pytest.mark.parametrize("extra", [[], ["--include-support"]])
+# a second --grid overrides the first, as argparse keeps the last value
+@pytest.mark.parametrize("extra", [[], ["--include-support"], ["--grid", "0"], ["--grid", "-3"]])
 def test_oracle_rejects_grid_below_two_points(capsys, extra):
     code, out = run_cli(["oracle", "--degree", "3", "--coef", "1", "--grid", "1", *extra])
     assert code == 2

@@ -15,7 +15,7 @@ from polydesign import (
     solve,
     verify,
 )
-from polydesign.polynomial import intercept_free_vander
+from polydesign.polynomial import intercept_free_vander, power_coefficients
 from polydesign.solver import _lagrange_columns
 
 SQRT2 = math.sqrt(2.0)
@@ -209,7 +209,7 @@ def moved_support_case(n, p):
     problem = DesignProblem(n, p)
     x = solve(problem).designs[0].support.copy()
     x[28] += 6e-5
-    a = _lagrange_columns(intercept_free_vander(x[None], x.size), p)[0]
+    a = _lagrange_columns(intercept_free_vander(x[None], x.size), power_coefficients(x.size, p))[0]
     certificate = Polynomial(np.linalg.solve(intercept_free_vander(x, n), np.sign(a)))
     return problem, Design(x, np.abs(a) / np.abs(a).sum()), certificate
 

@@ -12,6 +12,7 @@ from polydesign import (
     OracleFailureError,
     Polynomial,
     elfving_lp,
+    oracle_grid,
     oracle_variance,
     phi_c,
     solve,
@@ -63,7 +64,7 @@ def test_lp_rejects_non_finite_grid_points(bad):
 
 
 def test_oracle_variance_rejects_non_integer_grid_size():
-    with pytest.raises(ValueError, match="grid_size must be an integer"):
+    with pytest.raises(ValueError, match="given as an integer"):
         oracle_variance(DesignProblem(2, 1), grid_size=2.5)
 
 
@@ -98,8 +99,7 @@ def test_oracle_recovers_quartic_optimum():
 def test_lp_support_matches_solver_design():
     problem = DesignProblem(3, 3)
     result = solve(problem)
-    grid = np.union1d(np.linspace(-1, 1, 2001), np.concatenate([d.support for d in result.designs]))
-    lp = elfving_lp(problem, grid)
+    lp = elfving_lp(problem, oracle_grid(2001, result.designs))
     matches = [
         np.abs(lp.design.support - d.support).max() <= 1e-9
         for d in result.designs
@@ -114,7 +114,7 @@ def _g_basis(x, n):
 
 
 def _dual_checks(problem, grid, lp):
-    # |v . g(x_j)| <= 1 on the grid and d_p . v = 1 / scale_t, with d_p the
+    # |v . g(x_j)| <= 1 on the grid and (d_p . v)**2 = variance, with d_p the
     # coefficients of x**p in T_1..T_n from numpy's exact-integer cheb2poly;
     # the dual is the certificate's coefficient vector, so it evaluates as one
     values = lp.dual @ _g_basis(np.asarray(grid, dtype=float), problem.n)
@@ -122,7 +122,7 @@ def _dual_checks(problem, grid, lp):
                   for j in range(1, problem.n + 1)])
     assert np.abs(values).max() <= 1.0 + 1e-8
     np.testing.assert_allclose(Polynomial(lp.dual)(grid), values, rtol=0, atol=1e-13)
-    assert (d @ lp.dual) * lp.scale_t == pytest.approx(1.0, abs=1e-8)
+    assert (d @ lp.dual) ** 2 == pytest.approx(lp.variance, rel=1e-8)
 
 
 def test_lp_dual_certificate_properties():
@@ -133,8 +133,7 @@ def test_lp_dual_certificate_properties():
 
 def test_lp_dual_certificate_properties_degree_30():
     problem = DesignProblem(30, 15)
-    support = np.concatenate([d.support for d in solve(problem).designs])
-    grid = np.union1d(np.linspace(-1, 1, 2001), support)
+    grid = oracle_grid(2001, solve(problem).designs)
     _dual_checks(problem, grid, elfving_lp(problem, grid))
 
 
@@ -145,6 +144,27 @@ def test_oracle_lower_bound_property(n, p):
     value = oracle_variance(problem, grid_size=2001, include_solver_support=False)
     assert value >= solver_variance - 1e-9
     assert value == pytest.approx(solver_variance, rel=1e-3)
+
+
+@pytest.mark.parametrize("n,p", [(9, 3), (9, 5)])
+def test_oracle_grid_holds_every_design_support(n, p):
+    # case C: the two mirror designs drop different extrema, the endpoints
+    # at (9, 3), which the uniform grid holds anyway, and the two central
+    # ones, which it does not, at (9, 5)
+    designs = solve(DesignProblem(n, p)).designs
+    assert len(designs) == 2
+    grid = oracle_grid(2001, designs)
+    for design in designs:
+        assert np.isin(design.support, grid).all()
+    assert np.isin(np.linspace(-1.0, 1.0, 2001), grid).all()
+    assert np.all(np.diff(grid) > 0)
+
+
+def test_oracle_grid_without_designs_is_the_uniform_grid():
+    grid = oracle_grid(2001)
+    expected = np.linspace(-1.0, 1.0, 2001)
+    assert grid.dtype == expected.dtype
+    np.testing.assert_array_equal(grid.view(np.int64), expected.view(np.int64))
 
 
 def test_oracle_variance_validates_grid_size():
@@ -207,31 +227,25 @@ def test_exchange_cap_raises(monkeypatch):
         elfving_lp(problem, grid)
 
 
-def _grid_10001(problem, include_solver_support):
-    grid = np.linspace(-1.0, 1.0, 10001)
-    if include_solver_support:
-        grid = np.union1d(grid, np.concatenate([d.support for d in solve(problem).designs]))
-    return grid
-
-
 @pytest.fixture(scope="module")
 def criterion_4_exchanges():
     # LPs solved by each of acceptance criterion 4's 72 calls:
     # 1 <= p <= n <= 8 on grid 10001, the solver's support included and not
-    return {
-        (n, p, included): elfving_lp(
-            DesignProblem(n, p), _grid_10001(DesignProblem(n, p), included)
-        ).iterations
-        for n in range(1, 9)
-        for p in range(1, n + 1)
-        for included in (True, False)
-    }
+    exchanges = {}
+    for n in range(1, 9):
+        for p in range(1, n + 1):
+            problem = DesignProblem(n, p)
+            designs = solve(problem).designs
+            for included in (True, False):
+                grid = oracle_grid(10001, designs if included else ())
+                exchanges[n, p, included] = elfving_lp(problem, grid).iterations
+    return exchanges
 
 
 def test_every_p_converges_in_one_lp(criterion_4_exchanges):
-    # the start holds the grid points nearest the extrema of T_n and
-    # T_{n-1}, where the optimal designs for odd p sit, and of E_2k, where
-    # those for even p sit
+    # the start holds the grid points nearest the two point families: the
+    # extrema of T_s, s the largest odd number <= n, where the optimal
+    # designs for odd p sit, and of E_2k, where those for even p sit
     assert criterion_4_exchanges == dict.fromkeys(criterion_4_exchanges, 1)
 
 

@@ -22,7 +22,7 @@ from polydesign import (
     verify,
 )
 from polydesign.points import s_points, t_points
-from polydesign.polynomial import intercept_free_vander
+from polydesign.polynomial import intercept_free_vander, power_coefficients
 from polydesign.solver import _lagrange_columns
 
 SQRT2 = math.sqrt(2.0)
@@ -289,7 +289,8 @@ def test_e_polynomial_rejects_k_zero():
 def _columns(supports, p):
     # a_{i,p} for each row of a (rows, m) stack of supports
     supports = np.asarray(supports, dtype=float)
-    return _lagrange_columns(intercept_free_vander(supports, supports.shape[-1]), p)
+    m = supports.shape[-1]
+    return _lagrange_columns(intercept_free_vander(supports, m), power_coefficients(m, p))
 
 
 def _signed_column(nodes, p):

@@ -75,7 +75,8 @@ def test_weights_from_lagrange_goldens():
         np.testing.assert_array_equal(result.design.support, support)
         np.testing.assert_allclose(result.design.weights, weights, atol=1e-12)
         assert result.variance == pytest.approx(h * h, rel=1e-12)
-    signs = np.sign(_lagrange_columns(intercept_free_vander(np.array([[-1.0, 0.5, 1.0]]), 3), 3)[0])
+    signs = np.sign(_lagrange_columns(intercept_free_vander(np.array([[-1.0, 0.5, 1.0]]), 3),
+                                      power_coefficients(3, 3))[0])
     np.testing.assert_array_equal(signs, [-1.0, -1.0, 1.0])
 
 
@@ -198,7 +199,7 @@ def test_case_c_sign_products_share_one_sign():
             result = solve(DesignProblem(n, p))
             for design in result.designs:
                 g = intercept_free_vander(design.support[None], design.size)
-                signs = np.sign(_lagrange_columns(g, p)[0])
+                signs = np.sign(_lagrange_columns(g, power_coefficients(design.size, p))[0])
                 products = signs * np.sign(result.certificate(design.support))
                 assert np.all(products == products[0])
 
@@ -306,6 +307,15 @@ def test_geometry_cache_stays_bounded():
     assert info.currsize <= info.maxsize == polydesign.solver._GEOMETRY_CACHE_SIZE == 64
 
 
+def test_overflowing_target_leaves_the_geometry_cache_untouched():
+    # d_p overflows the double range from p = 1025 on; solve raises before
+    # it computes (and caches) the degree-1025 geometry, about 8.4 MB
+    polydesign.solver._geometry.cache_clear()
+    with pytest.raises(NumericalDegeneracyError, match="overflow"):
+        solve(DesignProblem(1025, 1025))
+    assert polydesign.solver._geometry.cache_info().currsize == 0
+
+
 def _p_star(n):
     # the largest p whose case-C designs drop the endpoint pair (ROADMAP's
     # table, measured for every odd n <= 101)
@@ -339,9 +349,9 @@ def test_solve_computes_each_weight_vector_once(monkeypatch, key, calls):
     seen = []
     original = polydesign.solver._lagrange_columns
 
-    def counting(g, p):
+    def counting(g, d):
         seen.append(len(g))
-        return original(g, p)
+        return original(g, d)
 
     monkeypatch.setattr(polydesign.solver, "_lagrange_columns", counting)
     solve(DesignProblem(*key))
