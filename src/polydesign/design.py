@@ -78,7 +78,8 @@ class DesignProblem:
     p: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral) and isinstance(self.p, numbers.Integral)):
+        # bool is an Integral, but True is not the degree 1
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (self.n, self.p)):
             raise InvalidProblemError(
                 f"degree and coefficient index must be integers, got {self.n!r} and {self.p!r}"
             )

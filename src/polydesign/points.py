@@ -19,10 +19,17 @@ exactly -1 and +1.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .errors import InvalidOrderError
+
+
+def check_order(k) -> None:
+    """Raise :class:`InvalidOrderError` unless k is an integer >= 1 (not a bool)."""
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
+        raise InvalidOrderError(f"order k must be an integer >= 1, got {k!r}")
 
 
 def _mirrored(positive_half: np.ndarray) -> np.ndarray:
@@ -36,8 +43,7 @@ def s_points(k: int) -> np.ndarray:
     j = k-1, ..., 0 and the negative half is its mirror image. k = 1 yields
     the two endpoint extrema of T_1 = x.
     """
-    if k < 1:
-        raise InvalidOrderError("order k must be at least 1")
+    check_order(k)
     deg = 2 * k - 1
     return _mirrored(np.array([math.cos(j * math.pi / deg) for j in range(k - 1, -1, -1)]))
 
@@ -53,8 +59,7 @@ def t_points(k: int) -> np.ndarray:
     which is strictly increasing in i; the positive half is its mirror.
     The radicand equals 1 for i = 1, so the endpoints are exactly -+1.
     """
-    if k < 1:
-        raise InvalidOrderError("order k must be at least 1")
+    check_order(k)
     c = math.cos(math.pi / (2 * k))
     neg = np.array(
         [

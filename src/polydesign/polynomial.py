@@ -27,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
-from .errors import InvalidCertificateError, InvalidOrderError, NumericalDegeneracyError
+from .errors import InvalidCertificateError, NumericalDegeneracyError
+from .points import check_order
 
 
 def _t_at_zero(m: int) -> np.ndarray:
@@ -191,8 +192,7 @@ def e_polynomial(k: int) -> Polynomial:
     recovers from k + 1 samples. The odd coefficients are zero by
     construction.
     """
-    if k < 1:
-        raise InvalidOrderError("order k must be at least 1")
+    check_order(k)
     c = math.cos(math.pi / (2 * k))
     a, b = (1.0 + c) / 2.0, (1.0 - c) / 2.0
     # the samples lie strictly inside [-1, 1], so a u + b stays below 1

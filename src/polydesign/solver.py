@@ -10,8 +10,9 @@ follow one rule:
   polynomial of degree 2k, and the one design sits on its 2k extrema;
 * cases "B" (n even) and "C" (n odd), p odd: the certificate is the
   Chebyshev polynomial T_s, s the largest odd number <= n, with s + 1
-  extrema. In case B they carry the one design; in case C one extremum is
-  dropped, which leaves exactly two mirror-image designs.
+  extrema. In case B they carry the one design; in case C one of them is
+  dropped: two candidates are solved, and the optimal one and its mirror
+  image under x -> -x are the two designs.
 
 In every case the weights have the same closed form: with a_{i,p} the
 coefficient of x**p in the i-th intercept-free Lagrange basis polynomial of
@@ -117,7 +118,6 @@ class _Geometry(NamedTuple):
     points: np.ndarray  # the certificate's extrema, sorted
     values: np.ndarray  # the certificate's exact value, +-1, at each point
     kept: np.ndarray  # one row of point indices per candidate support
-    pairs: tuple  # the pair each case-C row belongs to, else (None,)
     g: np.ndarray  # intercept_free_vander(points, m), m = kept.shape[1]
 
 
@@ -135,8 +135,9 @@ def _geometry(n: int, tag: str) -> _Geometry:
     evaluating the certificate carries the rounding of its Chebyshev
     coefficients and of the points (about 1e-14 at degree 30).
 
-    Cases A and B have one candidate support, all points; case C has the
-    one-point drops that :func:`solve` tries, one row of ``kept`` each.
+    Cases A and B have one candidate support, all points. Case C has one
+    per pair that may be dropped: row 0 of ``kept`` drops extremum 2k + 1
+    of the endpoint pair, row 1 extremum k of the central pair (n > 1).
     The basis values are computed once over the points; g[kept] stacks
     them per support. Nothing here depends on p, so it is cached (see the
     module docstring), and every array is read-only.
@@ -150,15 +151,14 @@ def _geometry(n: int, tag: str) -> _Geometry:
         s = 2 * k - 1 if tag == CASE_B else 2 * k + 1
         certificate, points = Polynomial(np.eye(n)[s - 1]), s_points((s + 1) // 2)
         values = (-1.0) ** np.arange(1, s + 2)
-    kept, pairs = np.arange(points.size)[None], (None,)
+    kept = np.arange(points.size)[None]
     if tag == CASE_C:
-        drops = dict.fromkeys([2 * k + 1, 0, k, k + 1])  # deduplicated at n = 1
-        kept = np.nonzero(kept != np.array(list(drops))[:, None])[1].reshape(len(drops), -1)
-        pairs = ("endpoint", "endpoint", "central", "central")[: len(drops)]
+        drops = [2 * k + 1, k] if k else [1]  # at n = 1 the central pair is the endpoint pair
+        kept = np.nonzero(kept != np.array(drops)[:, None])[1].reshape(len(drops), -1)
     g = intercept_free_vander(points, kept.shape[1])
     for array in (points, values, kept, g):
         array.setflags(write=False)
-    return _Geometry(certificate, points, values, kept, pairs, g)
+    return _Geometry(certificate, points, values, kept, g)
 
 
 def certificate_for(problem: DesignProblem) -> Polynomial:
@@ -184,15 +184,15 @@ def solve(problem: DesignProblem) -> OptimalResult:
     Cases A and B have one candidate support, the certificate's extrema;
     case C drops one of its 2k + 2 extrema. A candidate is optimal iff
     every a_{i,p} is nonzero and sign(a_{i,p}) * P(t_i), the orientation,
-    is constant. In case C the two optimal designs drop the endpoint pair,
-    extrema 2k + 1 and 0, for p up to a bound that grows with n (1 below
-    degree 9, 3 up to degree 19), and the central pair, extrema k and
-    k + 1, above it; no other drop is ever optimal (checked for every odd
-    n <= 101), so only those four are tried, in that order, which is also
-    the order of the designs. Where the pattern failed, fewer than two
-    would pass and :class:`NumericalDegeneracyError` would be raised.
+    is constant; exactly one must pass. In case C the optimal designs drop
+    the endpoint pair, extrema 2k + 1 and 0, for p up to a bound that grows
+    with n (1 below degree 9, 3 up to degree 19), and the central pair,
+    extrema k and k + 1, above it; no other drop is ever optimal (checked
+    for every odd n <= 101). So only the drops of 2k + 1 and k are solved:
+    the passing one is design 1, and design 2 is its exact mirror image,
+    the mirrored points (exact negatives) with the weights reversed.
 
-    Every output is checked internally against the certificate identity
+    Every design is checked internally against the certificate identity
     d_p = h * sum_i g(x_i) w_i P(x_i), condition (3) of the verifier, at
     its tolerance, and the identity's h against the returned one; a
     violation raises :class:`NumericalDegeneracyError` instead of returning
@@ -201,31 +201,24 @@ def solve(problem: DesignProblem) -> OptimalResult:
     tag, _ = classify(problem)
     d = power_coefficients(problem.n, problem.p)  # raises from p = 1025 on, before the cache fills
     case = _geometry(problem.n, tag)
-    # fancy indexing copies, so no returned array aliases the cache
-    supports, values = case.points[case.kept], case.values[case.kept]
-    expected = 2 if tag == CASE_C else 1
     a = _lagrange_columns(case.g[case.kept], d)
     abs_a = np.abs(a)
-    orientation = np.sign(a) * values
+    orientation = np.sign(a) * case.values[case.kept]
     consistent = np.all(orientation == orientation[:, :1], axis=1)
     rows = np.flatnonzero(_nondegenerate(abs_a) & consistent)
-    if rows.size != expected:
-        raise NumericalDegeneracyError(
-            f"expected {expected} consistent supports for {problem}, found {rows.size}"
-        )
-    h_rows = abs_a[rows].sum(axis=1)
-    h, sigma = float(h_rows[0]), float(orientation[rows[0], 0])
+    if rows.size != 1:
+        raise NumericalDegeneracyError(f"expected 1 consistent support for {problem}, found {rows.size}")
+    (r,) = rows
+    h, sigma = float(abs_a[r].sum()), float(orientation[r, 0])
+    index, w = case.kept[r], abs_a[r] / h
+    chosen = [(index, w if tag == CASE_C else _symmetrized(w))]
+    if tag == CASE_C:  # and its mirror image under x -> -x, as a copy
+        chosen.append((case.points.size - 1 - index[::-1], w[::-1].copy()))
     designs: list[Design] = []
-    for r, h_r in zip(rows, h_rows):
-        if abs(h_r - h) > 1e-10 * max(1.0, h):
-            raise NumericalDegeneracyError("mirror designs disagree on the scaling constant")
-        if orientation[r, 0] != sigma:
-            raise NumericalDegeneracyError("mirror designs disagree on certificate orientation")
-        if case.pairs[r] != case.pairs[rows[0]]:
-            raise NumericalDegeneracyError("mirror designs drop different pairs of extrema")
-        w = abs_a[r] / h_r
-        design = Design(supports[r], w if tag == CASE_C else _symmetrized(w))
-        h_check, resid = certificate_identity(design, problem, sigma * values[r])
+    for index, w in chosen:
+        # fancy indexing copies, so no returned array aliases the cache
+        design = Design(case.points[index], w)
+        h_check, resid = certificate_identity(design, problem, sigma * case.values[index])
         if resid > CONDITION_TOL or abs(h_check - h) > CONDITION_TOL * h:
             raise NumericalDegeneracyError(
                 f"certificate identity violated (residual {resid:.3e}) for {problem}"
@@ -239,5 +232,5 @@ def solve(problem: DesignProblem) -> OptimalResult:
         variance=h * h,
         certificate=Polynomial(sigma * case.certificate.coeffs + 0.0),  # +0.0 clears negative zeros
         case_tag=tag,
-        case_c_pair=case.pairs[rows[0]],
+        case_c_pair=("endpoint", "central")[r] if tag == CASE_C else None,
     )

@@ -282,6 +282,24 @@ def test_verify_non_number_exits_2(tmp_path, capsys, fields):
     assert "expected a JSON number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"support": 1, "weights": [1.0]}', "support: expected a list of JSON numbers, got 1"),
+    (None, "design file contains no designs"),
+])
+def test_verify_malformed_design_list_exits_2(tmp_path, capsys, text, message):
+    # text None is a full document with "designs": []
+    if text is None:
+        raw = json.loads(render_document(document_from_result(solve(DesignProblem(3, 3)))))
+        raw["designs"] = []
+        text = json.dumps(raw)
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, out = run_cli(["verify", "--file", str(path), "--degree", "3", "--coef", "3"])
+    assert code == 2
+    assert out == ""
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case_tag", [[1], 3, True, None])
 def test_verify_non_string_case_tag_exits_2(tmp_path, capsys, case_tag):
     # str() used to convert any value, so "case_tag": [1] verified (exit 0)

@@ -62,7 +62,9 @@ def test_design_rejects_two_dimensional_input():
             Design(support, weights)
 
 
-@pytest.mark.parametrize("n, p", [(3.5, 1), (3, 1.0), ("3", 1), (np.float64(4.0), 2)])
+@pytest.mark.parametrize(
+    "n, p", [(3.5, 1), (3, 1.0), ("3", 1), (np.float64(4.0), 2), (True, 1), (3, True)]
+)
 def test_problem_rejects_non_integral_indices(n, p):
     with pytest.raises(InvalidProblemError, match="integers"):
         DesignProblem(n, p)
@@ -147,6 +149,12 @@ def test_pseudo_inverse_zero_matrix():
 def test_pseudo_inverse_rejects_asymmetric():
     with pytest.raises(ValueError):
         pseudo_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
+def test_pseudo_inverse_rejects_non_square(m):
+    with pytest.raises(ValueError, match="square"):
+        pseudo_inverse(m)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

@@ -113,6 +113,16 @@ def test_parse_document_rejects_overflowing_degree():
         parse_document(text)
 
 
+def test_parse_document_reads_integral_floats_as_indices():
+    text = render_document(document_from_result(solve(DesignProblem(3, 3))))
+    text = text.replace('"degree": 3', '"degree": 3.0', 1).replace('"coef": 3', '"coef": 3.0', 1)
+    assert '"degree": 3.0' in text and '"coef": 3.0' in text
+    doc = parse_document(text)
+    assert (doc.degree, doc.coef) == (3, 3)
+    assert type(doc.degree) is int and type(doc.coef) is int
+    assert len(parse_design_file(text, DesignProblem(3, 3))[0]) == 2
+
+
 def test_parse_design_file_rejects_non_finite_certificate():
     # json reads 1e400 as inf; the certificate used to reach verify and print nan
     problem = DesignProblem(3, 3)
@@ -132,7 +142,7 @@ def test_rendered_documents_are_byte_stable():
         for p in range(1, n + 1):
             text = render_document(document_from_result(solve(DesignProblem(n, p))))
             digest.update(text.encode("utf-8"))
-    assert digest.hexdigest() == "b72b29789eea26cd90db3f0ae0296d5e8b0eef140ef72c4d981e76764c07b2ce"
+    assert digest.hexdigest() == "a87be10b190069748c0144410854afeeafb1cff0bc8633ac37904e210d6e4b66"
 
 
 def test_metadata_is_written_on_output_and_ignored_on_read():

@@ -87,7 +87,8 @@ def test_interior_points_are_derivative_roots(k):
 
 
 def test_rejects_bad_orders():
-    with pytest.raises(InvalidOrderError):
-        s_points(0)
-    with pytest.raises(InvalidOrderError):
-        t_points(0)
+    # 2.5 used to escape from range() as a TypeError, and True to give k = 1
+    for family in (s_points, t_points):
+        for k in (0, -1, 2.5, 2.0, True, "2"):
+            with pytest.raises(InvalidOrderError):
+                family(k)

@@ -76,6 +76,12 @@ def test_rejects_non_finite_coefficients(bad):
         Polynomial([0.0, bad, 0.0, 4.0])
 
 
+@pytest.mark.parametrize("coeffs", [[], [[0.0, 1.0], [1.0, 0.0]]])
+def test_rejects_empty_or_multidimensional_coefficients(coeffs):
+    with pytest.raises(ValueError, match="non-empty one-dimensional"):
+        Polynomial(coeffs)
+
+
 def test_stored_coefficients_are_a_read_only_copy():
     source = np.array([0.0, 0.0, 1.0])
     poly = Polynomial(source)
@@ -282,8 +288,10 @@ def test_peaks_maximum_of_g_s_is_exact(s):
 
 
 def test_e_polynomial_rejects_k_zero():
-    with pytest.raises(InvalidOrderError):
-        e_polynomial(0)
+    # 2.0 used to escape from chebinterpolate as a TypeError
+    for k in (0, 2.0, 2.5, True):
+        with pytest.raises(InvalidOrderError):
+            e_polynomial(k)
 
 
 def _columns(supports, p):

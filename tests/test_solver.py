@@ -177,12 +177,21 @@ def test_weight_symmetry_exact_cases_a_b():
 
 
 def test_mirror_symmetry_case_c():
-    for n in range(1, 13, 2):
+    # design 2 is design 1 under x -> -x, bit for bit
+    for n in range(1, 102, 2):
         for p in range(1, n + 1, 2):
-            result = solve(DesignProblem(n, p))
-            first, second = result.designs
-            assert np.abs(first.support + second.support[::-1]).max() <= 1e-15
-            assert np.abs(first.weights - second.weights[::-1]).max() <= 1e-12
+            first, second = solve(DesignProblem(n, p)).designs
+            assert np.array_equal(second.support, -first.support[::-1]), (n, p)
+            assert np.array_equal(second.weights, first.weights[::-1]), (n, p)
+
+
+def test_case_c_designs_share_no_array():
+    first, second = solve(DesignProblem(9, 3)).designs
+    expected = second.weights.copy()
+    first.weights[:] = 2.0
+    first.support[:] = 0.5
+    np.testing.assert_array_equal(second.weights, expected)
+    assert second.support[-1] == 1.0
 
 
 def test_returned_designs_are_admissible():
@@ -194,7 +203,9 @@ def test_returned_designs_are_admissible():
 
 
 def test_case_c_sign_products_share_one_sign():
-    for n in range(1, 12, 2):
+    # each returned support, solved on its own, passes the sign test that
+    # solve applies to design 1 only
+    for n in range(1, 58, 2):
         for p in range(1, n + 1, 2):
             result = solve(DesignProblem(n, p))
             for design in result.designs:
@@ -345,7 +356,8 @@ def test_case_c_pair_is_none_in_cases_a_and_b():
 @pytest.mark.parametrize("key, calls", [((3, 2), 1), ((4, 3), 1), ((5, 3), 1), ((9, 3), 1)])
 def test_solve_computes_each_weight_vector_once(monkeypatch, key, calls):
     # every candidate support of a problem is solved in one batch: the one
-    # support of cases A and B, the four one-point drops of case C
+    # support of cases A and B, the two one-point drops of case C (one per
+    # pair; the other design is the mirror of the chosen one)
     seen = []
     original = polydesign.solver._lagrange_columns
 
@@ -354,5 +366,7 @@ def test_solve_computes_each_weight_vector_once(monkeypatch, key, calls):
         return original(g, d)
 
     monkeypatch.setattr(polydesign.solver, "_lagrange_columns", counting)
-    solve(DesignProblem(*key))
+    problem = DesignProblem(*key)
+    solve(problem)
     assert len(seen) == calls
+    assert seen[0] == (2 if classify(problem)[0] == "C" else 1)
