@@ -26,7 +26,7 @@ import numpy as np
 
 from .design import DesignProblem
 from .document import document_from_result, format_float as _fmt, parse_design_file, render_document
-from .elfving import CONDITION_TOL, VARIANCE_RTOL, ElfvingReport, verify
+from .elfving import CONDITION_TOL, VARIANCE_RTOL, ElfvingReport, check_tolerance, verify
 from .errors import (
     DocumentError,
     InvalidProblemError,
@@ -165,8 +165,7 @@ def cmd_oracle(args, out) -> int:
 
 
 def cmd_examples(args, out) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {args.tol!r}")
+    check_tolerance(args.tol)
     max_dev = 0.0
     rows = []
     for degree, coef, tables in REFERENCE_DESIGNS:

@@ -15,12 +15,11 @@ Symmetric matrices are plain float64 numpy arrays throughout.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDesignError, InvalidProblemError
+from .errors import InvalidDesignError, InvalidProblemError, is_integer
 from .polynomial import intercept_free_vander, power_coefficients
 
 #: relative eigenvalue cutoff used by :func:`pseudo_inverse`
@@ -78,8 +77,7 @@ class DesignProblem:
     p: int
 
     def __post_init__(self):
-        # bool is an Integral, but True is not the degree 1
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (self.n, self.p)):
+        if not (is_integer(self.n) and is_integer(self.p)):
             raise InvalidProblemError(
                 f"degree and coefficient index must be integers, got {self.n!r} and {self.p!r}"
             )
@@ -100,6 +98,8 @@ def information_matrix(design: Design, n: int) -> np.ndarray:
     The product is averaged with its transpose, so the result is symmetric
     bit-for-bit and positive semidefinite up to rounding.
     """
+    if not is_integer(n):
+        raise InvalidProblemError(f"degree must be an integer, got {n!r}")
     if n < 1:
         raise InvalidProblemError(f"degree must be positive, got {n}")
     g = intercept_free_vander(design.support, n)
@@ -144,6 +144,7 @@ def phi_c(design: Design, c, n: int) -> float:
     infinity is a sentinel value, not an error. A non-finite ``c`` raises
     ``ValueError``.
     """
+    m = information_matrix(design, n)  # first, as it rejects an n that is no integer
     c = np.asarray(c, dtype=float)
     if c.shape != (n,):
         raise ValueError(f"coefficient vector must have length {n}")
@@ -152,7 +153,6 @@ def phi_c(design: Design, c, n: int) -> float:
     d = np.zeros(n)
     for q in np.flatnonzero(c):  # a unit vector e_p maps to d_p exactly
         d += c[q] * power_coefficients(n, q + 1)
-    m = information_matrix(design, n)
     pinv, _ = pseudo_inverse(m)
     resid = np.abs(m @ (pinv @ d) - d).max()
     if resid > ADMISSIBLE_TOL * max(1.0, np.abs(d).max()):

@@ -40,6 +40,12 @@ CONDITION_TOL = 1e-9
 VARIANCE_RTOL = 1e-8
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is finite and non-negative."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ElfvingReport:
     """Outcome of one verification run.
@@ -86,8 +92,7 @@ def verify(
     identically zero or whose values overflow the double range raises it
     too. A non-finite or negative ``condition_tol`` raises ``ValueError``.
     """
-    if not (math.isfinite(condition_tol) and condition_tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {condition_tol!r}")
+    check_tolerance(condition_tol)
     if certificate.degree > problem.n:
         raise InvalidCertificateError(
             f"certificate has degree {certificate.degree}, above the model degree {problem.n}"
@@ -115,12 +120,8 @@ def verify(
         math.isfinite(variance_matrix)
         and abs(variance_formula - variance_matrix) <= VARIANCE_RTOL * variance_matrix
     )
-    verdict = (
-        condition1_ok
-        and condition2_ok
-        and condition3_residual <= condition_tol
-        and variances_agree
-    )
+    verdict = (condition1_ok and condition2_ok and condition3_residual <= condition_tol
+               and variances_agree)
     return ElfvingReport(
         condition1_ok=condition1_ok,
         condition1_max=scale,

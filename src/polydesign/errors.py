@@ -1,4 +1,4 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the integer rule they enforce.
 
 Every class derives from :class:`PolydesignError` and from a builtin:
 ValueError for invalid input, ArithmeticError for a failed numerical
@@ -7,6 +7,13 @@ distinction can catch the builtin. The CLI exits with code 3 for
 :class:`NumericalDegeneracyError` and :class:`OracleFailureError`, and with
 code 2 for every other error of this package.
 """
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """True for an integral number, numpy integers included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class PolydesignError(Exception):

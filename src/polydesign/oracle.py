@@ -42,13 +42,12 @@ the top of this module it would add about 5 ms to ``import polydesign``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .design import Design, DesignProblem
-from .errors import NumericalDegeneracyError, OracleFailureError
+from .errors import NumericalDegeneracyError, OracleFailureError, is_integer
 from .points import s_points, t_points
 from .polynomial import intercept_free_vander, power_coefficients
 
@@ -227,7 +226,7 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
 
 def oracle_grid(grid_size: int, designs=()) -> np.ndarray:
     """``grid_size`` evenly spaced points on [-1, 1] united with the supports of ``designs``."""
-    if not isinstance(grid_size, numbers.Integral) or grid_size < 2:
+    if not is_integer(grid_size) or grid_size < 2:
         raise ValueError(f"grid must have at least 2 points, given as an integer, got {grid_size!r}")
     grid = np.linspace(-1.0, 1.0, grid_size)
     supports = [d.support for d in designs]

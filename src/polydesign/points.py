@@ -19,16 +19,15 @@ exactly -1 and +1.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import InvalidOrderError
+from .errors import InvalidOrderError, is_integer
 
 
 def check_order(k) -> None:
     """Raise :class:`InvalidOrderError` unless k is an integer >= 1 (not a bool)."""
-    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
+    if not is_integer(k) or k < 1:
         raise InvalidOrderError(f"order k must be an integer >= 1, got {k!r}")
 
 
@@ -51,20 +50,15 @@ def s_points(k: int) -> np.ndarray:
 def t_points(k: int) -> np.ndarray:
     """The 2k extrema of the even equioscillating polynomial of degree 2k.
 
-    The negative half is
+    The positive half is
 
-        -sqrt((cos((i-1) pi / k) + cos(pi / 2k)) / (1 + cos(pi / 2k))),
-        i = 1, ..., k,
+        sqrt((cos((i-1) pi / k) + cos(pi / 2k)) / (1 + cos(pi / 2k))),
+        i = k, ..., 1,
 
-    which is strictly increasing in i; the positive half is its mirror.
+    which is strictly increasing; the negative half is its mirror.
     The radicand equals 1 for i = 1, so the endpoints are exactly -+1.
     """
     check_order(k)
     c = math.cos(math.pi / (2 * k))
-    neg = np.array(
-        [
-            -math.sqrt((math.cos((i - 1) * math.pi / k) + c) / (1.0 + c))
-            for i in range(1, k + 1)
-        ]
-    )
-    return _mirrored(-neg[::-1])
+    radicands = [(math.cos((i - 1) * math.pi / k) + c) / (1.0 + c) for i in range(k, 0, -1)]
+    return _mirrored(np.array([math.sqrt(r) for r in radicands]))

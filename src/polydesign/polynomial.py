@@ -20,14 +20,13 @@ model's regression vector) and the coefficients of x**p in T_j
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
 
-from .errors import InvalidCertificateError, NumericalDegeneracyError
+from .errors import InvalidCertificateError, NumericalDegeneracyError, is_integer
 from .points import check_order
 
 
@@ -99,9 +98,7 @@ class Polynomial:
         # np.ldexp, since 2.0**e overflows at e = 1024
         series = _series(np.ldexp(self.coeffs, -e))
         y = np.ldexp(ncheb.chebval(np.asarray(x, dtype=float), series), e)
-        if np.ndim(x) == 0:
-            return float(y)
-        return y
+        return float(y) if np.ndim(x) == 0 else y
 
     def peaks(self) -> tuple[np.ndarray, np.ndarray]:
         """Points of [-1, 1] where |P| can peak, and P's values there.
@@ -132,7 +129,7 @@ class Polynomial:
 
 def coefficient(poly: Polynomial, p: int) -> float:
     """Coefficient of x**p: 0.0 for p = 0 and for p above the stored degree."""
-    if not isinstance(p, numbers.Integral):
+    if not is_integer(p):
         raise ValueError(f"coefficient index must be an integer, got {p!r}")
     if p < 0:
         raise ValueError("coefficient index must be nonnegative")
@@ -164,10 +161,12 @@ def power_coefficients(m: int, p: int) -> np.ndarray:
     model coefficient p into the basis of :func:`intercept_free_vander`.
     For j = p + 2r the entry is the integer
     (-1)**r 2**(p - 1) j C(j - r, r) / (j - r), computed exactly and rounded
-    once; entries with j - p odd, or j < p, are zero. Raises
-    :class:`NumericalDegeneracyError` beyond the double range (from p = 1025
-    on), so every caller fails with the library's error.
+    once; entries with j - p odd, or j < p, are zero. A p that is no integer
+    raises ``ValueError``, and p from 1025 on, beyond the double range,
+    :class:`NumericalDegeneracyError`, so every caller fails with the library's error.
     """
+    if not is_integer(p):
+        raise ValueError(f"coefficient index must be an integer, got {p!r}")
     p = int(p)  # a numpy integer p would make the products wrap in int64
     d = np.zeros(m)
     try:

@@ -96,6 +96,23 @@ def test_information_matrix_single_point():
         information_matrix(ONE_POINT, 0)  # the same error as DesignProblem(0, 1)
 
 
+@pytest.mark.parametrize(
+    "n", [True, 2.5, 2.0, np.float64(2.0), "2"], ids=["bool", "2.5", "2.0", "float64", "str"]
+)
+def test_information_matrix_and_phi_c_reject_non_integer_degrees(n):
+    # True used to read as n = 1; the floats failed inside numpy with a raw TypeError
+    with pytest.raises(InvalidProblemError, match="degree must be an integer"):
+        information_matrix(TWO_POINT, n)
+    with pytest.raises(InvalidProblemError, match="degree must be an integer"):
+        phi_c(TWO_POINT, [1.0, 0.0], n)
+
+
+def test_information_matrix_takes_numpy_integers():
+    expected = information_matrix(TWO_POINT, 3)
+    np.testing.assert_array_equal(information_matrix(TWO_POINT, np.int64(3)), expected)
+    assert phi_c(TWO_POINT, [1.0, 0.0], np.int32(2)) == phi_c(TWO_POINT, [1.0, 0.0], 2)
+
+
 def test_information_matrix_odd_moments_vanish():
     design = Design([-0.75, -0.25, 0.25, 0.75], [0.2, 0.3, 0.3, 0.2])
     m = information_matrix(design, 5)

@@ -68,6 +68,13 @@ def test_oracle_variance_rejects_non_integer_grid_size():
         oracle_variance(DesignProblem(2, 1), grid_size=2.5)
 
 
+def test_oracle_grid_rejects_a_bool_size_and_takes_numpy_integers():
+    # True passes a bare Integral check and was rejected only as a 1-point grid
+    with pytest.raises(ValueError, match="given as an integer, got True"):
+        oracle_grid(True)
+    np.testing.assert_array_equal(oracle_grid(np.int64(5)), oracle_grid(5))
+
+
 def test_lp_validates_grid():
     problem = DesignProblem(2, 1)
     with pytest.raises(ValueError):

@@ -446,6 +446,13 @@ def test_coefficient_rejects_non_integer_index():
     assert coefficient(_g(3), np.int64(1)) == -3.0
 
 
+@pytest.mark.parametrize("p", [True, False])
+def test_coefficient_rejects_bool_index(p):
+    # True used to read as p = 1 (-3.0 for g_3) and False as p = 0
+    with pytest.raises(ValueError, match="coefficient index must be an integer"):
+        coefficient(_g(3), p)
+
+
 @pytest.mark.parametrize(
     "entry", ["coefficient", "phi_c", "certificate_identity", "verify", "solve"]
 )

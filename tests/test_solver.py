@@ -91,6 +91,13 @@ def test_power_coefficients_match_chebyshev_recurrence_bit_for_bit():
             np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+@pytest.mark.parametrize("p", [2.5, 2.0, True, "2"])
+def test_power_coefficients_reject_non_integer_index(p):
+    # 2.5 used to be truncated to 2, and True read as 1
+    with pytest.raises(ValueError, match="coefficient index must be an integer"):
+        power_coefficients(3, p)
+
+
 def test_power_coefficients_take_numpy_integers_exactly():
     # 2**63 and beyond: numpy int64 arithmetic used to wrap to zeros here
     np.testing.assert_array_equal(power_coefficients(70, np.int64(64)), power_coefficients(70, 64))
@@ -279,6 +286,22 @@ def test_solve_matches_golden_bits():
     # every bit must reproduce
     for entry in _golden():
         assert _bits(solve(DesignProblem(entry["n"], entry["p"]))) == entry
+
+
+def test_numpy_integer_problems_solve_bit_for_bit_from_the_int_cache_entry():
+    # np.int64(n) == n and hashes alike, so the geometry cache serves both
+    def full_bits(result):
+        return (_bits(result), float(result.variance).hex(), result.case_tag, result.case_c_pair,
+                [float(c).hex() for c in result.certificate.coeffs])
+
+    for n in range(1, 31):
+        for p in range(1, n + 1):
+            expected = full_bits(solve(DesignProblem(n, p)))
+            before = polydesign.solver._geometry.cache_info()
+            got = full_bits(solve(DesignProblem(np.int64(n), np.int64(p))))
+            after = polydesign.solver._geometry.cache_info()
+            assert got == expected, (n, p)
+            assert (after.currsize, after.misses) == (before.currsize, before.misses), (n, p)
 
 
 def test_cold_geometry_cache_reproduces_golden_bits_in_either_order():
