@@ -37,7 +37,7 @@ print(f"verdict: {report.verdict}")
 print(f"  sup-norm on [-1, 1]:     {report.condition1_max:.12f}")
 print(f"  identity residual:       {report.condition3_residual:.2e}")
 print(f"  variance via h**2:       {report.variance_formula:.10f}")
-print(f"  variance via pinv(M):    {report.variance_matrix:.10f}")
+print(f"  variance via phi_c:      {report.variance_matrix:.10f}")
 print()
 
 # The verifier accepts any harmless scaling of the certificate: a monic

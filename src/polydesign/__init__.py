@@ -21,7 +21,6 @@ from .design import (
     certificate_identity,
     information_matrix,
     phi_c,
-    pseudo_inverse,
 )
 from .document import DesignDocument, document_from_result, parse_design_file, parse_document, render_document
 from .elfving import ElfvingReport, verify
@@ -61,7 +60,6 @@ __all__ = [
     "parse_design_file",
     "parse_document",
     "phi_c",
-    "pseudo_inverse",
     "render_document",
     "s_points",
     "solve",

@@ -22,9 +22,6 @@ import numpy as np
 from .errors import InvalidDesignError, InvalidProblemError, is_integer
 from .polynomial import intercept_free_vander, power_coefficients
 
-#: relative eigenvalue cutoff used by :func:`pseudo_inverse`
-RANK_TOL = 1e-10
-
 #: absolute tolerance on the weight sum of a valid design
 WEIGHT_SUM_TOL = 1e-12
 
@@ -92,42 +89,23 @@ class DesignProblem:
         return e
 
 
+def _check_degree(n) -> None:
+    if not is_integer(n):
+        raise InvalidProblemError(f"degree must be an integer, got {n!r}")
+    if n < 1:
+        raise InvalidProblemError(f"degree must be positive, got {n}")
+
+
 def information_matrix(design: Design, n: int) -> np.ndarray:
     """Weighted moment matrix G diag(w) G^T, with G[j, i] = g_j(x_i).
 
     The product is averaged with its transpose, so the result is symmetric
     bit-for-bit and positive semidefinite up to rounding.
     """
-    if not is_integer(n):
-        raise InvalidProblemError(f"degree must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidProblemError(f"degree must be positive, got {n}")
+    _check_degree(n)
     g = intercept_free_vander(design.support, n)
     m = (g.T * design.weights) @ g
     return 0.5 * (m + m.T)
-
-
-def pseudo_inverse(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """Moore-Penrose inverse of a symmetric matrix via eigendecomposition.
-
-    Eigenvalues with ``|lam| <= RANK_TOL * max|lam|`` are treated as zero;
-    the second return value is the resulting numerical rank. The zero matrix
-    maps to the zero matrix with rank 0.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = np.abs(a).max(initial=0.0)
-    if np.abs(a - a.T).max(initial=0.0) > 1e-14 * max(1.0, scale):
-        raise ValueError("matrix must be symmetric")
-    lam, vecs = np.linalg.eigh(a)
-    cutoff = RANK_TOL * np.abs(lam).max(initial=0.0)
-    keep = np.abs(lam) > cutoff
-    inv_lam = np.where(keep, 1.0, 0.0)
-    inv_lam[keep] = 1.0 / lam[keep]
-    pinv = (vecs * inv_lam) @ vecs.T
-    pinv = 0.5 * (pinv + pinv.T)
-    return pinv, int(np.count_nonzero(keep))
 
 
 def phi_c(design: Design, c, n: int) -> float:
@@ -135,16 +113,19 @@ def phi_c(design: Design, c, n: int) -> float:
 
     ``c`` holds monomial coefficients (c . theta for theta the coefficients
     of x, ..., x**n) and is mapped to d = A c in the basis of
-    :func:`information_matrix`; the value is d^T M^+ d. This is the
+    :func:`information_matrix`. With the weighted basis values
+    B[i, j] = sqrt(w_i) g_j(x_i), M = B^T B, and the value d^T M^+ d is
+    |z|^2 for z the minimum-norm least-squares solution of B^T z = d, so M
+    is never formed and its condition number is never squared. This is the
     library's one estimability test: c is estimable under the design iff d
-    lies in the column space of M, checked as
-    ``|M M^+ d - d| <= ADMISSIBLE_TOL * max(1, |d|)``, so
+    lies in the column space of M, which is that of B^T, checked as
+    ``|B^T z - d| <= ADMISSIBLE_TOL * max(1, |d|)``, so
     ``math.isfinite(phi_c(...))`` answers "is c estimable?". For estimable
     c the value does not depend on the choice of generalized inverse;
     infinity is a sentinel value, not an error. A non-finite ``c`` raises
     ``ValueError``.
     """
-    m = information_matrix(design, n)  # first, as it rejects an n that is no integer
+    _check_degree(n)
     c = np.asarray(c, dtype=float)
     if c.shape != (n,):
         raise ValueError(f"coefficient vector must have length {n}")
@@ -153,11 +134,11 @@ def phi_c(design: Design, c, n: int) -> float:
     d = np.zeros(n)
     for q in np.flatnonzero(c):  # a unit vector e_p maps to d_p exactly
         d += c[q] * power_coefficients(n, q + 1)
-    pinv, _ = pseudo_inverse(m)
-    resid = np.abs(m @ (pinv @ d) - d).max()
-    if resid > ADMISSIBLE_TOL * max(1.0, np.abs(d).max()):
+    b_t = (np.sqrt(design.weights)[:, None] * intercept_free_vander(design.support, n)).T
+    z = np.linalg.lstsq(b_t, d, rcond=None)[0]
+    if np.abs(b_t @ z - d).max() > ADMISSIBLE_TOL * max(1.0, np.abs(d).max()):
         return math.inf
-    return float(d @ pinv @ d)
+    return float(z @ z)
 
 
 def certificate_identity(design: Design, problem: DesignProblem, values) -> tuple[float, float]:

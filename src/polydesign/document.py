@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from . import __version__
-from .design import RANK_TOL, Design, DesignProblem
+from .design import ADMISSIBLE_TOL, Design, DesignProblem
 from .elfving import CONDITION_TOL, VARIANCE_RTOL
 from .errors import DocumentError, InvalidDesignError
 from .polynomial import Polynomial
@@ -84,7 +84,7 @@ def render_document(doc: DesignDocument) -> str:
         '  "metadata": {\n'
         f'    "version": {json.dumps(__version__)},\n'
         '    "tolerances": {\n'
-        f'      "rank_tol": {format_float(RANK_TOL)},\n'
+        f'      "admissible_tol": {format_float(ADMISSIBLE_TOL)},\n'
         f'      "condition_tol": {format_float(CONDITION_TOL)},\n'
         f'      "variance_rtol": {format_float(VARIANCE_RTOL)}\n'
         "    }\n"

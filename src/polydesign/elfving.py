@@ -13,8 +13,9 @@ certificate is stored too: g(x) = A f(x) with f(x) = (x, ..., x**n), and
 d_p = A e_p holds the coefficients of x**p in T_1..T_n, so it is the
 monomial identity e_p = h * sum_i f(x_i) w_i P(x_i) multiplied by A. The
 verifier checks all three conditions numerically, computes the variance
-both from h and from the pseudo-inverse criterion, and reports every
-measurement so a failed verdict can be attributed to a specific condition.
+both from h and from the least-squares criterion
+:func:`~polydesign.design.phi_c`, and reports every measurement so a
+failed verdict can be attributed to a specific condition.
 
 Certificates are compared at sup-norm 1: condition (1) is checked on the
 certificate exactly as given (so an over-scaled certificate is detected),
@@ -25,6 +26,7 @@ on [-1, 1], which accepts harmless down-scalings such as monic variants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +43,9 @@ VARIANCE_RTOL = 1e-8
 
 
 def check_tolerance(tol: float) -> None:
-    """Raise ``ValueError`` unless ``tol`` is finite and non-negative."""
-    if not (math.isfinite(tol) and tol >= 0.0):
+    """Raise ``ValueError`` unless ``tol`` is a finite non-negative real, not a bool."""
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+            and math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
@@ -90,7 +93,8 @@ def verify(
     beyond g_n raises :class:`InvalidCertificateError` (trailing zeros are
     allowed); its intercept is zero by construction. A certificate that is
     identically zero or whose values overflow the double range raises it
-    too. A non-finite or negative ``condition_tol`` raises ``ValueError``.
+    too. A ``condition_tol`` that is no real number, a bool, non-finite or
+    negative raises ``ValueError``.
     """
     check_tolerance(condition_tol)
     if certificate.degree > problem.n:

@@ -142,7 +142,7 @@ def test_rendered_documents_are_byte_stable():
         for p in range(1, n + 1):
             text = render_document(document_from_result(solve(DesignProblem(n, p))))
             digest.update(text.encode("utf-8"))
-    assert digest.hexdigest() == "a87be10b190069748c0144410854afeeafb1cff0bc8633ac37904e210d6e4b66"
+    assert digest.hexdigest() == "6a87378d756f5bb64f4aa246728d35ecad47f09e99698ab8d9b1eb0ddc9ed09a"
 
 
 def test_metadata_is_written_on_output_and_ignored_on_read():
@@ -150,7 +150,7 @@ def test_metadata_is_written_on_output_and_ignored_on_read():
     raw = json.loads(render_document(doc))
     assert raw["metadata"] == {
         "version": __version__,
-        "tolerances": {"rank_tol": 1e-10, "condition_tol": 1e-9, "variance_rtol": 1e-8},
+        "tolerances": {"admissible_tol": 1e-8, "condition_tol": 1e-9, "variance_rtol": 1e-8},
     }
     raw["metadata"] = [1, True, None]
     assert parse_document(json.dumps(raw)) == doc

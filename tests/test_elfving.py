@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from polydesign import (
     solve,
     verify,
 )
+from polydesign.elfving import check_tolerance
 from polydesign.polynomial import intercept_free_vander, power_coefficients
 from polydesign.solver import _lagrange_columns
 
@@ -172,6 +174,26 @@ def test_verify_rejects_invalid_tolerance(tol):
         verify(result.designs[0], problem, result.certificate, condition_tol=tol)
 
 
+@pytest.mark.parametrize(
+    "tol", [True, False, np.bool_(True), "1e-9", None, 1e-9 + 0j],
+    ids=["True", "False", "numpy-bool", "str", "None", "complex"],
+)
+def test_tolerance_must_be_a_real_number(tol):
+    # a bool would read as 1.0 and accept designs far from optimal; a str
+    # would reach math.isfinite and raise a raw TypeError
+    problem = DesignProblem(3, 3)
+    result = solve(problem)
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        check_tolerance(tol)
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        verify(result.designs[0], problem, result.certificate, condition_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9, np.float32(1e-6), np.float64(0.5), Fraction(1, 3)])
+def test_tolerance_accepts_real_numbers(tol):
+    check_tolerance(tol)
+
+
 def test_verify_inadmissible_design():
     # a single-point design cannot estimate the linear coefficient alone
     problem = DesignProblem(2, 1)
@@ -235,3 +257,14 @@ def test_verify_reports_the_variance_agreement():
     assert report.condition3_residual <= 1e-3
     assert not report.variances_agree
     assert not report.verdict
+
+
+@pytest.mark.parametrize("n, p", [(93, 1), (195, 1), (200, 2)])
+def test_large_degree_variances_agree(n, p):
+    # the variance gap is the gate closest to breaking as n grows; phi_c
+    # must not form M = B^T B, whose condition number is B's squared
+    problem = DesignProblem(n, p)
+    result = solve(problem)
+    for design in result.designs:
+        assert phi_c(design, problem.unit_vector(), n) == pytest.approx(result.variance, rel=1e-13)
+        assert verify(design, problem, result.certificate).verdict
