@@ -17,9 +17,10 @@ print(f"solver variance for degree 4, coefficient 2: {result.variance:.12f}")
 print(f"(exactly 12 + 8 sqrt(2) = {12 + 8 * math.sqrt(2):.12f})")
 print()
 
-# With the solver's support included in the grid the LP lands on the
-# continuous optimum; restricted to a pure uniform grid it can only be
-# larger, and tightens as the grid refines.
+# With the two point families of the degree in the grid, the extrema of
+# T_s and E_2k that hold every optimal support, the LP lands on the
+# continuous optimum without being told the solver's answer; restricted to
+# a pure uniform grid it can only be larger, and tightens as the grid refines.
 included = oracle_variance(problem, grid_size=2001, include_solver_support=True)
 print(f"LP with support in grid:   {included:.12f}   gap {included - result.variance:+.2e}")
 for size in (101, 1001, 10001):
@@ -30,7 +31,7 @@ print()
 # The LP also returns the design it found and a dual certificate vector v
 # with |v . g(x)| <= 1 on the grid, in the basis g_j = T_j - T_j(0) -- the
 # basis the closed-form certificate is stored in, so both are Polynomials.
-lp = elfving_lp(problem, oracle_grid(2001, result.designs))
+lp = elfving_lp(problem, oracle_grid(2001, problem))
 dual = Polynomial(lp.dual)
 print("LP design support:", np.round(lp.design.support, 6))
 print("LP design weights:", np.round(lp.design.weights, 6))

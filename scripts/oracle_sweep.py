@@ -1,11 +1,11 @@
 """Cross-check the LP oracle against the closed forms for 1 <= n <= 30.
 
 Runs ``elfving_lp`` on ``oracle_grid(10001)`` for all 465 problems
-1 <= p <= n <= 30, with the supports of the solver's designs united into
-the grid and without them,
-and applies the gates of acceptance criterion 4: within 1e-7 relative of
-``solve`` with the support; without it, no more than 1e-9 below ``solve``
-and within 1e-3 relative. Every one of the 930 calls must also end after
+1 <= p <= n <= 30, with the two point families of degree n united into the
+grid (``oracle_grid(10001, problem)``, which holds every optimal support)
+and without them, and applies the gates of acceptance criterion 4: within
+1e-7 relative of ``solve`` with the families; without them, no more than
+1e-9 below ``solve`` and within 1e-3 relative. Every one of the 930 calls must also end after
 one LP, as the exchange's start at the two point families makes it.
 Prints the worst gaps and exits 1 on any miss (an oracle failure counts as
 one). Tier-1 covers n <= 10 and every p of n in {16, 23, 30}; this sweep
@@ -40,7 +40,7 @@ def main() -> int:
         key = (problem.n, problem.p)
         result = solve(problem)
         for label in RTOL:
-            grid = oracle_grid(GRID_SIZE, result.designs) if label == "included" else uniform
+            grid = oracle_grid(GRID_SIZE, problem) if label == "included" else uniform
             try:
                 lp = elfving_lp(problem, grid)
             except OracleFailureError as exc:

@@ -34,7 +34,7 @@ from .errors import (
     OracleFailureError,
     PolydesignError,
 )
-from .oracle import DEFAULT_GRID_SIZE as ORACLE_GRID_SIZE, elfving_lp, oracle_grid
+from .oracle import DEFAULT_GRID_SIZE as ORACLE_GRID_SIZE, oracle_variance
 from .solver import certificate_for, solve
 
 EXIT_OK = 0
@@ -149,8 +149,7 @@ def cmd_verify(args, out) -> int:
 def cmd_oracle(args, out) -> int:
     problem = _check_problem(args.degree, args.coef)
     result = solve(problem)
-    grid = oracle_grid(args.grid, result.designs if args.include_support else ())
-    variance = elfving_lp(problem, grid).variance
+    variance = oracle_variance(problem, args.grid, args.include_support)
     gap = variance - result.variance
     rel = abs(gap) / result.variance
     print(f"degree:          {problem.n}", file=out)
@@ -229,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--degree", type=int, required=True)
     p_oracle.add_argument("--coef", type=int, required=True)
     p_oracle.add_argument("--grid", type=int, default=ORACLE_GRID_SIZE)
-    p_oracle.add_argument("--include-support", action="store_true")
+    p_oracle.add_argument("--include-support", action="store_true",
+                          help="add the point families (every optimal support) to the grid")
 
     p_examples = sub.add_parser("examples", help="recompute the reference tables")
     p_examples.add_argument("--format", choices=("table", "csv"), default="table")

@@ -9,7 +9,8 @@ d = A c (for the unit vector e_p, d_p = ``power_coefficients(n, p)``). The
 information matrix is the weighted moment matrix
 M = sum_i w_i g(x_i) g(x_i)^T, and the criterion value c^T M_f^- c equals
 d^T M^+ d when c is estimable under the design, and infinity otherwise.
-Symmetric matrices are plain float64 numpy arrays throughout.
+Symmetric matrices are plain float64 numpy arrays throughout. Condition (3)
+of the certificate and ``CONDITION_TOL``, its tolerance, live here too.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ WEIGHT_SUM_TOL = 1e-12
 
 #: column-space membership tolerance used by :func:`phi_c`
 ADMISSIBLE_TOL = 1e-8
+
+#: per-condition tolerance (bound excess, extremality, relative identity residual)
+CONDITION_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +154,7 @@ def certificate_identity(design: Design, problem: DesignProblem, values) -> tupl
     basis g carries rounding of order eps * max|d_p|, so it is measured
     relative to that. A moment that vanishes at the solved entry gives
     (inf, inf). This is the one owner of condition (3): the verifier and
-    the solver's self-check both call it.
+    the solver's self-check both call it, at ``CONDITION_TOL``.
     """
     d = power_coefficients(problem.n, problem.p)
     moment = intercept_free_vander(design.support, problem.n).T @ (design.weights * values)

@@ -31,12 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, DesignProblem, certificate_identity, phi_c
+from .design import CONDITION_TOL, Design, DesignProblem, certificate_identity, phi_c
 from .errors import InvalidCertificateError
 from .polynomial import Polynomial
-
-#: per-condition tolerance (bound excess, extremality, relative identity residual)
-CONDITION_TOL = 1e-9
 
 #: relative tolerance between the two variance computations
 VARIANCE_RTOL = 1e-8

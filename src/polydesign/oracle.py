@@ -24,14 +24,15 @@ first active set holds the grid points nearest the two point families,
 the extrema of T_s (s the largest odd number <= n), where the optimal
 designs for odd p sit, and of E_2k (k = n // 2), where those for even p
 sit (on grid 10001 every problem with n <= 30 ends after one LP); evenly
-spaced points join them to keep the first LP bounded. Where the optimal v is not unique, its parity-matched part -- v
-with the entries of the other parity than p zeroed -- has the same
-objective and is often already feasible, which ends the exchange early.
+spaced points join them to keep the first LP bounded. Where the optimal v
+is not unique, its parity-matched part -- v with the entries of the other
+parity than p zeroed -- has the same objective and is often already
+feasible, which ends the exchange early.
 
 Because grid designs are a subset of all designs, the grid optimum can only
-be larger than the continuous one; with the true support included in the
-grid the two coincide. This route never touches the closed-form solver's
-weight formula, so it is an independent numerical check.
+be larger than the continuous one; with the true support in the grid, as in
+``oracle_grid(G, problem)``, the two coincide. No path here calls the
+closed-form solver, so it is an independent numerical check.
 
 SciPy, whose HiGHS solver runs the LPs, is imported on the first call of
 :func:`elfving_lp` only; the rest of the library needs numpy alone, and
@@ -77,16 +78,15 @@ class OracleResult:
     g_j = T_j - T_j(0) of :func:`~polydesign.polynomial.intercept_free_vander`,
     the vector type of d_p and of a :class:`~polydesign.polynomial.Polynomial`'s
     coefficients, so ``Polynomial(dual)`` is the LP's certificate polynomial;
-    d_p = ``power_coefficients(n, p)``.
-    On the grid, |dual . g(x_j)| <= 1 + EXCHANGE_TOL when the exchange
-    stopped on a feasible v or v_sym. When it stopped because no new point
-    violates the bound, the excess sits at active points and is the final
-    LP's: at most HiGHS's primal feasibility tolerance (1e-10 from
-    ``_LP_OPTIONS``, or its default 1e-7 after a retry) plus
-    2e-13 * sum_i |dual_i|, which covers the rounding of dual . g. On
-    grid 2001 the excess stays below 3e-12 for every n <= 30; on the
-    31-point uniform grid at (29, 7), where |dual| reaches 2.3e5 and the
-    LP is retried, it is 1.6e-9. ``iterations`` counts the LPs the exchange
+    d_p = ``power_coefficients(n, p)``. On the grid, |dual . g(x_j)| <=
+    1 + EXCHANGE_TOL when the exchange stopped on a feasible v or v_sym.
+    When it stopped because no new point violates the bound, the excess
+    sits at active points and is the final LP's: at most HiGHS's primal
+    feasibility tolerance (1e-10 from ``_LP_OPTIONS``, or its default 1e-7
+    after a retry) plus 2e-13 * sum_i |dual_i|, which covers the rounding
+    of dual . g. On grid 2001 the excess stays below 3e-12 for every
+    n <= 30; on the 31-point uniform grid at (29, 7), where |dual| reaches
+    2.3e5 and the LP is retried, it is 1.6e-9. ``iterations`` counts the LPs the exchange
     solved and ``active_size`` the grid points in the final one.
 
     ``design`` holds the final LP's marginals above ``WEIGHT_CUTOFF``.
@@ -117,11 +117,11 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     spans the same space as f(x) but stays well conditioned up to n = 30:
     with u = A^T v it reads ``maximize d_p . v s.t. |v . g(x)| <= 1``, the
     objective scaled by 1 / max|d_p|. HiGHS solves it on the active points,
-    first the grid points nearest the extrema ``s_points((n + 1) // 2)`` of
-    T_s, s the largest odd number <= n, and ``t_points(k)`` of E_2k,
-    k = n // 2 (both {-1, 1} at n = 1), and 2n + 2 evenly spaced ones (both
-    ends included; a grid of 2n + 2 points or fewer starts from all of
-    them). The start depends on n alone, never on the closed-form solution.
+    first the grid points nearest :func:`_families`, the extrema of T_s, s
+    the largest odd number <= n, and of E_2k, k = n // 2, and 2n + 2 evenly
+    spaced ones (both ends included; a grid of 2n + 2 points or fewer
+    starts from all of them). The start depends on n alone, never on the
+    closed-form solution.
     Each LP also yields the parity candidate v_sym: v with the entries of
     parity j != p (mod 2) zeroed. g_j has the parity of j and d_p vanishes
     on those entries, so v_sym has the same objective. Where the optimal v
@@ -174,8 +174,7 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
 
     cost = -d / np.abs(d).max()  # maximize d_p . v, scaled to unit size
     off_parity = np.arange(1, n + 1) % 2 != p % 2
-    # the first active set, see the docstring; t_points(1) = s_points(1) = {-1, 1}
-    extrema = np.concatenate([s_points((n + 1) // 2), t_points(max(n // 2, 1))])
+    extrema = _families(n)  # the first active set, see the docstring
     right = np.searchsorted(g, extrema).clip(1, g.size - 1)
     nearest = np.where(extrema - g[right - 1] <= g[right] - extrema, right - 1, right)
     active = np.union1d(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int), nearest)
@@ -223,13 +222,18 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     )
 
 
-def oracle_grid(grid_size: int, designs=()) -> np.ndarray:
-    """``grid_size`` evenly spaced points on [-1, 1] united with the supports of ``designs``."""
+def _families(n: int) -> np.ndarray:
+    """Extrema of T_s and E_2k, unsorted, which hold every optimal support of
+    degree n; t_points(1) = s_points(1) = {-1, 1} stands in for E_0 at n = 1."""
+    return np.concatenate([s_points((n + 1) // 2), t_points(max(n // 2, 1))])
+
+
+def oracle_grid(grid_size: int, problem: DesignProblem | None = None) -> np.ndarray:
+    """``grid_size`` evenly spaced points on [-1, 1], with ``_families(problem.n)`` if given."""
     if not is_integer(grid_size) or grid_size < 2:
         raise ValueError(f"grid must have at least 2 points, given as an integer, got {grid_size!r}")
     grid = np.linspace(-1.0, 1.0, grid_size)
-    supports = [d.support for d in designs]
-    return np.union1d(grid, np.concatenate(supports)) if supports else grid
+    return grid if problem is None else np.union1d(grid, _families(problem.n))
 
 
 def oracle_variance(
@@ -239,14 +243,10 @@ def oracle_variance(
 ) -> float:
     """Grid-restricted optimal variance on :func:`oracle_grid`.
 
-    With ``include_solver_support`` the closed-form solver's support points
-    are united into the grid, making the LP reproduce the continuous
-    optimum exactly (up to LP tolerance); without them the result is an
-    upper bound that tightens as the grid is refined.
+    With ``include_solver_support`` the grid holds every optimal support
+    (the point families of degree n) and the LP reproduces the continuous
+    optimum up to LP tolerance; without, the result is an upper bound that
+    tightens with the grid. Neither path calls the solver.
     """
-    designs = ()
-    if include_solver_support:
-        from .solver import solve  # local import: solver is the object under test
-
-        designs = solve(problem).designs
-    return elfving_lp(problem, oracle_grid(grid_size, designs)).variance
+    grid = oracle_grid(grid_size, problem if include_solver_support else None)
+    return elfving_lp(problem, grid).variance

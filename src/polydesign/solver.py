@@ -46,8 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import Design, DesignProblem, certificate_identity
-from .elfving import CONDITION_TOL
+from .design import CONDITION_TOL, Design, DesignProblem, certificate_identity
 from .errors import NumericalDegeneracyError
 from .points import s_points, t_points
 from .polynomial import Polynomial, e_polynomial, intercept_free_vander, power_coefficients

@@ -153,7 +153,7 @@ def test_verify_certificate_near_the_double_range():
 
 
 @pytest.mark.parametrize("n, p, case", [(10, 4, "A"), (12, 5, "B"), (11, 3, "C")])
-def test_condition1_max_is_the_maximum_over_grid_and_support(n, p, case):
+def test_condition1_max_is_the_maximum_over_peaks_and_support(n, p, case):
     problem = DesignProblem(n, p)
     result = solve(problem)
     assert result.case_tag == case
@@ -237,7 +237,7 @@ def moved_support_case(n, p):
 
 
 @pytest.mark.parametrize("n, p", [(30, 29), (30, 15), (30, 1)])
-def test_verify_rejects_peak_between_grid_points(n, p):
+def test_verify_rejects_peak_between_support_points(n, p):
     problem, design, certificate = moved_support_case(n, p)
     np.testing.assert_allclose(np.abs(certificate(design.support)), 1.0, atol=1e-12)
     report = verify(design, problem, certificate)
@@ -268,3 +268,25 @@ def test_large_degree_variances_agree(n, p):
     for design in result.designs:
         assert phi_c(design, problem.unit_vector(), n) == pytest.approx(result.variance, rel=1e-13)
         assert verify(design, problem, result.certificate).verdict
+
+
+@pytest.mark.parametrize("n, p", [(95, 2), (100, 2), (100, 99)])
+def test_h_beyond_degree_30_matches_a_120_digit_reference(n, p):
+    # the reference solves nothing in double precision: its nodes come from
+    # the closed forms and its a_{i,p} from synthetic division at 120
+    # digits. solve's h and sqrt(phi_c) meet it to <= 1.5e-15; verify's h,
+    # solved from the certificate's computed values at the support (E_2k's
+    # carry most of the error), to 4.4e-13 at (95, 2) and <= 2.9e-14 elsewhere
+    pytest.importorskip("mpmath")
+    from high_precision import reference_h
+
+    reference = float(reference_h(n, p))
+    problem = DesignProblem(n, p)
+    result = solve(problem)
+    assert result.h == pytest.approx(reference, rel=1e-14)
+    for design in result.designs:
+        variance = phi_c(design, problem.unit_vector(), n)
+        assert math.sqrt(variance) == pytest.approx(reference, rel=1e-14)
+        report = verify(design, problem, result.certificate)
+        assert report.h == pytest.approx(reference, rel=1e-12)
+        assert report.verdict

@@ -1,5 +1,7 @@
+import ast
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from numpy.polynomial.chebyshev import cheb2poly, chebvander
 from scipy.optimize import linprog
 
 import polydesign.oracle
+import polydesign.solver
 from polydesign import (
     DesignProblem,
     OracleFailureError,
@@ -106,7 +109,7 @@ def test_oracle_recovers_quartic_optimum():
 def test_lp_support_matches_solver_design():
     problem = DesignProblem(3, 3)
     result = solve(problem)
-    lp = elfving_lp(problem, oracle_grid(2001, result.designs))
+    lp = elfving_lp(problem, oracle_grid(2001, problem))
     matches = [
         np.abs(lp.design.support - d.support).max() <= 1e-9
         for d in result.designs
@@ -140,7 +143,7 @@ def test_lp_dual_certificate_properties():
 
 def test_lp_dual_certificate_properties_degree_30():
     problem = DesignProblem(30, 15)
-    grid = oracle_grid(2001, solve(problem).designs)
+    grid = oracle_grid(2001, problem)
     _dual_checks(problem, grid, elfving_lp(problem, grid))
 
 
@@ -160,7 +163,7 @@ def test_oracle_grid_holds_every_design_support(n, p):
     # ones, which it does not, at (9, 5)
     designs = solve(DesignProblem(n, p)).designs
     assert len(designs) == 2
-    grid = oracle_grid(2001, designs)
+    grid = oracle_grid(2001, DesignProblem(n, p))
     for design in designs:
         assert np.isin(design.support, grid).all()
     assert np.isin(np.linspace(-1.0, 1.0, 2001), grid).all()
@@ -237,14 +240,13 @@ def test_exchange_cap_raises(monkeypatch):
 @pytest.fixture(scope="module")
 def criterion_4_exchanges():
     # LPs solved by each of acceptance criterion 4's 72 calls:
-    # 1 <= p <= n <= 8 on grid 10001, the solver's support included and not
+    # 1 <= p <= n <= 8 on grid 10001, the point families included and not
     exchanges = {}
     for n in range(1, 9):
         for p in range(1, n + 1):
             problem = DesignProblem(n, p)
-            designs = solve(problem).designs
             for included in (True, False):
-                grid = oracle_grid(10001, designs if included else ())
+                grid = oracle_grid(10001, problem if included else None)
                 exchanges[n, p, included] = elfving_lp(problem, grid).iterations
     return exchanges
 
@@ -372,3 +374,55 @@ def test_oracle_agreement_high_degrees(n):
     # every p of three degrees covers all three cases; the full n <= 30
     # sweep is scripts/oracle_sweep.py
     _assert_oracle_agreement(n)
+
+
+def _assert_lp_picks_a_solver_design(problem, grid_size):
+    # on the uniform grid united with the point families the LP's own
+    # design is one of solve's: the same support bits, so in case C it
+    # picks the drop itself, and the same weights
+    lp = elfving_lp(problem, oracle_grid(grid_size, problem))
+    designs = [d for d in solve(problem).designs if np.array_equal(d.support, lp.design.support)]
+    assert len(designs) == 1, problem
+    np.testing.assert_allclose(lp.design.weights, designs[0].weights, rtol=0, atol=1e-12)
+    assert lp.iterations == 1, problem
+
+
+def test_lp_picks_a_solver_design_up_to_degree_12():
+    for n in range(1, 13):
+        for p in range(1, n + 1):
+            _assert_lp_picks_a_solver_design(DesignProblem(n, p), 2001)
+
+
+@pytest.mark.parametrize("p", [1, 2, 51, 99, 100])
+def test_lp_picks_a_solver_design_at_degree_100(p):
+    _assert_lp_picks_a_solver_design(DesignProblem(100, p), 10001)
+
+
+def test_no_oracle_path_calls_the_solver(monkeypatch):
+    problem = DesignProblem(9, 5)
+    expected = solve(problem).variance
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called solve")
+
+    monkeypatch.setattr(polydesign.solver, "solve", refuse)
+    value = oracle_variance(problem, 2001, include_solver_support=True)
+    assert value == pytest.approx(expected, rel=1e-12)
+
+
+def test_routes_import_only_the_shared_layers():
+    # the solver, the verifier and the oracle are three routes to one
+    # variance; none may import another, function-local imports included
+    shared = {"design", "errors", "points", "polynomial"}
+    package = Path(polydesign.oracle.__file__).parent
+    for route in ("solver", "elfving", "oracle"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / f"{route}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+                imported |= {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "polydesign":
+                imported.add(node.module.partition(".")[2] or "polydesign")
+            elif isinstance(node, ast.Import):
+                imported |= {a.name.partition(".")[2] or "polydesign"
+                             for a in node.names if a.name.split(".")[0] == "polydesign"}
+        assert imported <= shared, (route, imported - shared)

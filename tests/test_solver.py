@@ -45,7 +45,7 @@ def test_classify_rejects_bad_problem():
         DesignProblem(3, 5)
 
 
-def test_optimal_supports_cubic():
+def test_solve_supports_cubic():
     first, second = solve(DesignProblem(3, 1)).designs
     np.testing.assert_allclose(first.support, [-1.0, -0.5, 0.5], atol=1e-15)
     np.testing.assert_allclose(second.support, [-0.5, 0.5, 1.0], atol=1e-15)
@@ -54,12 +54,12 @@ def test_optimal_supports_cubic():
     np.testing.assert_allclose(second.support, [-1.0, -0.5, 1.0], atol=1e-15)
 
 
-def test_optimal_supports_quartic_even_coef():
+def test_solve_support_quartic_even_coef():
     (design,) = solve(DesignProblem(4, 2)).designs
     np.testing.assert_allclose(design.support, [-1.0, -RADICAL, RADICAL, 1.0], atol=1e-15)
 
 
-def test_weights_from_lagrange_goldens():
+def test_elfving_lp_weights_on_a_given_support():
     # the closed-form weights |a_{i,p}| / sum_j |a_{j,p}| and variance h**2
     # on a given support; outside solve they are read from the LP oracle
     # with that support as its grid
