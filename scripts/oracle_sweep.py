@@ -5,11 +5,13 @@ Runs ``elfving_lp`` on ``oracle_grid(10001)`` for all 465 problems
 grid (``oracle_grid(10001, problem)``, which holds every optimal support)
 and without them, and applies the gates of acceptance criterion 4: within
 1e-7 relative of ``solve`` with the families; without them, no more than
-1e-9 below ``solve`` and within 1e-3 relative. Every one of the 930 calls must also end after
-one LP, as the exchange's start at the two point families makes it.
-Prints the worst gaps and exits 1 on any miss (an oracle failure counts as
-one). Tier-1 covers n <= 10 and every p of n in {16, 23, 30}; this sweep
-takes about 4 s on 2 cores, so it runs as its own CI step:
+1e-9 below ``solve`` and within 1e-3 relative. Every one of the 930 calls
+must also end after one LP, as the exchange's start at the two point
+families makes it, and ``oracle_variance``, which takes its grid from a
+cache, must return ``elfving_lp``'s variance bit for bit. Prints the worst
+gaps and exits 1 on any miss (an oracle failure counts as one). Tier-1
+covers n <= 10 and every p of n in {16, 23, 30}; this sweep takes about
+5 s on 2 cores, so it runs as its own CI step:
 
     PYTHONPATH=src python scripts/oracle_sweep.py
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import sys
 import time
 
-from polydesign import DesignProblem, OracleFailureError, elfving_lp, oracle_grid, solve
+from polydesign import DesignProblem, OracleFailureError, elfving_lp, oracle_grid, oracle_variance, solve
 
 GRID_SIZE = 10001
 DEGREES = range(1, 31)
@@ -49,6 +51,9 @@ def main() -> int:
             lps += lp.iterations
             if lp.iterations != 1:
                 misses.append((key, label, f"{lp.iterations} LPs"))
+            cached = oracle_variance(problem, GRID_SIZE, include_solver_support=label == "included")
+            if cached != lp.variance:
+                misses.append((key, label, f"oracle_variance {cached!r} != elfving_lp {lp.variance!r}"))
             rel = abs(lp.variance - result.variance) / result.variance
             if rel >= worst[label][0]:
                 worst[label] = (rel, key)

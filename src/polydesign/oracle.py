@@ -34,6 +34,18 @@ be larger than the continuous one; with the true support in the grid, as in
 ``oracle_grid(G, problem)``, the two coincide. No path here calls the
 closed-form solver, so it is an independent numerical check.
 
+:func:`elfving_lp` validates and sorts the grid it is given and finds the
+exchange's start on it on every call. The grid of :func:`oracle_variance`,
+``oracle_grid(grid_size)`` with or without the point families of degree n,
+and its preparation depend on (grid_size, n, include_solver_support) alone,
+so :func:`_prepared_grid` does both once per key and keeps the
+``_GRID_CACHE_SIZE`` = 64 most recently used keys, enough for both flags of
+every n <= 30 on one grid size. An entry holds the sorted points and the
+start's indices, at most 8 * (grid_size + 6n + 6) bytes (81 kB at grid
+10001, n = 30), and not the n x grid_size basis, which the exchange
+evaluates on each call. The cached arrays are read-only, and
+``oracle_variance`` returns ``elfving_lp``'s variance bit for bit.
+
 SciPy, whose HiGHS solver runs the LPs, is imported on the first call of
 :func:`elfving_lp` only; the rest of the library needs numpy alone, and
 importing SciPy would triple its start-up time. So is :mod:`logging`, for
@@ -43,7 +55,9 @@ the top of this module it would add about 5 ms to ``import polydesign``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +77,8 @@ EXCHANGE_TOL = 1e-10
 
 #: exchange steps (small LPs solved) before the oracle gives up
 MAX_EXCHANGES = 100
+
+_GRID_CACHE_SIZE = 64
 
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -150,18 +166,37 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     such numerical difficulties the LP is solved once more at its default
     tolerances (1e-7), a retry that grid 10001 never needs.
     """
+    return _exchange(problem, _prepare(grid, problem.n))
+
+
+class _Grid(NamedTuple):
+    points: np.ndarray  # sorted, unique, in [-1, 1], with a negative and a positive point
+    start: np.ndarray  # indices of the exchange's first active set, sorted
+
+
+def _prepare(grid, n: int) -> _Grid:
+    """Validate and sort ``grid`` and find the exchange's start on it, as
+    :func:`elfving_lp` describes; depends on the degree n, not on p."""
     g = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("grid points must be finite")
     g = np.unique(g)
-    n, p = problem.n, problem.p
     if g.size < 2:
         raise ValueError("grid must contain at least two points")
     if g[0] < -1.0 or g[-1] > 1.0:
         raise ValueError("grid must lie in [-1, 1]")
     if not (np.any(g < 0.0) and np.any(g > 0.0)):
         raise ValueError("grid must contain a negative and a positive point")
+    extrema = _families(n)
+    right = np.searchsorted(g, extrema).clip(1, g.size - 1)
+    nearest = np.where(extrema - g[right - 1] <= g[right] - extrema, right - 1, right)
+    return _Grid(g, np.union1d(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int), nearest))
 
+
+def _exchange(problem: DesignProblem, grid: _Grid) -> OracleResult:
+    """The exchange of :func:`elfving_lp` on a prepared grid."""
+    g, active = grid
+    n, p = problem.n, problem.p
     basis = intercept_free_vander(g, n).T  # n x J, column j is g(x_j)
     try:
         d = power_coefficients(n, p)
@@ -174,10 +209,6 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
 
     cost = -d / np.abs(d).max()  # maximize d_p . v, scaled to unit size
     off_parity = np.arange(1, n + 1) % 2 != p % 2
-    extrema = _families(n)  # the first active set, see the docstring
-    right = np.searchsorted(g, extrema).clip(1, g.size - 1)
-    nearest = np.where(extrema - g[right - 1] <= g[right] - extrema, right - 1, right)
-    active = np.union1d(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int), nearest)
     for iteration in range(1, MAX_EXCHANGES + 1):
         rows = basis[:, active].T
         lp = {"A_ub": np.vstack([rows, -rows]), "b_ub": np.ones(2 * active.size),
@@ -190,7 +221,9 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
         v = np.asarray(res.x, dtype=float)
         candidates = np.stack([v, np.where(off_parity, 0.0, v)])
         level = np.abs(candidates @ basis)
-        over = _peaks(level) & (level > 1.0 + EXCHANGE_TOL)
+        over = level > 1.0 + EXCHANGE_TOL
+        if over.any():  # on a converged step no level is above the bound
+            over &= _peaks(level)
         feasible = ~over.any(axis=1)
         new = np.setdiff1d(np.flatnonzero(over.any(axis=0)), active)
         log.debug(
@@ -228,12 +261,27 @@ def _families(n: int) -> np.ndarray:
     return np.concatenate([s_points((n + 1) // 2), t_points(max(n // 2, 1))])
 
 
-def oracle_grid(grid_size: int, problem: DesignProblem | None = None) -> np.ndarray:
-    """``grid_size`` evenly spaced points on [-1, 1], with ``_families(problem.n)`` if given."""
+def _check_grid_size(grid_size) -> None:
     if not is_integer(grid_size) or grid_size < 2:
         raise ValueError(f"grid must have at least 2 points, given as an integer, got {grid_size!r}")
+
+
+def oracle_grid(grid_size: int, problem: DesignProblem | None = None) -> np.ndarray:
+    """``grid_size`` evenly spaced points on [-1, 1], with ``_families(problem.n)`` if given."""
+    _check_grid_size(grid_size)
     grid = np.linspace(-1.0, 1.0, grid_size)
     return grid if problem is None else np.union1d(grid, _families(problem.n))
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _prepared_grid(grid_size: int, n: int, tight: bool) -> _Grid:
+    """:func:`oracle_grid` prepared for the exchange at degree n, with the
+    point families if ``tight``; read-only and cached (see the module
+    docstring). The families depend on n alone, so p = 1 stands for every p."""
+    prepared = _prepare(oracle_grid(grid_size, DesignProblem(n, 1) if tight else None), n)
+    for array in prepared:
+        array.setflags(write=False)
+    return prepared
 
 
 def oracle_variance(
@@ -247,6 +295,17 @@ def oracle_variance(
     (the point families of degree n) and the LP reproduces the continuous
     optimum up to LP tolerance; without, the result is an upper bound that
     tightens with the grid. Neither path calls the solver.
+
+    The result is bit for bit ``elfving_lp(problem, grid).variance`` with
+    ``grid = oracle_grid(grid_size, problem)`` if ``include_solver_support``
+    and ``oracle_grid(grid_size)`` otherwise. That grid, sorted and with the
+    exchange's start found on it, is built once per key (grid_size, n,
+    include_solver_support) and cached, at most 8 * (grid_size + 6n + 6)
+    bytes for each of the 64 most recently used keys (see the module
+    docstring), so a repeated call runs the exchange alone. ``grid_size``
+    is checked before the cache is consulted, so 2001.0 is refused even
+    once 2001 is cached.
     """
-    grid = oracle_grid(grid_size, problem if include_solver_support else None)
-    return elfving_lp(problem, grid).variance
+    _check_grid_size(grid_size)
+    grid = _prepared_grid(grid_size, problem.n, bool(include_solver_support))
+    return _exchange(problem, grid).variance

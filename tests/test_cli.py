@@ -337,7 +337,7 @@ def _moved_support_file(tmp_path):
     return path
 
 
-def test_verify_peak_between_grid_points_exits_1(tmp_path):
+def test_verify_peak_between_support_points_exits_1(tmp_path):
     # exit 0 while verify sampled condition (1) on a grid of 10001 points
     path = _moved_support_file(tmp_path)
     code, report = run_cli(["verify", "--file", str(path), "--degree", "30", "--coef", "29"])

@@ -182,6 +182,57 @@ def test_oracle_variance_validates_grid_size():
         oracle_variance(DesignProblem(5, 1), grid_size=1)
 
 
+def test_grid_size_is_checked_before_the_grid_cache():
+    # lru_cache takes 2001.0 and True for the keys 2001 and 1
+    problem = DesignProblem(3, 1)
+    oracle_variance(problem, 2001)
+    for size in (2001.0, np.float64(2001), True):
+        with pytest.raises(ValueError, match="given as an integer"):
+            oracle_variance(problem, size)
+
+
+@pytest.mark.parametrize("tight", [False, True])
+def test_cached_oracle_variance_is_elfving_lp_bit_for_bit(tight):
+    for n in range(1, 11):
+        for p in range(1, n + 1):
+            problem = DesignProblem(n, p)
+            expected = elfving_lp(problem, oracle_grid(2001, problem if tight else None)).variance
+            polydesign.oracle._prepared_grid.cache_clear()
+            cold = oracle_variance(problem, 2001, include_solver_support=tight)
+            warm = oracle_variance(problem, 2001, include_solver_support=tight)
+            assert cold == warm == expected, (n, p)
+
+
+def test_cached_grid_is_read_only_and_within_its_byte_bound():
+    for n in (1, 2, 9, 30):
+        for tight in (False, True):
+            grid = polydesign.oracle._prepared_grid(2001, n, tight)
+            assert sum(array.nbytes for array in grid) <= 8 * (2001 + 6 * n + 6), (n, tight)
+            for array in grid:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+
+def test_grid_cache_stays_bounded():
+    for n in range(1, 41):
+        for tight in (False, True):
+            oracle_variance(DesignProblem(n, 1), 301, include_solver_support=tight)
+    info = polydesign.oracle._prepared_grid.cache_info()
+    assert info.currsize <= info.maxsize == polydesign.oracle._GRID_CACHE_SIZE == 64
+
+
+def test_converged_exchange_skips_the_peak_search(monkeypatch):
+    # on grid 10001 the first LP is optimal, so no level is above the bound
+    def refuse(level):
+        raise AssertionError("_peaks called on a converged step")
+
+    monkeypatch.setattr(polydesign.oracle, "_peaks", refuse)
+    problem = DesignProblem(8, 4)
+    assert elfving_lp(problem, oracle_grid(10001)).iterations == 1
+    assert oracle_variance(problem, 10001) > 0.0
+
+
 # even p with odd n: the optimal dual is not unique, the exchange's hard case
 DEGENERATE = [(3, 2), (5, 2), (5, 4), (7, 2), (7, 4), (7, 6)]
 
