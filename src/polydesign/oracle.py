@@ -46,11 +46,17 @@ start's indices, at most 8 * (grid_size + 6n + 6) bytes (81 kB at grid
 evaluates on each call. The cached arrays are read-only, and
 ``oracle_variance`` returns ``elfving_lp``'s variance bit for bit.
 
-SciPy, whose HiGHS solver runs the LPs, is imported on the first call of
-:func:`elfving_lp` only; the rest of the library needs numpy alone, and
-importing SciPy would triple its start-up time. So is :mod:`logging`, for
-the exchange's debug records: ``scipy.optimize`` loads it anyway, while at
-the top of this module it would add about 5 ms to ``import polydesign``.
+The LPs run on HiGHS through the bindings SciPy bundles with it
+(``scipy.optimize._highspy``, SciPy 1.15 and later): :func:`_solve_lp`
+hands HiGHS the model and options ``scipy.optimize.linprog`` would, and
+reads back its solution bit for bit, but skips linprog's checks of its
+inputs, options and result, which took about 70% of each LP (1.13 ms
+against 0.34 ms for the 30-point LP at (8, 3) on grid 10001, 2 cores).
+SciPy is imported on the first LP only; the rest of the library needs
+numpy alone, and importing SciPy would triple its start-up time. So is
+:mod:`logging`, for the exchange's debug records: ``scipy.optimize`` loads
+it anyway, while at the top of this module it would add about 5 ms to
+``import polydesign``.
 """
 
 from __future__ import annotations
@@ -83,6 +89,27 @@ _GRID_CACHE_SIZE = 64
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
+}
+
+#: the options SciPy's ``linprog`` sets on every HiGHS LP: presolve on,
+#: dual simplex (SimplexStrategy.kSimplexStrategyDual = 1), debug level 0
+#: (kHighsDebugLevelNone), no output
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": 1,
+    "highs_debug_level": 0,
+    "output_flag": False,
+    "log_to_console": False,
+}
+
+#: linprog's status for a HiGHS model status; every other status reads 4
+_LINPROG_STATUS = {
+    "kOptimal": 0,
+    "kTimeLimit": 1,
+    "kIterationLimit": 1,
+    "kModelError": 2,
+    "kInfeasible": 2,
+    "kUnbounded": 3,
 }
 
 
@@ -162,9 +189,11 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     HiGHS failure, a d_p beyond the double range (p > 1024) and
     ``MAX_EXCHANGES`` steps without convergence. On very sparse grids the
     optimal v can be so large (|v| ~ 2e5 on 31 points at n = 29) that the
-    rounding of v . g exceeds ``_LP_OPTIONS``' 1e-10; when HiGHS reports
-    such numerical difficulties the LP is solved once more at its default
-    tolerances (1e-7), a retry that grid 10001 never needs.
+    rounding of v . g exceeds ``_LP_OPTIONS``' 1e-10. When HiGHS then ends
+    with a model status that is not optimal, a limit, infeasible or
+    unbounded (linprog's status 4; "Unknown" on 31 points at (29, 7)), the
+    LP is solved once more at HiGHS's default tolerances (1e-7) and a DEBUG
+    record names the status. Grid 10001 never needs that retry.
     """
     return _exchange(problem, _prepare(grid, problem.n))
 
@@ -193,6 +222,59 @@ def _prepare(grid, n: int) -> _Grid:
     return _Grid(g, np.union1d(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int), nearest))
 
 
+class _LPSolution(NamedTuple):
+    status: int  # linprog's: 0 optimal, 1 limit, 2 infeasible, 3 unbounded, 4 difficulties
+    message: str
+    x: np.ndarray | None  # the optimal v, None unless status is 0
+    marginals: np.ndarray | None  # one per row of [rows; -rows], None unless status is 0
+
+
+def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
+    """``minimize cost . v s.t. |rows @ v| <= 1``, v free, on SciPy's HiGHS.
+
+    This is the model SciPy's ``linprog`` passes to HiGHS for ``cost``,
+    ``A_ub=[rows; -rows]``, ``b_ub=1``, ``bounds=(None, None)``,
+    ``method="highs"`` and ``options``: the nonzeros of [rows; -rows] by
+    column, rows bounded by (-inf, 1], free columns, and linprog's
+    ``_HIGHS_OPTIONS`` with ``options`` on top, on a fresh solver. So ``x``
+    and ``marginals`` are linprog's ``x`` and ``ineqlin.marginals`` bit for
+    bit. ``status`` maps HiGHS's model status as linprog does. linprog also
+    reads an optimum whose rows exceed 1 by more than 3.2e-4 as 4; no such
+    check is made here, as the exchange evaluates |v . g| on the whole grid
+    itself.
+    """
+    from scipy.optimize._highspy import _core as highs  # see the module docstring
+
+    a = np.hstack([rows.T, -rows.T])  # row j is column j of [rows; -rows]
+    nonzero = a != 0.0
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[0]
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[1]
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.full(a.shape[0], -highs.kHighsInf)
+    lp.col_upper_ = np.full(a.shape[0], highs.kHighsInf)
+    lp.row_lower_ = np.full(a.shape[1], -highs.kHighsInf)
+    lp.row_upper_ = np.ones(a.shape[1])
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
+    lp.a_matrix_.value_ = a[nonzero]
+    solver = highs._Highs()
+    for key, value in {**_HIGHS_OPTIONS, **options}.items():
+        solver.setOptionValue(key, value)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        model_status = highs.HighsModelStatus.kModelError
+    else:
+        solver.run()
+        model_status = solver.getModelStatus()
+    status = _LINPROG_STATUS.get(model_status.name, 4)
+    message = f"{solver.modelStatusToString(model_status)} (HiGHS model status {int(model_status)})"
+    if status != 0:
+        return _LPSolution(status, message, None, None)
+    solution = solver.getSolution()
+    return _LPSolution(status, message, np.array(solution.col_value), np.array(solution.row_dual))
+
+
 def _exchange(problem: DesignProblem, grid: _Grid) -> OracleResult:
     """The exchange of :func:`elfving_lp` on a prepared grid."""
     g, active = grid
@@ -203,7 +285,6 @@ def _exchange(problem: DesignProblem, grid: _Grid) -> OracleResult:
     except NumericalDegeneracyError as exc:  # from p = 1025 on
         raise OracleFailureError(str(exc)) from exc
     import logging  # imported here, as SciPy is: see the module docstring
-    from scipy.optimize import linprog
 
     log = logging.getLogger(__name__)
 
@@ -211,14 +292,14 @@ def _exchange(problem: DesignProblem, grid: _Grid) -> OracleResult:
     off_parity = np.arange(1, n + 1) % 2 != p % 2
     for iteration in range(1, MAX_EXCHANGES + 1):
         rows = basis[:, active].T
-        lp = {"A_ub": np.vstack([rows, -rows]), "b_ub": np.ones(2 * active.size),
-              "bounds": (None, None), "method": "highs"}
-        res = linprog(cost, **lp, options=_LP_OPTIONS)
+        res = _solve_lp(cost, rows, _LP_OPTIONS)
         if res.status == 4:  # numerical difficulties, see the docstring
-            res = linprog(cost, **lp)
-        if not res.success:  # an unbounded v means e_p is not representable
+            log.debug("LP of exchange step %d re-solved at HiGHS's default tolerances: %s",
+                      iteration, res.message)
+            res = _solve_lp(cost, rows, {})
+        if res.status != 0:  # an unbounded v means e_p is not representable
             raise OracleFailureError(f"LP did not terminate with an optimum: {res.message}")
-        v = np.asarray(res.x, dtype=float)
+        v = res.x
         candidates = np.stack([v, np.where(off_parity, 0.0, v)])
         level = np.abs(candidates @ basis)
         over = level > 1.0 + EXCHANGE_TOL
@@ -241,7 +322,7 @@ def _exchange(problem: DesignProblem, grid: _Grid) -> OracleResult:
         raise OracleFailureError(f"exchange did not converge in {MAX_EXCHANGES} steps")
 
     u_p = float(d @ dual)
-    marginals = np.abs(np.asarray(res.ineqlin.marginals, dtype=float))
+    marginals = np.abs(res.marginals)
     mass = marginals[: active.size] + marginals[active.size :]
     mass = mass / mass.sum()
     keep = mass > WEIGHT_CUTOFF

@@ -314,17 +314,38 @@ def test_criterion_4_lp_count(criterion_4_exchanges):
     assert sum(criterion_4_exchanges.values()) == 72
 
 
-def _recording_linprog(monkeypatch):
-    """The status of every LP HiGHS solves, in order."""
-    statuses = []
+def _recording_lps(monkeypatch):
+    """(cost, rows, options, result) of every LP HiGHS solves, in order."""
+    calls = []
+    solve_lp = polydesign.oracle._solve_lp
 
-    def recording(*args, **kwargs):
-        res = linprog(*args, **kwargs)
-        statuses.append(res.status)
+    def recording(cost, rows, options):
+        res = solve_lp(cost, rows, options)
+        calls.append((cost, rows, options, res))
         return res
 
-    monkeypatch.setattr("scipy.optimize.linprog", recording)
-    return statuses
+    monkeypatch.setattr(polydesign.oracle, "_solve_lp", recording)
+    return calls
+
+
+def _statuses(calls):
+    return [res.status for *_, res in calls]
+
+
+def _assert_solve_lp_is_linprog(calls):
+    # linprog(method="highs") on the same model: status, x and inequality
+    # marginals bit for bit
+    for cost, rows, options, res in calls:
+        ref = linprog(cost, A_ub=np.vstack([rows, -rows]), b_ub=np.ones(2 * rows.shape[0]),
+                      bounds=(None, None), method="highs", options=options)
+        assert res.status == ref.status, res.message
+        if ref.status != 0:
+            assert res.x is None and res.marginals is None
+            continue
+        assert res.x.dtype == res.marginals.dtype == np.float64
+        np.testing.assert_array_equal(res.x.view(np.int64), ref.x.view(np.int64))
+        np.testing.assert_array_equal(res.marginals.view(np.int64),
+                                      ref.ineqlin.marginals.view(np.int64))
 
 
 def _grid_excess(lp, grid, tol):
@@ -339,28 +360,76 @@ def test_sparse_uniform_grids_stay_solvable(monkeypatch):
     # HiGHS cannot reach the 1e-10 tolerances and the LP is solved again at
     # its defaults. On many of these grids the dual exceeds 1 + EXCHANGE_TOL
     # (by up to 1.8e-8 at (30, 8), with no retry), never the bound that
-    # OracleResult states
-    statuses = _recording_linprog(monkeypatch)
+    # OracleResult states. Each LP, the retry included, is linprog's bit for
+    # bit
+    calls = _recording_lps(monkeypatch)
+    retried = []
     for n in range(1, 31):
         for p in range(1, n + 1):
             problem = DesignProblem(n, p)
             grid = np.linspace(-1.0, 1.0, n + 2)
-            statuses.clear()
+            calls.clear()
             lp = elfving_lp(problem, grid)
             assert lp.variance >= solve(problem).variance * (1.0 - 1e-9), (n, p)
-            excess, bound = _grid_excess(lp, grid, 1e-7 if 4 in statuses else 1e-10)
+            retry = 4 in _statuses(calls)
+            if retry:
+                retried.append((n, p))
+            excess, bound = _grid_excess(lp, grid, 1e-7 if retry else 1e-10)
             assert excess <= bound, (n, p)
+            _assert_solve_lp_is_linprog(calls)
+    assert (29, 7) in retried
 
 
 def test_grid_bound_at_29_7(monkeypatch):
-    # on 31 uniform points HiGHS reports numerical difficulties (status 4,
-    # SciPy 1.17) and the LP is solved again at its defaults; the dual then
-    # exceeds 1 + EXCHANGE_TOL by 1.6e-9, within the stated bound
-    statuses = _recording_linprog(monkeypatch)
+    # on 31 uniform points HiGHS ends the LP at the 1e-10 tolerances with a
+    # model status linprog reads as numerical difficulties (its status 4),
+    # and the LP is solved again at HiGHS's defaults; the dual then exceeds
+    # 1 + EXCHANGE_TOL by 1.6e-9, within the stated bound
+    calls = _recording_lps(monkeypatch)
     grid = np.linspace(-1.0, 1.0, 31)
     lp = elfving_lp(DesignProblem(29, 7), grid)
-    excess, bound = _grid_excess(lp, grid, 1e-7 if 4 in statuses else 1e-10)
+    assert _statuses(calls) == [4, 0]
+    excess, bound = _grid_excess(lp, grid, 1e-7)
     assert excess <= bound
+
+
+def test_retry_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="polydesign.oracle")
+    elfving_lp(DesignProblem(29, 7), np.linspace(-1.0, 1.0, 31))
+    messages = [r.getMessage() for r in caplog.records if r.name == "polydesign.oracle"]
+    assert len(messages) == 2
+    assert messages[0].startswith("LP of exchange step 1 re-solved at HiGHS's default tolerances: ")
+    assert "(HiGHS model status " in messages[0]
+    assert messages[1].startswith("exchange step 1: 31 active points, 0 new")
+
+
+def test_solve_lp_matches_linprog_on_criterion_4(monkeypatch):
+    calls = _recording_lps(monkeypatch)
+    for n in range(1, 9):
+        for p in range(1, n + 1):
+            problem = DesignProblem(n, p)
+            for tight in (True, False):
+                elfving_lp(problem, oracle_grid(10001, problem if tight else None))
+    assert len(calls) == 72
+    _assert_solve_lp_is_linprog(calls)
+
+
+def test_solve_lp_and_linprog_both_fail_on_an_unrepresentable_target(monkeypatch):
+    calls = _recording_lps(monkeypatch)
+    with pytest.raises(OracleFailureError, match="Unbounded"):
+        elfving_lp(DesignProblem(3, 3), [-1.0, 0.0, 1.0])
+    assert _statuses(calls) == [3]
+    _assert_solve_lp_is_linprog(calls)
+
+
+def test_no_oracle_path_calls_linprog(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called linprog")
+
+    monkeypatch.setattr("scipy.optimize.linprog", refuse)
+    problem = DesignProblem(9, 5)
+    assert elfving_lp(problem, oracle_grid(2001)).variance > 0.0
+    assert oracle_variance(problem, 2001) > 0.0
 
 
 def test_sparse_grid_design_is_scored_near_the_lp_variance():
