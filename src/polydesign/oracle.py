@@ -52,16 +52,23 @@ hands HiGHS the model and options ``scipy.optimize.linprog`` would, and
 reads back its solution bit for bit, but skips linprog's checks of its
 inputs, options and result, which took about 70% of each LP (1.13 ms
 against 0.34 ms for the 30-point LP at (8, 3) on grid 10001, 2 cores).
-SciPy is imported on the first LP only; the rest of the library needs
-numpy alone, and importing SciPy would triple its start-up time. So is
-:mod:`logging`, for the exchange's debug records: ``scipy.optimize`` loads
-it anyway, while at the top of this module it would add about 5 ms to
-``import polydesign``.
+Each thread keeps one solver, a ``_Highs`` made on its first LP, in a
+:class:`threading.local`, so threads share no solver and take no lock.
+Before each LP, ``clear()`` resets the solver's model, solution and
+options to a new solver's (``clearSolver()`` would keep the options, and a
+retry's default tolerances would leak into the next LP), and the model is
+passed as arrays through ``passModel``'s array overload rather than built
+field by field as a ``HighsLp``. SciPy is imported on the first LP only;
+the rest of the library needs numpy alone, and importing SciPy would
+triple its start-up time. So is :mod:`logging`, for the exchange's debug
+records: ``scipy.optimize`` loads it anyway, while at the top of this
+module it would add about 5 ms to ``import polydesign``.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -85,6 +92,9 @@ EXCHANGE_TOL = 1e-10
 MAX_EXCHANGES = 100
 
 _GRID_CACHE_SIZE = 64
+
+#: ``solver``: the thread's HiGHS solver, made on its first LP
+_THREAD = threading.local()
 
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -129,8 +139,9 @@ class OracleResult:
     after a retry) plus 2e-13 * sum_i |dual_i|, which covers the rounding
     of dual . g. On grid 2001 the excess stays below 3e-12 for every
     n <= 30; on the 31-point uniform grid at (29, 7), where |dual| reaches
-    2.3e5 and the LP is retried, it is 1.6e-9. ``iterations`` counts the LPs the exchange
-    solved and ``active_size`` the grid points in the final one.
+    2.3e5 and the LP is retried, it is 1.6e-9. ``iterations`` counts the
+    LPs the exchange solved and ``active_size`` the grid points in the
+    final one.
 
     ``design`` holds the final LP's marginals above ``WEIGHT_CUTOFF``.
     ``variance`` is the result and the design its witness, as accurate as
@@ -178,6 +189,9 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     marginals are an optimal design, from which the design is read. Each
     step logs one DEBUG record to this module's logger: the step, the
     active-set size, the number of new points and which of v, v_sym stood.
+    New points are those that join the active set for the next LP, so the
+    count is 0 on the last step, and the counts over all steps add up to
+    ``active_size`` minus the start's size.
 
     Dropping grid constraints can only raise the objective, so the reported
     variance (d_p . v)**2 is never below the grid optimum (beyond HiGHS's
@@ -195,7 +209,21 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     LP is solved once more at HiGHS's default tolerances (1e-7) and a DEBUG
     record names the status. Grid 10001 never needs that retry.
     """
-    return _exchange(problem, _prepare(grid, problem.n))
+    grid = _prepare(grid, problem.n)
+    optimum = _exchange(problem, grid)
+    k = optimum.active.size
+    marginals = np.abs(optimum.marginals)
+    mass = marginals[:k] + marginals[k:]
+    mass = mass / mass.sum()
+    keep = mass > WEIGHT_CUTOFF
+    weights = mass[keep]
+    return OracleResult(
+        variance=optimum.variance,
+        design=Design(grid.points[optimum.active[keep]], weights / weights.sum()),
+        dual=optimum.dual,
+        iterations=optimum.iterations,
+        active_size=int(k),
+    )
 
 
 class _Grid(NamedTuple):
@@ -236,8 +264,10 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
     ``A_ub=[rows; -rows]``, ``b_ub=1``, ``bounds=(None, None)``,
     ``method="highs"`` and ``options``: the nonzeros of [rows; -rows] by
     column, rows bounded by (-inf, 1], free columns, and linprog's
-    ``_HIGHS_OPTIONS`` with ``options`` on top, on a fresh solver. So ``x``
-    and ``marginals`` are linprog's ``x`` and ``ineqlin.marginals`` bit for
+    ``_HIGHS_OPTIONS`` with ``options`` on top. It runs on this thread's
+    solver, which ``clear()`` returns to a new solver's state, options
+    included, before the model is passed as arrays. So ``x`` and
+    ``marginals`` are linprog's ``x`` and ``ineqlin.marginals`` bit for
     bit. ``status`` maps HiGHS's model status as linprog does. linprog also
     reads an optimum whose rows exceed 1 by more than 3.2e-4 as 4; no such
     check is made here, as the exchange evaluates |v . g| on the whole grid
@@ -245,24 +275,27 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
     """
     from scipy.optimize._highspy import _core as highs  # see the module docstring
 
-    a = np.hstack([rows.T, -rows.T])  # row j is column j of [rows; -rows]
-    nonzero = a != 0.0
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[0]
-    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[1]
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.full(a.shape[0], -highs.kHighsInf)
-    lp.col_upper_ = np.full(a.shape[0], highs.kHighsInf)
-    lp.row_lower_ = np.full(a.shape[1], -highs.kHighsInf)
-    lp.row_upper_ = np.ones(a.shape[1])
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
-    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
-    lp.a_matrix_.value_ = a[nonzero]
-    solver = highs._Highs()
+    solver = getattr(_THREAD, "solver", None)
+    if solver is None:
+        solver = _THREAD.solver = highs._Highs()
+    solver.clear()  # the model, the solution and the options
     for key, value in {**_HIGHS_OPTIONS, **options}.items():
         solver.setOptionValue(key, value)
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    a = np.hstack([rows.T, -rows.T])  # row j is column j of [rows; -rows]
+    nonzero = a != 0.0
+    num_col, num_row = a.shape
+    start = np.zeros(num_col, dtype=np.int32)  # each column's first nonzero
+    np.cumsum(nonzero[:-1].sum(axis=1), out=start[1:])
+    index = np.nonzero(nonzero)[1].astype(np.int32)
+    status = solver.passModel(
+        num_col, num_row, index.size,
+        int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,  # no offset
+        cost, np.full(num_col, -highs.kHighsInf), np.full(num_col, highs.kHighsInf),
+        np.full(num_row, -highs.kHighsInf), np.ones(num_row),
+        start, index, a[nonzero],
+        np.zeros(num_col, dtype=np.int32),  # all continuous; an empty array is an error
+    )
+    if status == highs.HighsStatus.kError:
         model_status = highs.HighsModelStatus.kModelError
     else:
         solver.run()
@@ -275,8 +308,18 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
     return _LPSolution(status, message, np.array(solution.col_value), np.array(solution.row_dual))
 
 
-def _exchange(problem: DesignProblem, grid: _Grid) -> OracleResult:
-    """The exchange of :func:`elfving_lp` on a prepared grid."""
+class _Optimum(NamedTuple):
+    variance: float
+    dual: np.ndarray
+    active: np.ndarray  # grid indices of the final LP's points, sorted
+    marginals: np.ndarray  # the final LP's, one per row of [rows; -rows]
+    iterations: int
+
+
+def _exchange(problem: DesignProblem, grid: _Grid) -> _Optimum:
+    """The exchange of :func:`elfving_lp` on a prepared grid. It returns
+    the final LP's marginals, and :func:`elfving_lp` alone reads the design
+    from them; :func:`oracle_variance` needs the variance only."""
     g, active = grid
     n, p = problem.n, problem.p
     basis = intercept_free_vander(g, n).T  # n x J, column j is g(x_j)
@@ -300,21 +343,27 @@ def _exchange(problem: DesignProblem, grid: _Grid) -> OracleResult:
         if res.status != 0:  # an unbounded v means e_p is not representable
             raise OracleFailureError(f"LP did not terminate with an optimum: {res.message}")
         v = res.x
+        # both rows in one product: v @ basis alone rounds differently and
+        # can change which candidate stands
         candidates = np.stack([v, np.where(off_parity, 0.0, v)])
         level = np.abs(candidates @ basis)
         over = level > 1.0 + EXCHANGE_TOL
         if over.any():  # on a converged step no level is above the bound
             over &= _peaks(level)
         feasible = ~over.any(axis=1)
-        new = np.setdiff1d(np.flatnonzero(over.any(axis=0)), active)
+        if feasible.any():
+            new = active[:0]
+        else:
+            new = np.setdiff1d(np.flatnonzero(over.any(axis=0)), active)
         log.debug(
             "exchange step %d: %d active points, %d new, stood: %s",
             iteration, active.size, new.size,
             "v" if feasible[0] else "v_sym" if feasible[1] else "neither",
         )
-        # with no new point, v exceeds the bound only at active points, by
-        # HiGHS's feasibility tolerance, and stands as the optimum
-        if feasible.any() or new.size == 0:
+        # when neither stood and no point is new, v exceeds the bound only at
+        # active points, by HiGHS's feasibility tolerance, and stands as the
+        # optimum
+        if new.size == 0:
             dual = candidates[int(feasible.argmax())]
             break
         active = np.union1d(active, new)
@@ -322,18 +371,7 @@ def _exchange(problem: DesignProblem, grid: _Grid) -> OracleResult:
         raise OracleFailureError(f"exchange did not converge in {MAX_EXCHANGES} steps")
 
     u_p = float(d @ dual)
-    marginals = np.abs(res.marginals)
-    mass = marginals[: active.size] + marginals[active.size :]
-    mass = mass / mass.sum()
-    keep = mass > WEIGHT_CUTOFF
-    weights = mass[keep]
-    return OracleResult(
-        variance=u_p * u_p,
-        design=Design(g[active[keep]], weights / weights.sum()),
-        dual=dual,
-        iterations=iteration,
-        active_size=int(active.size),
-    )
+    return _Optimum(u_p * u_p, dual, active, res.marginals, iteration)
 
 
 def _families(n: int) -> np.ndarray:

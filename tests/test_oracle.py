@@ -1,6 +1,10 @@
 import ast
 import logging
 import math
+import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +332,15 @@ def _recording_lps(monkeypatch):
     return calls
 
 
+def _criterion_4_calls():
+    # acceptance criterion 4's 72 LPs through elfving_lp
+    for n in range(1, 9):
+        for p in range(1, n + 1):
+            problem = DesignProblem(n, p)
+            for tight in (True, False):
+                elfving_lp(problem, oracle_grid(10001, problem if tight else None))
+
+
 def _statuses(calls):
     return [res.status for *_, res in calls]
 
@@ -405,11 +418,7 @@ def test_retry_is_logged(caplog):
 
 def test_solve_lp_matches_linprog_on_criterion_4(monkeypatch):
     calls = _recording_lps(monkeypatch)
-    for n in range(1, 9):
-        for p in range(1, n + 1):
-            problem = DesignProblem(n, p)
-            for tight in (True, False):
-                elfving_lp(problem, oracle_grid(10001, problem if tight else None))
+    _criterion_4_calls()
     assert len(calls) == 72
     _assert_solve_lp_is_linprog(calls)
 
@@ -430,6 +439,62 @@ def test_no_oracle_path_calls_linprog(monkeypatch):
     problem = DesignProblem(9, 5)
     assert elfving_lp(problem, oracle_grid(2001)).variance > 0.0
     assert oracle_variance(problem, 2001) > 0.0
+
+
+def test_retry_tolerances_do_not_leak(monkeypatch):
+    # the retry at (29, 7) runs at HiGHS's defaults; the next LP on the same
+    # thread, and so on the same solver, runs at _LP_OPTIONS' 1e-10 again
+    calls = _recording_lps(monkeypatch)
+    elfving_lp(DesignProblem(29, 7), np.linspace(-1.0, 1.0, 31))
+    assert _statuses(calls) == [4, 0]
+    elfving_lp(DesignProblem(8, 3), oracle_grid(10001))
+    assert _statuses(calls) == [4, 0, 0]
+    _assert_solve_lp_is_linprog(calls)
+
+
+def test_each_thread_makes_one_solver(monkeypatch):
+    # criterion 4's 72 LPs make no solver on a thread that has solved an LP
+    # and one on a thread that has not
+    from scipy.optimize._highspy import _core
+
+    elfving_lp(DesignProblem(1, 1), [-1.0, 0.0, 1.0])
+    made = []
+    highs = _core._Highs
+
+    def counting():
+        made.append(highs())
+        return made[-1]
+
+    monkeypatch.setattr(_core, "_Highs", counting)
+    calls = _recording_lps(monkeypatch)
+    _criterion_4_calls()
+    assert len(calls) == 72
+    assert made == []
+    worker = threading.Thread(target=_criterion_4_calls)
+    worker.start()
+    worker.join(timeout=60.0)
+    assert not worker.is_alive()
+    assert len(calls) == 144
+    assert len(made) == 1
+
+
+def test_threads_match_sequential_bit_for_bit():
+    # every thread solves on its own solver: four workers on two cores, with
+    # the interpreter switching threads often, give the sequential results
+    keys = [(DesignProblem(n, p), tight)
+            for n in range(1, 13) for p in range(1, n + 1) for tight in (False, True)]
+    sequential = [oracle_variance(problem, 2001, tight) for problem, tight in keys]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(oracle_variance, problem, 2001, tight)
+                       for problem, tight in keys]
+            threaded = [future.result(timeout=60.0) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(np.array(threaded).view(np.int64),
+                                  np.array(sequential).view(np.int64))
 
 
 def test_sparse_grid_design_is_scored_near_the_lp_variance():
@@ -474,6 +539,23 @@ def test_exchange_logs_each_step(caplog):
     last = f"exchange step {lp.iterations}: {lp.active_size} active points, 0 new"
     assert messages[-1].startswith(last)
     assert logging.getLogger("polydesign.oracle").handlers == []
+
+
+@pytest.mark.parametrize("n, p, grid", [
+    # five LPs, as above
+    (7, 4, np.concatenate([[-1.0, 1.0], np.random.default_rng(0).uniform(-1.0, 1.0, 3000)])),
+    # one LP, where v_sym stands while v has two violating peaks
+    (5, 2, np.linspace(-1.0, 1.0, 101)),
+])
+def test_logged_new_points_join_the_active_set(caplog, n, p, grid):
+    caplog.set_level(logging.DEBUG, logger="polydesign.oracle")
+    lp = elfving_lp(DesignProblem(n, p), grid)
+    messages = [r.getMessage() for r in caplog.records if r.name == "polydesign.oracle"]
+    new = [int(re.search(r", (\d+) new, ", m).group(1)) for m in messages]
+    start = polydesign.oracle._prepare(grid, n).start.size
+    assert len(new) == lp.iterations
+    assert sum(new) == lp.active_size - start
+    assert new[-1] == 0
 
 
 def _assert_oracle_agreement(n):
