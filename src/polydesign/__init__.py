@@ -5,7 +5,7 @@ The library computes, in closed form, the probability measure minimizing
 the variance of the least-squares estimate of one coefficient of the model
 y = theta_1 x + ... + theta_n x**n, certifies optimality independently via
 an equioscillating certificate polynomial, and cross-checks the optimal
-variance against a linear-programming oracle on a discretized design space.
+variance against a linear-programming oracle over [-1, 1] or a grid on it.
 
 >>> from polydesign import DesignProblem, solve
 >>> result = solve(DesignProblem(n=3, p=3))
@@ -34,7 +34,7 @@ from .errors import (
     OracleFailureError,
     PolydesignError,
 )
-from .oracle import OracleResult, elfving_lp, oracle_grid, oracle_variance
+from .oracle import OracleResult, elfving_lp, oracle_variance
 from .points import s_points, t_points
 from .polynomial import Polynomial, coefficient, e_polynomial
 from .solver import OptimalResult, certificate_for, classify, solve
@@ -55,7 +55,6 @@ __all__ = [
     "e_polynomial",
     "elfving_lp",
     "information_matrix",
-    "oracle_grid",
     "oracle_variance",
     "parse_design_file",
     "parse_document",

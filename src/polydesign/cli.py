@@ -154,7 +154,7 @@ def cmd_oracle(args, out) -> int:
     rel = abs(gap) / result.variance
     print(f"degree:          {problem.n}", file=out)
     print(f"coef:            {problem.p}", file=out)
-    print(f"grid:            {args.grid}", file=out)
+    print(f"grid:            {'[-1, 1]' if args.include_support else args.grid}", file=out)
     print(f"include_support: {str(args.include_support).lower()}", file=out)
     print(f"oracle variance: {_fmt(variance)}", file=out)
     print(f"solver variance: {_fmt(result.variance)}", file=out)
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--coef", type=int, required=True)
     p_oracle.add_argument("--grid", type=int, default=ORACLE_GRID_SIZE)
     p_oracle.add_argument("--include-support", action="store_true",
-                          help="add the point families (every optimal support) to the grid")
+                          help="search all of [-1, 1]; --grid is then only validated")
 
     p_examples = sub.add_parser("examples", help="recompute the reference tables")
     p_examples.add_argument("--format", choices=("table", "csv"), default="table")

@@ -1,50 +1,53 @@
-"""Brute-force optimum via a linear program over a discretized design space.
+"""Brute-force optimum via a linear program over [-1, 1] or a grid on it.
 
 The geometric dual of the certificate conditions: the optimal variance for
 coefficient p equals 1/t**2, where t is the largest scaling such that
 t * e_p lies in the convex hull of {+-f(x) : x in the design space}. By LP
 duality 1/t is the optimum of a program in n free variables u,
 
-    maximize u_p   s.t.   |u . f(x_j)| <= 1   for every grid point x_j,
+    maximize u_p   s.t.   |u . f(x)| <= 1   for every x in the design space,
 
 whose optimal u is a certificate vector and whose constraint marginals are
-the optimal design's masses. Monomial columns f(x_j) are too ill
+the optimal design's masses. Monomial columns f(x) are too ill
 conditioned for HiGHS beyond n = 10, so the program runs in the basis
 g_j = T_j - T_j(0), j = 1..n, which spans the same space: g(x) = A f(x)
 with A[j, q] the coefficient of x**q in T_j, so with u = A^T v it reads
 
-    maximize d_p . v   s.t.   |v . g(x_j)| <= 1,   d_p = A e_p.
+    maximize d_p . v   s.t.   |v . g(x)| <= 1,   d_p = A e_p.
 
-The grid has thousands of points but only about n + 1 constraints are
-active, so the program is solved by exchange (the Remez exchange applied to
-Elfving's problem): solve it on a small active set of grid points, evaluate
-|v . g| on the whole grid, add every local maximum that violates the bound,
-and repeat. As Remez's exchange starts from the Chebyshev alternant, the
-first active set holds the grid points nearest the two point families,
+Only about n + 1 constraints are active, so the program is solved by
+exchange (the Remez exchange applied to Elfving's problem): solve it on a
+small active set of points, find the local maxima of |v . g| on the design
+space, add every one that violates the bound, and repeat. On a grid the
+maxima are found among the values at the grid points; on all of [-1, 1]
+they are the continuous extrema from :meth:`Polynomial.peaks`, the routine
+``verify`` checks condition (1) with. As Remez's exchange starts from the
+Chebyshev alternant, the first active set holds the two point families,
 the extrema of T_s (s the largest odd number <= n), where the optimal
 designs for odd p sit, and of E_2k (k = n // 2), where those for even p
-sit (on grid 10001 every problem with n <= 30 ends after one LP); evenly
-spaced points join them to keep the first LP bounded. Where the optimal v
-is not unique, its parity-matched part -- v with the entries of the other
-parity than p zeroed -- has the same objective and is often already
-feasible, which ends the exchange early.
+sit: on [-1, 1] the points themselves, on a grid the grid points nearest
+them, joined by evenly spaced ones to keep the first LP bounded. On
+[-1, 1] and on grid 10001 every problem with n <= 30 then ends after one
+LP. Where the optimal v is not unique, its parity-matched part -- v with
+the entries of the other parity than p zeroed -- has the same objective
+and is often already feasible, which ends the exchange early.
 
 Because grid designs are a subset of all designs, the grid optimum can only
-be larger than the continuous one; with the true support in the grid, as in
-``oracle_grid(G, problem)``, the two coincide. No path here calls the
-closed-form solver, so it is an independent numerical check.
+be larger than the continuous one. The exchange on [-1, 1] meets the
+continuous optimum up to LP tolerance from any start that keeps its first
+LP bounded: the start changes the number of LPs, not the result. No path
+here calls the closed-form solver, so it is an independent numerical check.
 
-:func:`elfving_lp` validates and sorts the grid it is given and finds the
-exchange's start on it on every call. The grid of :func:`oracle_variance`,
-``oracle_grid(grid_size)`` with or without the point families of degree n,
-and its preparation depend on (grid_size, n, include_solver_support) alone,
-so :func:`_prepared_grid` does both once per key and keeps the
-``_GRID_CACHE_SIZE`` = 64 most recently used keys, enough for both flags of
-every n <= 30 on one grid size. An entry holds the sorted points and the
-start's indices, at most 8 * (grid_size + 6n + 6) bytes (81 kB at grid
-10001, n = 30), and not the n x grid_size basis, which the exchange
-evaluates on each call. The cached arrays are read-only, and
-``oracle_variance`` returns ``elfving_lp``'s variance bit for bit.
+The grid of :func:`oracle_variance`, ``np.linspace(-1, 1, grid_size)``, and
+its preparation (validated, sorted, and the exchange's start found on it)
+depend on (grid_size, n) alone, so :func:`_prepared_grid` does both once
+per key and keeps the ``_GRID_CACHE_SIZE`` = 64 most recently used keys,
+one per degree: enough for every n <= 30 on two grid sizes. An entry holds
+the sorted points and the start, at most 8 * (grid_size + 4n + 4) bytes
+(81 kB at grid 10001, n = 30), and not the n x grid_size basis, which the
+exchange evaluates on each call. The cached arrays are read-only.
+:func:`elfving_lp` prepares the grid it is given on every call; both
+functions run the same exchange and return the same variance bit for bit.
 
 The LPs run on HiGHS through the bindings SciPy bundles with it
 (``scipy.optimize._highspy``, SciPy 1.15 and later): :func:`_solve_lp`
@@ -77,7 +80,7 @@ import numpy as np
 from .design import Design, DesignProblem
 from .errors import NumericalDegeneracyError, OracleFailureError, is_integer
 from .points import s_points, t_points
-from .polynomial import intercept_free_vander, power_coefficients
+from .polynomial import Polynomial, intercept_free_vander, power_coefficients
 
 #: uniform grid size used when none is given
 DEFAULT_GRID_SIZE = 2001
@@ -85,7 +88,7 @@ DEFAULT_GRID_SIZE = 2001
 #: weights below this threshold are dropped from the reported design
 WEIGHT_CUTOFF = 1e-10
 
-#: the exchange stops once no grid point has |v . g(x)| above 1 + this
+#: the exchange stops once no peak of |v . g(x)| is above 1 + this
 EXCHANGE_TOL = 1e-10
 
 #: exchange steps (small LPs solved) before the oracle gives up
@@ -125,14 +128,18 @@ _LINPROG_STATUS = {
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
-    """Grid-restricted optimum: variance = (d_p . dual)**2.
+    """Optimum on [-1, 1] or a grid: variance = (d_p . dual)**2.
 
     ``dual`` is the certificate vector v of the final LP in the basis
     g_j = T_j - T_j(0) of :func:`~polydesign.polynomial.intercept_free_vander`,
     the vector type of d_p and of a :class:`~polydesign.polynomial.Polynomial`'s
     coefficients, so ``Polynomial(dual)`` is the LP's certificate polynomial;
-    d_p = ``power_coefficients(n, p)``. On the grid, |dual . g(x_j)| <=
-    1 + EXCHANGE_TOL when the exchange stopped on a feasible v or v_sym.
+    d_p = ``power_coefficients(n, p)``. When the exchange stopped on a
+    feasible v or v_sym, |dual . g(x)| <= 1 + EXCHANGE_TOL at every grid
+    point x, or on [-1, 1] at every point of ``Polynomial(dual).peaks()``,
+    so there the supremum of |Polynomial(dual)| exceeds 1 + EXCHANGE_TOL by
+    the rounding of the roots of its derivative alone; max |peaks()[1]| - 1
+    is at most 7.1e-14 for n <= 30 and 1.5e-11 at n = 100.
     When it stopped because no new point violates the bound, the excess
     sits at active points and is the final LP's: at most HiGHS's primal
     feasibility tolerance (1e-10 from ``_LP_OPTIONS``, or its default 1e-7
@@ -140,8 +147,8 @@ class OracleResult:
     of dual . g. On grid 2001 the excess stays below 3e-12 for every
     n <= 30; on the 31-point uniform grid at (29, 7), where |dual| reaches
     2.3e5 and the LP is retried, it is 1.6e-9. ``iterations`` counts the
-    LPs the exchange solved and ``active_size`` the grid points in the
-    final one.
+    LPs the exchange solved and ``active_size`` the points in the final
+    one.
 
     ``design`` holds the final LP's marginals above ``WEIGHT_CUTOFF``.
     ``variance`` is the result and the design its witness, as accurate as
@@ -164,38 +171,46 @@ def _peaks(level: np.ndarray) -> np.ndarray:
     return (level >= padded[:, :-2]) & (level >= padded[:, 2:])
 
 
-def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
-    """Solve the certificate LP over the given grid by exchange.
+def elfving_lp(problem: DesignProblem, grid=None) -> OracleResult:
+    """Solve the certificate LP by exchange on ``grid``, or on all of
+    [-1, 1] if none is given.
 
     The program is solved in the basis g_j = T_j - T_j(0), j = 1..n, which
-    spans the same space as f(x) but stays well conditioned up to n = 30:
-    with u = A^T v it reads ``maximize d_p . v s.t. |v . g(x)| <= 1``, the
-    objective scaled by 1 / max|d_p|. HiGHS solves it on the active points,
-    first the grid points nearest :func:`_families`, the extrema of T_s, s
-    the largest odd number <= n, and of E_2k, k = n // 2, and 2n + 2 evenly
-    spaced ones (both ends included; a grid of 2n + 2 points or fewer
-    starts from all of them). The start depends on n alone, never on the
-    closed-form solution.
+    spans the same space as f(x) but stays well conditioned: with
+    u = A^T v it reads ``maximize d_p . v s.t. |v . g(x)| <= 1``, the
+    objective scaled by 1 / max|d_p|. On [-1, 1] the variance meets
+    ``solve``'s within 1.3e-12 relative for every p at n = 100, and within
+    2.0e-12 for p in {1, 2, 3, n // 2, n - 1, n} at n = 150 and 200.
+    HiGHS solves it on the active points. On [-1, 1] they start as the
+    points of :func:`_families`, the extrema of T_s, s the largest odd
+    number <= n, and of E_2k, k = n // 2: at least n distinct nonzero
+    points, so the first LP is bounded. On a grid they start as the grid
+    points nearest those and 2n + 2 evenly spaced ones (both ends
+    included; a grid of 2n + 2 points or fewer starts from all of them).
+    The start depends on n alone, never on the closed-form solution.
     Each LP also yields the parity candidate v_sym: v with the entries of
     parity j != p (mod 2) zeroed. g_j has the parity of j and d_p vanishes
     on those entries, so v_sym has the same objective. Where the optimal v
     is not unique (even p, odd n), HiGHS returns a vertex that violates the
-    grid while v_sym does not; without v_sym the exchange would approach
+    bound while v_sym does not; without v_sym the exchange would approach
     the optimum one LP at a time. The exchange stops as soon as v or v_sym
-    has no local maximum of |. g| on the grid above 1 + ``EXCHANGE_TOL`` and
-    reports that one, v first; otherwise the violating peaks of both join
-    the active set. A point feasible on the grid that attains the active
-    LP's optimum is optimal on the grid, so the final LP's inequality
-    marginals are an optimal design, from which the design is read. Each
-    step logs one DEBUG record to this module's logger: the step, the
-    active-set size, the number of new points and which of v, v_sym stood.
-    New points are those that join the active set for the next LP, so the
-    count is 0 on the last step, and the counts over all steps add up to
-    ``active_size`` minus the start's size.
+    has no local maximum of |. g| above 1 + ``EXCHANGE_TOL``, among the
+    grid points or, on [-1, 1], among the points of
+    ``Polynomial(c).peaks()``, searched for v_sym only if v does not
+    stand, and reports that one, v first; otherwise the violating peaks of
+    both join the active set. A point feasible on the design space that
+    attains the active LP's optimum is optimal there, so the final LP's
+    inequality marginals are an optimal design, from which the design is
+    read. Each step logs one DEBUG record to this module's logger: the
+    step, the active-set size, the number of new points and which of v,
+    v_sym stood. New points are those that join the active set for the
+    next LP, so the count is 0 on the last step, and the counts over all
+    steps add up to ``active_size`` minus the start's size.
 
-    Dropping grid constraints can only raise the objective, so the reported
-    variance (d_p . v)**2 is never below the grid optimum (beyond HiGHS's
-    tolerances) and at most about 2 * EXCHANGE_TOL relative above it.
+    Dropping constraints can only raise the objective, so the reported
+    variance (d_p . v)**2 is never below the optimum on the design space
+    (beyond HiGHS's tolerances) and at most about 2 * EXCHANGE_TOL
+    relative above it.
 
     Grids of n + 2 or more points always keep the LP bounded; sparser
     grids are accepted (the target direction may still be representable)
@@ -207,10 +222,10 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     with a model status that is not optimal, a limit, infeasible or
     unbounded (linprog's status 4; "Unknown" on 31 points at (29, 7)), the
     LP is solved once more at HiGHS's default tolerances (1e-7) and a DEBUG
-    record names the status. Grid 10001 never needs that retry.
+    record names the status. Neither [-1, 1] nor grid 10001 needs that
+    retry for n <= 30.
     """
-    grid = _prepare(grid, problem.n)
-    optimum = _exchange(problem, grid)
+    optimum = _exchange(problem, *_prepare(grid, problem.n))
     k = optimum.active.size
     marginals = np.abs(optimum.marginals)
     mass = marginals[:k] + marginals[k:]
@@ -219,7 +234,7 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
     weights = mass[keep]
     return OracleResult(
         variance=optimum.variance,
-        design=Design(grid.points[optimum.active[keep]], weights / weights.sum()),
+        design=Design(optimum.active[keep], weights / weights.sum()),
         dual=optimum.dual,
         iterations=optimum.iterations,
         active_size=int(k),
@@ -227,13 +242,18 @@ def elfving_lp(problem: DesignProblem, grid) -> OracleResult:
 
 
 class _Grid(NamedTuple):
-    points: np.ndarray  # sorted, unique, in [-1, 1], with a negative and a positive point
-    start: np.ndarray  # indices of the exchange's first active set, sorted
+    start: np.ndarray  # the exchange's first active points, sorted
+    # sorted, unique, in [-1, 1], with a negative and a positive point; None
+    # for all of [-1, 1]
+    points: np.ndarray | None
 
 
 def _prepare(grid, n: int) -> _Grid:
-    """Validate and sort ``grid`` and find the exchange's start on it, as
-    :func:`elfving_lp` describes; depends on the degree n, not on p."""
+    """Validate and sort ``grid`` and find the exchange's start on it, or
+    for ``grid`` None take the start on [-1, 1], as :func:`elfving_lp`
+    describes; depends on the degree n, not on p."""
+    if grid is None:
+        return _Grid(np.unique(_families(n)), None)
     g = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("grid points must be finite")
@@ -247,7 +267,8 @@ def _prepare(grid, n: int) -> _Grid:
     extrema = _families(n)
     right = np.searchsorted(g, extrema).clip(1, g.size - 1)
     nearest = np.where(extrema - g[right - 1] <= g[right] - extrema, right - 1, right)
-    return _Grid(g, np.union1d(np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int), nearest))
+    evenly = np.linspace(0, g.size - 1, 2 * n + 2).round().astype(int)
+    return _Grid(g[np.union1d(evenly, nearest)], g)
 
 
 class _LPSolution(NamedTuple):
@@ -258,20 +279,18 @@ class _LPSolution(NamedTuple):
 
 
 def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
-    """``minimize cost . v s.t. |rows @ v| <= 1``, v free, on SciPy's HiGHS.
+    """``minimize cost . v s.t. |rows @ v| <= 1``, v free, on this thread's
+    HiGHS solver (see the module docstring).
 
     This is the model SciPy's ``linprog`` passes to HiGHS for ``cost``,
     ``A_ub=[rows; -rows]``, ``b_ub=1``, ``bounds=(None, None)``,
     ``method="highs"`` and ``options``: the nonzeros of [rows; -rows] by
     column, rows bounded by (-inf, 1], free columns, and linprog's
-    ``_HIGHS_OPTIONS`` with ``options`` on top. It runs on this thread's
-    solver, which ``clear()`` returns to a new solver's state, options
-    included, before the model is passed as arrays. So ``x`` and
-    ``marginals`` are linprog's ``x`` and ``ineqlin.marginals`` bit for
-    bit. ``status`` maps HiGHS's model status as linprog does. linprog also
-    reads an optimum whose rows exceed 1 by more than 3.2e-4 as 4; no such
-    check is made here, as the exchange evaluates |v . g| on the whole grid
-    itself.
+    ``_HIGHS_OPTIONS`` with ``options`` on top. So ``x`` and ``marginals``
+    are linprog's ``x`` and ``ineqlin.marginals`` bit for bit. ``status``
+    maps HiGHS's model status as linprog does. linprog also reads an
+    optimum whose rows exceed 1 by more than 3.2e-4 as 4; no such check is
+    made here, as the exchange searches the design space itself.
     """
     from scipy.optimize._highspy import _core as highs  # see the module docstring
 
@@ -311,18 +330,43 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
 class _Optimum(NamedTuple):
     variance: float
     dual: np.ndarray
-    active: np.ndarray  # grid indices of the final LP's points, sorted
+    active: np.ndarray  # the final LP's points, sorted
     marginals: np.ndarray  # the final LP's, one per row of [rows; -rows]
     iterations: int
 
 
-def _exchange(problem: DesignProblem, grid: _Grid) -> _Optimum:
-    """The exchange of :func:`elfving_lp` on a prepared grid. It returns
+def _search(candidates: np.ndarray, grid: np.ndarray | None, basis: np.ndarray | None):
+    """The first candidate c with no local maximum of |c . g| above
+    1 + ``EXCHANGE_TOL``, with no points; or None, with the points of every
+    such maximum of both. On ``grid``, whose g-values are the rows of
+    ``basis``, the maxima of both candidates are found at once; on [-1, 1]
+    (``grid`` None) they are the points of ``Polynomial(c).peaks()``,
+    searched for v_sym only if v does not stand."""
+    if grid is None:
+        over = []
+        for stood, c in enumerate(candidates):
+            x, y = Polynomial(c).peaks()
+            over.append(x[np.abs(y) > 1.0 + EXCHANGE_TOL])
+            if over[-1].size == 0:
+                return stood, over[-1]
+        return None, np.concatenate(over)
+    # both rows in one product: v @ basis alone rounds differently and
+    # can change which candidate stands
+    level = np.abs(candidates @ basis.T)
+    over = level > 1.0 + EXCHANGE_TOL
+    if over.any():  # on a converged step no level is above the bound
+        over &= _peaks(level)
+    feasible = ~over.any(axis=1)
+    return (int(feasible.argmax()), grid[:0]) if feasible.any() else (None, grid[over.any(axis=0)])
+
+
+def _exchange(problem: DesignProblem, active: np.ndarray, grid: np.ndarray | None) -> _Optimum:
+    """The exchange of :func:`elfving_lp` from the sorted points ``active``,
+    on ``grid`` (sorted and unique) or on [-1, 1] if it is None. It returns
     the final LP's marginals, and :func:`elfving_lp` alone reads the design
     from them; :func:`oracle_variance` needs the variance only."""
-    g, active = grid
     n, p = problem.n, problem.p
-    basis = intercept_free_vander(g, n).T  # n x J, column j is g(x_j)
+    basis = None if grid is None else intercept_free_vander(grid, n)  # row j is g(x_j)
     try:
         d = power_coefficients(n, p)
     except NumericalDegeneracyError as exc:  # from p = 1025 on
@@ -334,7 +378,9 @@ def _exchange(problem: DesignProblem, grid: _Grid) -> _Optimum:
     cost = -d / np.abs(d).max()  # maximize d_p . v, scaled to unit size
     off_parity = np.arange(1, n + 1) % 2 != p % 2
     for iteration in range(1, MAX_EXCHANGES + 1):
-        rows = basis[:, active].T
+        # on a grid the rows are read from the basis: faster than evaluating g
+        rows = (intercept_free_vander(active, n) if grid is None
+                else basis[grid.searchsorted(active)])
         res = _solve_lp(cost, rows, _LP_OPTIONS)
         if res.status == 4:  # numerical difficulties, see the docstring
             log.debug("LP of exchange step %d re-solved at HiGHS's default tolerances: %s",
@@ -342,29 +388,16 @@ def _exchange(problem: DesignProblem, grid: _Grid) -> _Optimum:
             res = _solve_lp(cost, rows, {})
         if res.status != 0:  # an unbounded v means e_p is not representable
             raise OracleFailureError(f"LP did not terminate with an optimum: {res.message}")
-        v = res.x
-        # both rows in one product: v @ basis alone rounds differently and
-        # can change which candidate stands
-        candidates = np.stack([v, np.where(off_parity, 0.0, v)])
-        level = np.abs(candidates @ basis)
-        over = level > 1.0 + EXCHANGE_TOL
-        if over.any():  # on a converged step no level is above the bound
-            over &= _peaks(level)
-        feasible = ~over.any(axis=1)
-        if feasible.any():
-            new = active[:0]
-        else:
-            new = np.setdiff1d(np.flatnonzero(over.any(axis=0)), active)
-        log.debug(
-            "exchange step %d: %d active points, %d new, stood: %s",
-            iteration, active.size, new.size,
-            "v" if feasible[0] else "v_sym" if feasible[1] else "neither",
-        )
+        candidates = np.stack([res.x, np.where(off_parity, 0.0, res.x)])  # v and v_sym
+        stood, over = _search(candidates, grid, basis)
+        new = over if stood is not None else np.setdiff1d(over, active)
+        log.debug("exchange step %d: %d active points, %d new, stood: %s", iteration, active.size,
+                  new.size, "neither" if stood is None else ("v", "v_sym")[stood])
         # when neither stood and no point is new, v exceeds the bound only at
         # active points, by HiGHS's feasibility tolerance, and stands as the
         # optimum
         if new.size == 0:
-            dual = candidates[int(feasible.argmax())]
+            dual = candidates[stood or 0]
             break
         active = np.union1d(active, new)
     else:
@@ -380,24 +413,11 @@ def _families(n: int) -> np.ndarray:
     return np.concatenate([s_points((n + 1) // 2), t_points(max(n // 2, 1))])
 
 
-def _check_grid_size(grid_size) -> None:
-    if not is_integer(grid_size) or grid_size < 2:
-        raise ValueError(f"grid must have at least 2 points, given as an integer, got {grid_size!r}")
-
-
-def oracle_grid(grid_size: int, problem: DesignProblem | None = None) -> np.ndarray:
-    """``grid_size`` evenly spaced points on [-1, 1], with ``_families(problem.n)`` if given."""
-    _check_grid_size(grid_size)
-    grid = np.linspace(-1.0, 1.0, grid_size)
-    return grid if problem is None else np.union1d(grid, _families(problem.n))
-
-
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _prepared_grid(grid_size: int, n: int, tight: bool) -> _Grid:
-    """:func:`oracle_grid` prepared for the exchange at degree n, with the
-    point families if ``tight``; read-only and cached (see the module
-    docstring). The families depend on n alone, so p = 1 stands for every p."""
-    prepared = _prepare(oracle_grid(grid_size, DesignProblem(n, 1) if tight else None), n)
+def _prepared_grid(grid_size: int, n: int) -> _Grid:
+    """``np.linspace(-1, 1, grid_size)`` prepared for the exchange at degree
+    n, read-only and cached (see the module docstring)."""
+    prepared = _prepare(np.linspace(-1.0, 1.0, grid_size), n)
     for array in prepared:
         array.setflags(write=False)
     return prepared
@@ -408,23 +428,21 @@ def oracle_variance(
     grid_size: int = DEFAULT_GRID_SIZE,
     include_solver_support: bool = False,
 ) -> float:
-    """Grid-restricted optimal variance on :func:`oracle_grid`.
+    """Optimal variance on ``grid_size`` evenly spaced points of [-1, 1],
+    or with ``include_solver_support`` on all of [-1, 1].
 
-    With ``include_solver_support`` the grid holds every optimal support
-    (the point families of degree n) and the LP reproduces the continuous
-    optimum up to LP tolerance; without, the result is an upper bound that
-    tightens with the grid. Neither path calls the solver.
-
-    The result is bit for bit ``elfving_lp(problem, grid).variance`` with
-    ``grid = oracle_grid(grid_size, problem)`` if ``include_solver_support``
-    and ``oracle_grid(grid_size)`` otherwise. That grid, sorted and with the
-    exchange's start found on it, is built once per key (grid_size, n,
-    include_solver_support) and cached, at most 8 * (grid_size + 6n + 6)
-    bytes for each of the 64 most recently used keys (see the module
-    docstring), so a repeated call runs the exchange alone. ``grid_size``
-    is checked before the cache is consulted, so 2001.0 is refused even
-    once 2001 is cached.
+    Without ``include_solver_support`` the result is bit for bit
+    ``elfving_lp(problem, np.linspace(-1, 1, grid_size)).variance``, an
+    upper bound that tightens with the grid, on a grid prepared once per
+    (grid_size, n) and cached (see the module docstring). With it, the
+    exchange searches all of [-1, 1], which holds every optimal support,
+    and the result is bit for bit ``elfving_lp(problem).variance``, the
+    continuous optimum up to LP tolerance; ``grid_size`` is then only
+    validated. Neither path calls the solver. ``grid_size`` is checked
+    first, so 2001.0 is refused even once 2001 is cached.
     """
-    _check_grid_size(grid_size)
-    grid = _prepared_grid(grid_size, problem.n, bool(include_solver_support))
-    return _exchange(problem, grid).variance
+    if not is_integer(grid_size) or grid_size < 2:
+        raise ValueError(f"grid must have at least 2 points, given as an integer, got {grid_size!r}")
+    n = problem.n
+    grid = _prepare(None, n) if include_solver_support else _prepared_grid(grid_size, n)
+    return _exchange(problem, *grid).variance

@@ -475,6 +475,19 @@ def test_oracle_command_reports_tiny_gap():
     assert rel <= 1e-7
 
 
+def test_oracle_command_names_the_searched_grid():
+    # with --include-support the exchange searches all of [-1, 1] and --grid
+    # is only validated, so the grid line names the interval
+    argv = ["oracle", "--degree", "4", "--coef", "2", "--grid", "301"]
+    code, grid = run_cli(argv)
+    assert code == 0
+    assert "grid:            301" in grid.splitlines()
+    code, interval = run_cli([*argv, "--include-support"])
+    assert code == 0
+    assert "grid:            [-1, 1]" in interval.splitlines()
+    assert run_cli([*argv, "--include-support"])[1] == interval
+
+
 def test_examples_match_reference_tables():
     code, text = run_cli(["examples"])
     assert code == 0

@@ -19,7 +19,6 @@ from polydesign import (
     OracleFailureError,
     Polynomial,
     elfving_lp,
-    oracle_grid,
     oracle_variance,
     phi_c,
     solve,
@@ -75,13 +74,6 @@ def test_oracle_variance_rejects_non_integer_grid_size():
         oracle_variance(DesignProblem(2, 1), grid_size=2.5)
 
 
-def test_oracle_grid_rejects_a_bool_size_and_takes_numpy_integers():
-    # True passes a bare Integral check and was rejected only as a 1-point grid
-    with pytest.raises(ValueError, match="given as an integer, got True"):
-        oracle_grid(True)
-    np.testing.assert_array_equal(oracle_grid(np.int64(5)), oracle_grid(5))
-
-
 def test_lp_validates_grid():
     problem = DesignProblem(2, 1)
     with pytest.raises(ValueError):
@@ -113,7 +105,7 @@ def test_oracle_recovers_quartic_optimum():
 def test_lp_support_matches_solver_design():
     problem = DesignProblem(3, 3)
     result = solve(problem)
-    lp = elfving_lp(problem, oracle_grid(2001, problem))
+    lp = elfving_lp(problem)
     matches = [
         np.abs(lp.design.support - d.support).max() <= 1e-9
         for d in result.designs
@@ -146,9 +138,12 @@ def test_lp_dual_certificate_properties():
 
 
 def test_lp_dual_certificate_properties_degree_30():
+    # the exchange on [-1, 1]: bounded on a dense grid and at the continuous
+    # extrema of its certificate polynomial
     problem = DesignProblem(30, 15)
-    grid = oracle_grid(2001, problem)
-    _dual_checks(problem, grid, elfving_lp(problem, grid))
+    lp = elfving_lp(problem)
+    _dual_checks(problem, np.linspace(-1.0, 1.0, 2001), lp)
+    assert np.abs(Polynomial(lp.dual).peaks()[1]).max() <= 1.0 + 1e-8
 
 
 @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (4, 4), (5, 3), (6, 5)])
@@ -160,30 +155,22 @@ def test_oracle_lower_bound_property(n, p):
     assert value == pytest.approx(solver_variance, rel=1e-3)
 
 
-@pytest.mark.parametrize("n,p", [(9, 3), (9, 5)])
-def test_oracle_grid_holds_every_design_support(n, p):
-    # case C: the two mirror designs drop different extrema, the endpoints
-    # at (9, 3), which the uniform grid holds anyway, and the two central
-    # ones, which it does not, at (9, 5)
-    designs = solve(DesignProblem(n, p)).designs
-    assert len(designs) == 2
-    grid = oracle_grid(2001, DesignProblem(n, p))
-    for design in designs:
-        assert np.isin(design.support, grid).all()
-    assert np.isin(np.linspace(-1.0, 1.0, 2001), grid).all()
-    assert np.all(np.diff(grid) > 0)
-
-
-def test_oracle_grid_without_designs_is_the_uniform_grid():
-    grid = oracle_grid(2001)
+def test_prepared_grid_is_the_uniform_grid():
+    grid = polydesign.oracle._prepared_grid(2001, 3).points
     expected = np.linspace(-1.0, 1.0, 2001)
     assert grid.dtype == expected.dtype
     np.testing.assert_array_equal(grid.view(np.int64), expected.view(np.int64))
 
 
 def test_oracle_variance_validates_grid_size():
-    with pytest.raises(ValueError):
-        oracle_variance(DesignProblem(5, 1), grid_size=1)
+    problem = DesignProblem(5, 1)
+    for tight in (False, True):
+        with pytest.raises(ValueError):
+            oracle_variance(problem, grid_size=1, include_solver_support=tight)
+        # True passes a bare Integral check and was rejected only as a 1-point grid
+        with pytest.raises(ValueError, match="given as an integer, got True"):
+            oracle_variance(problem, True, tight)
+        assert oracle_variance(problem, np.int64(301), tight) == oracle_variance(problem, 301, tight)
 
 
 def test_grid_size_is_checked_before_the_grid_cache():
@@ -200,7 +187,7 @@ def test_cached_oracle_variance_is_elfving_lp_bit_for_bit(tight):
     for n in range(1, 11):
         for p in range(1, n + 1):
             problem = DesignProblem(n, p)
-            expected = elfving_lp(problem, oracle_grid(2001, problem if tight else None)).variance
+            expected = elfving_lp(problem, None if tight else np.linspace(-1.0, 1.0, 2001)).variance
             polydesign.oracle._prepared_grid.cache_clear()
             cold = oracle_variance(problem, 2001, include_solver_support=tight)
             warm = oracle_variance(problem, 2001, include_solver_support=tight)
@@ -209,21 +196,30 @@ def test_cached_oracle_variance_is_elfving_lp_bit_for_bit(tight):
 
 def test_cached_grid_is_read_only_and_within_its_byte_bound():
     for n in (1, 2, 9, 30):
-        for tight in (False, True):
-            grid = polydesign.oracle._prepared_grid(2001, n, tight)
-            assert sum(array.nbytes for array in grid) <= 8 * (2001 + 6 * n + 6), (n, tight)
-            for array in grid:
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0
+        grid = polydesign.oracle._prepared_grid(2001, n)
+        assert sum(array.nbytes for array in grid) <= 8 * (2001 + 4 * n + 4), n
+        for array in grid:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 def test_grid_cache_stays_bounded():
     for n in range(1, 41):
-        for tight in (False, True):
-            oracle_variance(DesignProblem(n, 1), 301, include_solver_support=tight)
+        for size in (301, 302):
+            oracle_variance(DesignProblem(n, 1), size)
     info = polydesign.oracle._prepared_grid.cache_info()
     assert info.currsize <= info.maxsize == polydesign.oracle._GRID_CACHE_SIZE == 64
+
+
+def test_exchange_on_the_interval_uses_no_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_prepared_grid called for the exchange on [-1, 1]")
+
+    monkeypatch.setattr(polydesign.oracle, "_prepared_grid", refuse)
+    problem = DesignProblem(9, 5)
+    expected = elfving_lp(problem).variance
+    assert oracle_variance(problem, 10001, include_solver_support=True) == expected
 
 
 def test_converged_exchange_skips_the_peak_search(monkeypatch):
@@ -233,7 +229,7 @@ def test_converged_exchange_skips_the_peak_search(monkeypatch):
 
     monkeypatch.setattr(polydesign.oracle, "_peaks", refuse)
     problem = DesignProblem(8, 4)
-    assert elfving_lp(problem, oracle_grid(10001)).iterations == 1
+    assert elfving_lp(problem, np.linspace(-1.0, 1.0, 10001)).iterations == 1
     assert oracle_variance(problem, 10001) > 0.0
 
 
@@ -295,21 +291,22 @@ def test_exchange_cap_raises(monkeypatch):
 @pytest.fixture(scope="module")
 def criterion_4_exchanges():
     # LPs solved by each of acceptance criterion 4's 72 calls:
-    # 1 <= p <= n <= 8 on grid 10001, the point families included and not
+    # 1 <= p <= n <= 8 on [-1, 1] and on grid 10001
     exchanges = {}
     for n in range(1, 9):
         for p in range(1, n + 1):
             problem = DesignProblem(n, p)
             for included in (True, False):
-                grid = oracle_grid(10001, problem if included else None)
+                grid = None if included else np.linspace(-1.0, 1.0, 10001)
                 exchanges[n, p, included] = elfving_lp(problem, grid).iterations
     return exchanges
 
 
 def test_every_p_converges_in_one_lp(criterion_4_exchanges):
-    # the start holds the grid points nearest the two point families: the
-    # extrema of T_s, s the largest odd number <= n, where the optimal
-    # designs for odd p sit, and of E_2k, where those for even p sit
+    # the start holds the two point families, or on the grid the points
+    # nearest them: the extrema of T_s, s the largest odd number <= n,
+    # where the optimal designs for odd p sit, and of E_2k, where those for
+    # even p sit
     assert criterion_4_exchanges == dict.fromkeys(criterion_4_exchanges, 1)
 
 
@@ -338,7 +335,7 @@ def _criterion_4_calls():
         for p in range(1, n + 1):
             problem = DesignProblem(n, p)
             for tight in (True, False):
-                elfving_lp(problem, oracle_grid(10001, problem if tight else None))
+                elfving_lp(problem, None if tight else np.linspace(-1.0, 1.0, 10001))
 
 
 def _statuses(calls):
@@ -437,7 +434,8 @@ def test_no_oracle_path_calls_linprog(monkeypatch):
 
     monkeypatch.setattr("scipy.optimize.linprog", refuse)
     problem = DesignProblem(9, 5)
-    assert elfving_lp(problem, oracle_grid(2001)).variance > 0.0
+    assert elfving_lp(problem, np.linspace(-1.0, 1.0, 2001)).variance > 0.0
+    assert elfving_lp(problem).variance > 0.0
     assert oracle_variance(problem, 2001) > 0.0
 
 
@@ -447,7 +445,7 @@ def test_retry_tolerances_do_not_leak(monkeypatch):
     calls = _recording_lps(monkeypatch)
     elfving_lp(DesignProblem(29, 7), np.linspace(-1.0, 1.0, 31))
     assert _statuses(calls) == [4, 0]
-    elfving_lp(DesignProblem(8, 3), oracle_grid(10001))
+    elfving_lp(DesignProblem(8, 3), np.linspace(-1.0, 1.0, 10001))
     assert _statuses(calls) == [4, 0, 0]
     _assert_solve_lp_is_linprog(calls)
 
@@ -578,11 +576,22 @@ def test_oracle_agreement_high_degrees(n):
     _assert_oracle_agreement(n)
 
 
-def _assert_lp_picks_a_solver_design(problem, grid_size):
-    # on the uniform grid united with the point families the LP's own
-    # design is one of solve's: the same support bits, so in case C it
-    # picks the drop itself, and the same weights
-    lp = elfving_lp(problem, oracle_grid(grid_size, problem))
+def test_interval_exchange_needs_no_point_family():
+    # started from 2n + 2 evenly spaced points alone, without s_points or
+    # t_points, the exchange on [-1, 1] still meets solve: its result does
+    # not rest on the point families, only its LP count does
+    problems = [(n, p) for n in (8, 15) for p in range(1, n + 1)] + [(29, 3), (29, 15)]
+    for n, p in problems:
+        problem = DesignProblem(n, p)
+        optimum = polydesign.oracle._exchange(problem, np.linspace(-1.0, 1.0, 2 * n + 2), None)
+        assert optimum.iterations <= 6, (n, p)
+        assert optimum.variance == pytest.approx(solve(problem).variance, rel=1e-10), (n, p)
+
+
+def _assert_lp_picks_a_solver_design(problem):
+    # on [-1, 1] the LP's own design is one of solve's: the same support
+    # bits, so in case C it picks the drop itself, and the same weights
+    lp = elfving_lp(problem)
     designs = [d for d in solve(problem).designs if np.array_equal(d.support, lp.design.support)]
     assert len(designs) == 1, problem
     np.testing.assert_allclose(lp.design.weights, designs[0].weights, rtol=0, atol=1e-12)
@@ -592,12 +601,12 @@ def _assert_lp_picks_a_solver_design(problem, grid_size):
 def test_lp_picks_a_solver_design_up_to_degree_12():
     for n in range(1, 13):
         for p in range(1, n + 1):
-            _assert_lp_picks_a_solver_design(DesignProblem(n, p), 2001)
+            _assert_lp_picks_a_solver_design(DesignProblem(n, p))
 
 
 @pytest.mark.parametrize("p", [1, 2, 51, 99, 100])
 def test_lp_picks_a_solver_design_at_degree_100(p):
-    _assert_lp_picks_a_solver_design(DesignProblem(100, p), 10001)
+    _assert_lp_picks_a_solver_design(DesignProblem(100, p))
 
 
 def test_no_oracle_path_calls_the_solver(monkeypatch):
