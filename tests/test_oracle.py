@@ -167,6 +167,12 @@ def test_oracle_variance_validates_grid_size():
     for tight in (False, True):
         with pytest.raises(ValueError):
             oracle_variance(problem, grid_size=1, include_solver_support=tight)
+
+
+def test_oracle_grid_rejects_a_bool_size_and_takes_numpy_integers():
+    # The oracle's grid size, on both paths of oracle_variance
+    problem = DesignProblem(5, 1)
+    for tight in (False, True):
         # True passes a bare Integral check and was rejected only as a 1-point grid
         with pytest.raises(ValueError, match="given as an integer, got True"):
             oracle_variance(problem, True, tight)
