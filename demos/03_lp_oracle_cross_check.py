@@ -23,17 +23,17 @@ print()
 # exchange lands on the continuous optimum without being told the solver's
 # answer; restricted to a uniform grid it can only be larger, and tightens
 # as the grid refines.
-included = oracle_variance(problem, include_solver_support=True)
+lp = elfving_lp(problem)
+included = lp.variance
 print(f"LP on all of [-1, 1]:      {included:.12f}   gap {included - result.variance:+.2e}")
 for size in (101, 1001, 10001):
-    free = oracle_variance(problem, grid_size=size, include_solver_support=False)
+    free = oracle_variance(problem, grid_size=size)
     print(f"LP on uniform grid {size:>6}: {free:.12f}   gap {free - result.variance:+.2e}")
 print()
 
 # The LP also returns the design it found and a dual certificate vector v
 # with |v . g(x)| <= 1 on [-1, 1], in the basis g_j = T_j - T_j(0) -- the
 # basis the closed-form certificate is stored in, so both are Polynomials.
-lp = elfving_lp(problem)
 dual = Polynomial(lp.dual)
 print("LP design support:", np.round(lp.design.support, 6))
 print("LP design weights:", np.round(lp.design.weights, 6))

@@ -16,27 +16,45 @@ with A[j, q] the coefficient of x**q in T_j, so with u = A^T v it reads
     maximize d_p . v   s.t.   |v . g(x)| <= 1,   d_p = A e_p.
 
 Only about n + 1 constraints are active, so the program is solved by
-exchange (the Remez exchange applied to Elfving's problem): solve it on a
-small active set of points, find the local maxima of |v . g| on the design
-space, add every one that violates the bound, and repeat. On a grid the
+exchange (the Remez exchange applied to Elfving's problem): HiGHS solves it
+on a small active set of points, the local maxima of |v . g| on the design
+space that violate the bound join the set, and this repeats. On a grid the
 maxima are found among the values at the grid points; on all of [-1, 1]
 they are the continuous extrema from :meth:`Polynomial.peaks`, the routine
-``verify`` checks condition (1) with. As Remez's exchange starts from the
-Chebyshev alternant, the first active set holds the two point families,
-the extrema of T_s (s the largest odd number <= n), where the optimal
-designs for odd p sit, and of E_2k (k = n // 2), where those for even p
-sit: on [-1, 1] the points themselves, on a grid the grid points nearest
-them, joined by evenly spaced ones to keep the first LP bounded. On
-[-1, 1] and on grid 10001 every problem with n <= 30 then ends after one
-LP. Where the optimal v is not unique, its parity-matched part -- v with
-the entries of the other parity than p zeroed -- has the same objective
-and is often already feasible, which ends the exchange early.
+``verify`` checks condition (1) with.
+
+As Remez's exchange starts from the Chebyshev alternant, the first active
+set holds the two point families of :func:`_families`, the extrema of T_s
+(s the largest odd number <= n), where the optimal designs for odd p sit,
+and of E_2k (k = n // 2), where those for even p sit. On [-1, 1] these are
+the points themselves, at least n distinct nonzero ones, so the first LP
+is bounded. On a grid they are the grid points nearest them, joined by
+2n + 2 evenly spaced grid points, both ends included (a grid of 2n + 2
+points or fewer starts from all of them). The start depends on n alone,
+never on the closed-form solution. On [-1, 1] and on grid 10001 every
+problem with n <= 30 then ends after one LP.
+
+Each LP also yields the parity candidate v_sym: v with the entries of
+parity j != p (mod 2) zeroed. g_j has the parity of j and d_p vanishes on
+those entries, so v_sym has the same objective. Where the optimal v is not
+unique (even p, odd n), HiGHS returns a vertex that violates the bound
+while v_sym does not; without v_sym the exchange would approach the
+optimum one LP at a time. The exchange stops as soon as v or v_sym has no
+local maximum of |. g| above 1 + ``EXCHANGE_TOL`` (on [-1, 1] v_sym is
+searched only if v does not stand) and reports that one, v first;
+otherwise the violating peaks of both join the active set. A point
+feasible on the design space that attains the active LP's optimum is
+optimal there, so the final LP's inequality marginals are an optimal
+design.
 
 Because grid designs are a subset of all designs, the grid optimum can only
-be larger than the continuous one. The exchange on [-1, 1] meets the
-continuous optimum up to LP tolerance from any start that keeps its first
-LP bounded: the start changes the number of LPs, not the result. No path
-here calls the closed-form solver, so it is an independent numerical check.
+be larger than the continuous one. Dropping constraints can only raise the
+objective, so the exchange's variance (d_p . v)**2 is never below the
+optimum on its design space (beyond HiGHS's tolerances) and at most about
+2 * ``EXCHANGE_TOL`` relative above it. On [-1, 1] it meets the continuous
+optimum up to LP tolerance from any start that keeps its first LP bounded:
+the start changes the number of LPs, not the result. No path here calls
+the closed-form solver, so it is an independent numerical check.
 
 The grid of :func:`oracle_variance`, ``np.linspace(-1, 1, grid_size)``, and
 its preparation (validated, sorted, and the exchange's start found on it)
@@ -51,10 +69,10 @@ functions run the same exchange and return the same variance bit for bit.
 
 The LPs run on HiGHS through the bindings SciPy bundles with it
 (``scipy.optimize._highspy``, SciPy 1.15 and later): :func:`_solve_lp`
-hands HiGHS the model and options ``scipy.optimize.linprog`` would, and
-reads back its solution bit for bit, but skips linprog's checks of its
-inputs, options and result, which took about 70% of each LP (1.13 ms
-against 0.34 ms for the 30-point LP at (8, 3) on grid 10001, 2 cores).
+hands HiGHS the model and options ``scipy.optimize.linprog`` would (its
+docstring states the model) but skips linprog's checks of its inputs,
+options and result, which took about 70% of each LP (1.13 ms against
+0.34 ms for the 30-point LP at (8, 3) on grid 10001, 2 cores).
 Each thread keeps one solver, a ``_Highs`` made on its first LP, in a
 :class:`threading.local`, so threads share no solver and take no lock.
 Before each LP, ``clear()`` resets the solver's model, solution and
@@ -66,6 +84,12 @@ the rest of the library needs numpy alone, and importing SciPy would
 triple its start-up time. So is :mod:`logging`, for the exchange's debug
 records: ``scipy.optimize`` loads it anyway, while at the top of this
 module it would add about 5 ms to ``import polydesign``.
+
+On very sparse grids the optimal v can be so large (|v| ~ 2e5 on 31 points
+at n = 29) that the rounding of v . g exceeds ``_LP_OPTIONS``' 1e-10. When
+HiGHS then ends with a model status that is not optimal, a limit,
+infeasible or unbounded (linprog's status 4; "Unknown" on 31 points at
+(29, 7)), the LP is solved once more at HiGHS's default tolerances (1e-7).
 """
 
 from __future__ import annotations
@@ -173,57 +197,31 @@ def _peaks(level: np.ndarray) -> np.ndarray:
 
 def elfving_lp(problem: DesignProblem, grid=None) -> OracleResult:
     """Solve the certificate LP by exchange on ``grid``, or on all of
-    [-1, 1] if none is given.
+    [-1, 1] if none is given; the module docstring states the method.
 
-    The program is solved in the basis g_j = T_j - T_j(0), j = 1..n, which
-    spans the same space as f(x) but stays well conditioned: with
-    u = A^T v it reads ``maximize d_p . v s.t. |v . g(x)| <= 1``, the
-    objective scaled by 1 / max|d_p|. On [-1, 1] the variance meets
-    ``solve``'s within 1.3e-12 relative for every p at n = 100, and within
-    2.0e-12 for p in {1, 2, 3, n // 2, n - 1, n} at n = 150 and 200.
-    HiGHS solves it on the active points. On [-1, 1] they start as the
-    points of :func:`_families`, the extrema of T_s, s the largest odd
-    number <= n, and of E_2k, k = n // 2: at least n distinct nonzero
-    points, so the first LP is bounded. On a grid they start as the grid
-    points nearest those and 2n + 2 evenly spaced ones (both ends
-    included; a grid of 2n + 2 points or fewer starts from all of them).
-    The start depends on n alone, never on the closed-form solution.
-    Each LP also yields the parity candidate v_sym: v with the entries of
-    parity j != p (mod 2) zeroed. g_j has the parity of j and d_p vanishes
-    on those entries, so v_sym has the same objective. Where the optimal v
-    is not unique (even p, odd n), HiGHS returns a vertex that violates the
-    bound while v_sym does not; without v_sym the exchange would approach
-    the optimum one LP at a time. The exchange stops as soon as v or v_sym
-    has no local maximum of |. g| above 1 + ``EXCHANGE_TOL``, among the
-    grid points or, on [-1, 1], among the points of
-    ``Polynomial(c).peaks()``, searched for v_sym only if v does not
-    stand, and reports that one, v first; otherwise the violating peaks of
-    both join the active set. A point feasible on the design space that
-    attains the active LP's optimum is optimal there, so the final LP's
-    inequality marginals are an optimal design, from which the design is
-    read. Each step logs one DEBUG record to this module's logger: the
-    step, the active-set size, the number of new points and which of v,
-    v_sym stood. New points are those that join the active set for the
-    next LP, so the count is 0 on the last step, and the counts over all
-    steps add up to ``active_size`` minus the start's size.
+    ``grid`` holds finite points in [-1, 1], a negative and a positive one
+    among them, in any order and with repeats; any other grid raises
+    ``ValueError``. Grids of n + 2 or more points always keep the LP
+    bounded; sparser grids are accepted (the target direction may still be
+    representable) and surface as :class:`OracleFailureError` when they
+    are not, as do a HiGHS failure, a d_p beyond the double range
+    (p > 1024) and ``MAX_EXCHANGES`` steps without convergence.
 
-    Dropping constraints can only raise the objective, so the reported
-    variance (d_p . v)**2 is never below the optimum on the design space
-    (beyond HiGHS's tolerances) and at most about 2 * EXCHANGE_TOL
-    relative above it.
+    On [-1, 1] the variance meets ``solve``'s within 1.3e-12 relative for
+    every p at n = 100, and within 2.0e-12 for p in {1, 2, 3, n // 2,
+    n - 1, n} at n = 150 and 200. On any design space it is never below
+    the optimum there beyond HiGHS's tolerances, and at most about
+    2 * ``EXCHANGE_TOL`` relative above it. The design is read from the
+    final LP's inequality marginals.
 
-    Grids of n + 2 or more points always keep the LP bounded; sparser
-    grids are accepted (the target direction may still be representable)
-    and surface as :class:`OracleFailureError` when they are not, as do a
-    HiGHS failure, a d_p beyond the double range (p > 1024) and
-    ``MAX_EXCHANGES`` steps without convergence. On very sparse grids the
-    optimal v can be so large (|v| ~ 2e5 on 31 points at n = 29) that the
-    rounding of v . g exceeds ``_LP_OPTIONS``' 1e-10. When HiGHS then ends
-    with a model status that is not optimal, a limit, infeasible or
-    unbounded (linprog's status 4; "Unknown" on 31 points at (29, 7)), the
-    LP is solved once more at HiGHS's default tolerances (1e-7) and a DEBUG
-    record names the status. Neither [-1, 1] nor grid 10001 needs that
-    retry for n <= 30.
+    Each step logs one DEBUG record to this module's logger: the step, the
+    active-set size, the number of new points and which of v, v_sym stood.
+    New points are those that join the active set for the next LP, so the
+    count is 0 on the last step, and the counts over all steps add up to
+    ``active_size`` minus the start's size. An LP solved once more at
+    HiGHS's default tolerances logs one more record, which names HiGHS's
+    model status; neither [-1, 1] nor grid 10001 needs that retry for
+    n <= 30.
     """
     optimum = _exchange(problem, *_prepare(grid, problem.n))
     k = optimum.active.size
@@ -250,7 +248,7 @@ class _Grid(NamedTuple):
 
 def _prepare(grid, n: int) -> _Grid:
     """Validate and sort ``grid`` and find the exchange's start on it, or
-    for ``grid`` None take the start on [-1, 1], as :func:`elfving_lp`
+    for ``grid`` None take the start on [-1, 1], as the module docstring
     describes; depends on the degree n, not on p."""
     if grid is None:
         return _Grid(np.unique(_families(n)), None)
@@ -382,7 +380,7 @@ def _exchange(problem: DesignProblem, active: np.ndarray, grid: np.ndarray | Non
         rows = (intercept_free_vander(active, n) if grid is None
                 else basis[grid.searchsorted(active)])
         res = _solve_lp(cost, rows, _LP_OPTIONS)
-        if res.status == 4:  # numerical difficulties, see the docstring
+        if res.status == 4:  # numerical difficulties, see the module docstring
             log.debug("LP of exchange step %d re-solved at HiGHS's default tolerances: %s",
                       iteration, res.message)
             res = _solve_lp(cost, rows, {})
@@ -428,18 +426,20 @@ def oracle_variance(
     grid_size: int = DEFAULT_GRID_SIZE,
     include_solver_support: bool = False,
 ) -> float:
-    """Optimal variance on ``grid_size`` evenly spaced points of [-1, 1],
-    or with ``include_solver_support`` on all of [-1, 1].
+    """Optimal variance on ``grid_size`` evenly spaced points of [-1, 1].
 
-    Without ``include_solver_support`` the result is bit for bit
+    The result is bit for bit
     ``elfving_lp(problem, np.linspace(-1, 1, grid_size)).variance``, an
     upper bound that tightens with the grid, on a grid prepared once per
-    (grid_size, n) and cached (see the module docstring). With it, the
-    exchange searches all of [-1, 1], which holds every optimal support,
-    and the result is bit for bit ``elfving_lp(problem).variance``, the
-    continuous optimum up to LP tolerance; ``grid_size`` is then only
-    validated. Neither path calls the solver. ``grid_size`` is checked
-    first, so 2001.0 is refused even once 2001 is cached.
+    (grid_size, n) and cached (see the module docstring). With
+    ``include_solver_support`` it is bit for bit
+    ``elfving_lp(problem).variance``, the optimum on all of [-1, 1], and
+    ``grid_size`` is only validated. That keyword remains only for the
+    ``oracle_crosscheck`` benchmark (``perfbench/worker.py``) and
+    acceptance criterion 4 until the benchmark change of ROADMAP item 4;
+    every other caller of the [-1, 1] optimum calls ``elfving_lp(problem)``.
+    Neither path calls the solver. ``grid_size`` is checked first, so
+    2001.0 is refused even once 2001 is cached.
     """
     if not is_integer(grid_size) or grid_size < 2:
         raise ValueError(f"grid must have at least 2 points, given as an integer, got {grid_size!r}")

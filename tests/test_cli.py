@@ -13,8 +13,9 @@ import pytest
 import polydesign
 import polydesign.cli
 import polydesign.solver
-from polydesign import DesignProblem, document_from_result, render_document, solve
+from polydesign import DesignProblem, document_from_result, elfving_lp, oracle_variance, render_document, solve
 from polydesign.cli import main
+from polydesign.document import format_float
 from polydesign.points import s_points
 
 from test_elfving import moved_support_case
@@ -110,7 +111,7 @@ main(["verify", "--file", path, "--degree", "5", "--coef", "3"], out=io.StringIO
 loaded["verify"] = "scipy" in sys.modules
 main(["examples"], out=io.StringIO())
 loaded["examples"] = "scipy" in sys.modules
-main(["oracle", "--degree", "4", "--coef", "2", "--include-support"], out=io.StringIO())
+main(["oracle", "--degree", "4", "--coef", "2"], out=io.StringIO())
 loaded["oracle"] = "scipy" in sys.modules
 print(json.dumps(loaded))
 """
@@ -151,13 +152,13 @@ def test_oracle_command_solves_once(monkeypatch):
 
     monkeypatch.setattr(polydesign.solver, "solve", counting)
     monkeypatch.setattr(polydesign.cli, "solve", counting)
-    code, _ = run_cli(["oracle", "--degree", "4", "--coef", "2", "--include-support"])
+    code, _ = run_cli(["oracle", "--degree", "4", "--coef", "2"])
     assert code == 0
     assert calls == [DesignProblem(4, 2)]
 
 
 # a second --grid overrides the first, as argparse keeps the last value
-@pytest.mark.parametrize("extra", [[], ["--include-support"], ["--grid", "0"], ["--grid", "-3"]])
+@pytest.mark.parametrize("extra", [[], ["--grid", "0"], ["--grid", "-3"]])
 def test_oracle_rejects_grid_below_two_points(capsys, extra):
     code, out = run_cli(["oracle", "--degree", "3", "--coef", "1", "--grid", "1", *extra])
     assert code == 2
@@ -467,25 +468,37 @@ def test_oracle_unbounded_lp_exits_3(capsys):
     assert "error: LP did not terminate" in capsys.readouterr().err
 
 
+def _oracle_line(text: str, label: str) -> str:
+    """The value on the line of ``polydesign oracle``'s report named ``label``."""
+    [value] = [ln[len(label) + 1:].strip() for ln in text.splitlines() if ln.startswith(label + ":")]
+    return value
+
+
 def test_oracle_command_reports_tiny_gap():
-    code, text = run_cli(["oracle", "--degree", "3", "--coef", "1",
-                          "--grid", "2001", "--include-support"])
+    code, text = run_cli(["oracle", "--degree", "3", "--coef", "1", "--grid", "2001"])
     assert code == 0
-    rel = float(text.splitlines()[-1].split()[-1])
-    assert rel <= 1e-7
+    assert float(_oracle_line(text, "interval relative gap")) <= 1e-7
 
 
-def test_oracle_command_names_the_searched_grid():
-    # with --include-support the exchange searches all of [-1, 1] and --grid
-    # is only validated, so the grid line names the interval
+def test_oracle_command_names_the_searched_grid(capsys):
+    # one report: the optimum on all of [-1, 1] and the bound on --grid
+    # evenly spaced points, each as the library computes it
+    problem = DesignProblem(4, 2)
     argv = ["oracle", "--degree", "4", "--coef", "2", "--grid", "301"]
-    code, grid = run_cli(argv)
+    code, text = run_cli(argv)
     assert code == 0
-    assert "grid:            301" in grid.splitlines()
-    code, interval = run_cli([*argv, "--include-support"])
-    assert code == 0
-    assert "grid:            [-1, 1]" in interval.splitlines()
-    assert run_cli([*argv, "--include-support"])[1] == interval
+    assert _oracle_line(text, "grid") == "301"
+    interval = _oracle_line(text, "interval variance")
+    grid = _oracle_line(text, "grid variance")
+    assert interval == format_float(elfving_lp(problem).variance)
+    assert grid == format_float(oracle_variance(problem, 301))
+    assert float(grid) >= float(interval)
+    assert run_cli(argv)[1] == text
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as excinfo:  # the flag is gone
+        main([*argv, "--include-support"], out=out)
+    assert excinfo.value.code == 2
+    assert out.getvalue() == capsys.readouterr().out == ""
 
 
 def test_examples_match_reference_tables():
