@@ -25,9 +25,9 @@ import sys
 
 import numpy as np
 
-from .design import DesignProblem
+from .design import CONDITION_TOL, DesignProblem
 from .document import document_from_result, format_float as _fmt, parse_design_file, render_document
-from .elfving import CONDITION_TOL, VARIANCE_RTOL, ElfvingReport, check_tolerance, verify
+from .elfving import VARIANCE_RTOL, ElfvingReport, check_tolerance, verify
 from .errors import (
     DocumentError,
     InvalidProblemError,

@@ -22,8 +22,8 @@ import json
 from dataclasses import dataclass
 
 from . import __version__
-from .design import ADMISSIBLE_TOL, Design, DesignProblem
-from .elfving import CONDITION_TOL, VARIANCE_RTOL
+from .design import ADMISSIBLE_TOL, CONDITION_TOL, Design, DesignProblem
+from .elfving import VARIANCE_RTOL
 from .errors import DocumentError, InvalidDesignError
 from .polynomial import Polynomial
 from .solver import OptimalResult

@@ -18,9 +18,10 @@ with A[j, q] the coefficient of x**q in T_j, so with u = A^T v it reads
 Only about n + 1 constraints are active, so the program is solved by
 exchange (the Remez exchange applied to Elfving's problem): HiGHS solves it
 on a small active set of points, the local maxima of |v . g| on the design
-space that violate the bound join the set, and this repeats. On a grid the
-maxima are found among the values at the grid points; on all of [-1, 1]
-they are the continuous extrema from :meth:`Polynomial.peaks`, the routine
+space that violate the bound join the set, and this repeats. The candidate
+v . g is the certificate polynomial ``Polynomial(v)``. On a grid its maxima
+are found among its values at the grid points; on all of [-1, 1] they are
+the continuous extrema from :meth:`Polynomial.peaks`, the routine
 ``verify`` checks condition (1) with.
 
 As Remez's exchange starts from the Chebyshev alternant, the first active
@@ -40,12 +41,11 @@ those entries, so v_sym has the same objective. Where the optimal v is not
 unique (even p, odd n), HiGHS returns a vertex that violates the bound
 while v_sym does not; without v_sym the exchange would approach the
 optimum one LP at a time. The exchange stops as soon as v or v_sym has no
-local maximum of |. g| above 1 + ``EXCHANGE_TOL`` (on [-1, 1] v_sym is
-searched only if v does not stand) and reports that one, v first;
-otherwise the violating peaks of both join the active set. A point
-feasible on the design space that attains the active LP's optimum is
-optimal there, so the final LP's inequality marginals are an optimal
-design.
+local maximum of |. g| above 1 + ``EXCHANGE_TOL`` (v_sym is searched only
+if v does not stand) and reports that one, v first; otherwise the
+violating peaks of both join the active set. A point feasible on the
+design space that attains the active LP's optimum is optimal there, so the
+final LP's inequality marginals are an optimal design.
 
 Because grid designs are a subset of all designs, the grid optimum can only
 be larger than the continuous one. Dropping constraints can only raise the
@@ -62,8 +62,7 @@ depend on (grid_size, n) alone, so :func:`_prepared_grid` does both once
 per key and keeps the ``_GRID_CACHE_SIZE`` = 64 most recently used keys,
 one per degree: enough for every n <= 30 on two grid sizes. An entry holds
 the sorted points and the start, at most 8 * (grid_size + 4n + 4) bytes
-(81 kB at grid 10001, n = 30), and not the n x grid_size basis, which the
-exchange evaluates on each call. The cached arrays are read-only.
+(81 kB at grid 10001, n = 30). The cached arrays are read-only.
 :func:`elfving_lp` prepares the grid it is given on every call; both
 functions run the same exchange and return the same variance bit for bit.
 
@@ -159,8 +158,8 @@ class OracleResult:
     the vector type of d_p and of a :class:`~polydesign.polynomial.Polynomial`'s
     coefficients, so ``Polynomial(dual)`` is the LP's certificate polynomial;
     d_p = ``power_coefficients(n, p)``. When the exchange stopped on a
-    feasible v or v_sym, |dual . g(x)| <= 1 + EXCHANGE_TOL at every grid
-    point x, or on [-1, 1] at every point of ``Polynomial(dual).peaks()``,
+    feasible v or v_sym, |Polynomial(dual)(x)| <= 1 + EXCHANGE_TOL at every
+    grid point x, or on [-1, 1] at every point of ``Polynomial(dual).peaks()``,
     so there the supremum of |Polynomial(dual)| exceeds 1 + EXCHANGE_TOL by
     the rounding of the roots of its derivative alone; max |peaks()[1]| - 1
     is at most 7.1e-14 for n <= 30 and 1.5e-11 at n = 100.
@@ -189,10 +188,9 @@ class OracleResult:
 
 
 def _peaks(level: np.ndarray) -> np.ndarray:
-    """Mask of the local maxima of each row of ``level`` along the grid."""
-    edge = np.full((level.shape[0], 1), -np.inf)
-    padded = np.hstack([edge, level, edge])
-    return (level >= padded[:, :-2]) & (level >= padded[:, 2:])
+    """Mask of the local maxima of ``level`` along the grid."""
+    padded = np.concatenate([[-np.inf], level, [-np.inf]])
+    return (level >= padded[:-2]) & (level >= padded[2:])
 
 
 def elfving_lp(problem: DesignProblem, grid=None) -> OracleResult:
@@ -333,29 +331,27 @@ class _Optimum(NamedTuple):
     iterations: int
 
 
-def _search(candidates: np.ndarray, grid: np.ndarray | None, basis: np.ndarray | None):
-    """The first candidate c with no local maximum of |c . g| above
-    1 + ``EXCHANGE_TOL``, with no points; or None, with the points of every
-    such maximum of both. On ``grid``, whose g-values are the rows of
-    ``basis``, the maxima of both candidates are found at once; on [-1, 1]
-    (``grid`` None) they are the points of ``Polynomial(c).peaks()``,
-    searched for v_sym only if v does not stand."""
-    if grid is None:
-        over = []
-        for stood, c in enumerate(candidates):
+def _search(candidates: np.ndarray, grid: np.ndarray | None):
+    """The first candidate c, v before v_sym, with no local maximum of
+    |Polynomial(c)| above 1 + ``EXCHANGE_TOL``, with no points; or None,
+    with the points of every such maximum of both. On ``grid`` the maxima
+    are found among the values of ``Polynomial(c)`` at the grid points; on
+    [-1, 1] (``grid`` None) they are the points of ``Polynomial(c).peaks()``.
+    """
+    over = []
+    for stood, c in enumerate(candidates):
+        if grid is None:
             x, y = Polynomial(c).peaks()
             over.append(x[np.abs(y) > 1.0 + EXCHANGE_TOL])
-            if over[-1].size == 0:
-                return stood, over[-1]
-        return None, np.concatenate(over)
-    # both rows in one product: v @ basis alone rounds differently and
-    # can change which candidate stands
-    level = np.abs(candidates @ basis.T)
-    over = level > 1.0 + EXCHANGE_TOL
-    if over.any():  # on a converged step no level is above the bound
-        over &= _peaks(level)
-    feasible = ~over.any(axis=1)
-    return (int(feasible.argmax()), grid[:0]) if feasible.any() else (None, grid[over.any(axis=0)])
+        else:
+            level = np.abs(Polynomial(c)(grid))
+            above = level > 1.0 + EXCHANGE_TOL
+            if above.any():  # on a converged step no level is above the bound
+                above &= _peaks(level)
+            over.append(grid[above])
+        if over[-1].size == 0:
+            return stood, over[-1]
+    return None, np.concatenate(over)
 
 
 def _exchange(problem: DesignProblem, active: np.ndarray, grid: np.ndarray | None) -> _Optimum:
@@ -364,7 +360,6 @@ def _exchange(problem: DesignProblem, active: np.ndarray, grid: np.ndarray | Non
     the final LP's marginals, and :func:`elfving_lp` alone reads the design
     from them; :func:`oracle_variance` needs the variance only."""
     n, p = problem.n, problem.p
-    basis = None if grid is None else intercept_free_vander(grid, n)  # row j is g(x_j)
     try:
         d = power_coefficients(n, p)
     except NumericalDegeneracyError as exc:  # from p = 1025 on
@@ -376,9 +371,7 @@ def _exchange(problem: DesignProblem, active: np.ndarray, grid: np.ndarray | Non
     cost = -d / np.abs(d).max()  # maximize d_p . v, scaled to unit size
     off_parity = np.arange(1, n + 1) % 2 != p % 2
     for iteration in range(1, MAX_EXCHANGES + 1):
-        # on a grid the rows are read from the basis: faster than evaluating g
-        rows = (intercept_free_vander(active, n) if grid is None
-                else basis[grid.searchsorted(active)])
+        rows = intercept_free_vander(active, n)
         res = _solve_lp(cost, rows, _LP_OPTIONS)
         if res.status == 4:  # numerical difficulties, see the module docstring
             log.debug("LP of exchange step %d re-solved at HiGHS's default tolerances: %s",
@@ -387,7 +380,7 @@ def _exchange(problem: DesignProblem, active: np.ndarray, grid: np.ndarray | Non
         if res.status != 0:  # an unbounded v means e_p is not representable
             raise OracleFailureError(f"LP did not terminate with an optimum: {res.message}")
         candidates = np.stack([res.x, np.where(off_parity, 0.0, res.x)])  # v and v_sym
-        stood, over = _search(candidates, grid, basis)
+        stood, over = _search(candidates, grid)
         new = over if stood is not None else np.setdiff1d(over, active)
         log.debug("exchange step %d: %d active points, %d new, stood: %s", iteration, active.size,
                   new.size, "neither" if stood is None else ("v", "v_sym")[stood])

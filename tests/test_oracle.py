@@ -239,6 +239,23 @@ def test_converged_exchange_skips_the_peak_search(monkeypatch):
     assert oracle_variance(problem, 10001) > 0.0
 
 
+def test_grid_exchange_builds_no_grid_sized_basis(monkeypatch):
+    # the LP rows are g at the active points alone, and the grid is searched
+    # through Polynomial, so no basis of all 10001 grid points is built
+    sizes = []
+    vander = polydesign.oracle.intercept_free_vander
+
+    def recording(x, m):
+        sizes.append(np.size(x))
+        return vander(x, m)
+
+    monkeypatch.setattr(polydesign.oracle, "intercept_free_vander", recording)
+    problem = DesignProblem(8, 4)
+    assert elfving_lp(problem, np.linspace(-1.0, 1.0, 10001)).variance > 0.0
+    assert oracle_variance(problem, 10001) > 0.0
+    assert sizes and max(sizes) < 10001
+
+
 # even p with odd n: the optimal dual is not unique, the exchange's hard case
 DEGENERATE = [(3, 2), (5, 2), (5, 4), (7, 2), (7, 4), (7, 6)]
 

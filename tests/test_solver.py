@@ -376,6 +376,25 @@ def test_case_c_pair_is_none_in_cases_a_and_b():
         assert solve(DesignProblem(n, p)).case_c_pair is None
 
 
+@pytest.mark.parametrize("n, p", [(29, 3), (29, 15), (51, 3)])
+def test_case_c_drop_scan_matches_a_120_digit_reference(n, p):
+    # the reference scans all n + 1 drops of T_n's extrema at 120 digits,
+    # while solve tries only two: exactly one mirror pair of drops passes,
+    # the pair solve names, and its h meets solve's (<= 4.9e-16 measured)
+    pytest.importorskip("mpmath")
+    from high_precision import case_c_drops
+
+    passed = case_c_drops(n, p)
+    drop = min(passed)
+    assert sorted(passed) == [drop, n - drop]
+    k = n // 2
+    pairs = {0: "endpoint", k: "central"}
+    result = solve(DesignProblem(n, p))
+    assert pairs.get(drop) == result.case_c_pair
+    for h in passed.values():
+        assert result.h == pytest.approx(float(h), rel=1e-14)
+
+
 @pytest.mark.parametrize("key, calls", [((3, 2), 1), ((4, 3), 1), ((5, 3), 1), ((9, 3), 1)])
 def test_solve_computes_each_weight_vector_once(monkeypatch, key, calls):
     # every candidate support of a problem is solved in one batch: the one
