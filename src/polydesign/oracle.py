@@ -331,7 +331,7 @@ class _Optimum(NamedTuple):
     iterations: int
 
 
-def _search(candidates: np.ndarray, grid: np.ndarray | None):
+def _search(candidates: tuple[np.ndarray, ...], grid: np.ndarray | None):
     """The first candidate c, v before v_sym, with no local maximum of
     |Polynomial(c)| above 1 + ``EXCHANGE_TOL``, with no points; or None,
     with the points of every such maximum of both. On ``grid`` the maxima
@@ -379,7 +379,7 @@ def _exchange(problem: DesignProblem, active: np.ndarray, grid: np.ndarray | Non
             res = _solve_lp(cost, rows, {})
         if res.status != 0:  # an unbounded v means e_p is not representable
             raise OracleFailureError(f"LP did not terminate with an optimum: {res.message}")
-        candidates = np.stack([res.x, np.where(off_parity, 0.0, res.x)])  # v and v_sym
+        candidates = res.x, np.where(off_parity, 0.0, res.x)  # v and v_sym
         stood, over = _search(candidates, grid)
         new = over if stood is not None else np.setdiff1d(over, active)
         log.debug("exchange step %d: %d active points, %d new, stood: %s", iteration, active.size,
