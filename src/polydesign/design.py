@@ -138,7 +138,12 @@ def phi_c(design: Design, c, n: int) -> float:
     d = np.zeros(n)
     for q in np.flatnonzero(c):  # a unit vector e_p maps to d_p exactly
         d += c[q] * power_coefficients(n, q + 1)
-    b_t = (np.sqrt(design.weights)[:, None] * intercept_free_vander(design.support, n)).T
+    return _phi_c(intercept_free_vander(design.support, n), design.weights, d)
+
+
+def _phi_c(g: np.ndarray, weights: np.ndarray, d: np.ndarray) -> float:
+    # phi_c on the basis values g = intercept_free_vander(support, n) and d = A c
+    b_t = (np.sqrt(weights)[:, None] * g).T
     z = np.linalg.lstsq(b_t, d, rcond=None)[0]
     if np.abs(b_t @ z - d).max() > ADMISSIBLE_TOL * max(1.0, np.abs(d).max()):
         return math.inf
@@ -154,10 +159,19 @@ def certificate_identity(design: Design, problem: DesignProblem, values) -> tupl
     basis g carries rounding of order eps * max|d_p|, so it is measured
     relative to that. A moment that vanishes at the solved entry gives
     (inf, inf). This is the one owner of condition (3): the verifier and
-    the solver's self-check both call it, at ``CONDITION_TOL``.
+    the solver's self-check both run its core, at ``CONDITION_TOL``, on the
+    basis values and the d_p they already hold.
     """
-    d = power_coefficients(problem.n, problem.p)
-    moment = intercept_free_vander(design.support, problem.n).T @ (design.weights * values)
+    return _certificate_identity(
+        intercept_free_vander(design.support, problem.n), design.weights, values,
+        power_coefficients(problem.n, problem.p),
+    )
+
+
+def _certificate_identity(g: np.ndarray, weights: np.ndarray, values,
+                          d: np.ndarray) -> tuple[float, float]:
+    # condition (3) on the basis values g = intercept_free_vander(support, n) and d = d_p
+    moment = g.T @ (weights * values)
     j = int(np.abs(d).argmax())
     if moment[j] == 0.0:
         return math.inf, math.inf

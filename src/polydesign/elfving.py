@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import CONDITION_TOL, Design, DesignProblem, certificate_identity, phi_c
+from .design import CONDITION_TOL, Design, DesignProblem, _certificate_identity, _phi_c
 from .errors import InvalidCertificateError
-from .polynomial import Polynomial
+from .polynomial import Polynomial, intercept_free_vander, power_coefficients
 
 #: relative tolerance between the two variance computations
 VARIANCE_RTOL = 1e-8
@@ -83,8 +83,10 @@ def verify(
     support points. Condition (3) is
     :func:`~polydesign.design.certificate_identity`: h is solved from the
     largest entry of d_p, and the residual over all n coordinates is taken
-    relative to max|d_p|. An inadmissible design yields
-    ``variance_matrix = inf`` and a False verdict.
+    relative to max|d_p|. ``variance_matrix`` is
+    :func:`~polydesign.design.phi_c` of the unit vector e_p. Both run on one
+    table of basis values at the support and one d_p. An inadmissible design
+    yields ``variance_matrix = inf`` and a False verdict.
 
     The certificate must lie in the model's span: a nonzero coefficient
     beyond g_n raises :class:`InvalidCertificateError` (trailing zeros are
@@ -112,9 +114,11 @@ def verify(
     support_vals = support_raw / scale
     condition2_ok = bool(np.abs(np.abs(support_vals) - 1.0).max() <= condition_tol)
 
-    variance_matrix = phi_c(design, problem.unit_vector(), problem.n)
+    g = intercept_free_vander(design.support, problem.n)
+    d = power_coefficients(problem.n, problem.p)
+    variance_matrix = _phi_c(g, design.weights, d)
 
-    h, condition3_residual = certificate_identity(design, problem, support_vals)
+    h, condition3_residual = _certificate_identity(g, design.weights, support_vals, d)
     variance_formula = h * h
 
     variances_agree = (

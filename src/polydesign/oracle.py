@@ -203,7 +203,8 @@ def elfving_lp(problem: DesignProblem, grid=None) -> OracleResult:
     bounded; sparser grids are accepted (the target direction may still be
     representable) and surface as :class:`OracleFailureError` when they
     are not, as do a HiGHS failure, a d_p beyond the double range
-    (p > 1024) and ``MAX_EXCHANGES`` steps without convergence.
+    (first at (n, p) = (810, 560), and for every p > 1024) and
+    ``MAX_EXCHANGES`` steps without convergence.
 
     On [-1, 1] the variance meets ``solve``'s within 1.3e-12 relative for
     every p at n = 100, and within 2.0e-12 for p in {1, 2, 3, n // 2,
@@ -362,7 +363,7 @@ def _exchange(problem: DesignProblem, active: np.ndarray, grid: np.ndarray | Non
     n, p = problem.n, problem.p
     try:
         d = power_coefficients(n, p)
-    except NumericalDegeneracyError as exc:  # from p = 1025 on
+    except NumericalDegeneracyError as exc:  # first at (810, 560); every p > 1024
         raise OracleFailureError(str(exc)) from exc
     import logging  # imported here, as SciPy is: see the module docstring
 

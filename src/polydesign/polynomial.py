@@ -162,8 +162,11 @@ def power_coefficients(m: int, p: int) -> np.ndarray:
     For j = p + 2r the entry is the integer
     (-1)**r 2**(p - 1) j C(j - r, r) / (j - r), computed exactly and rounded
     once; entries with j - p odd, or j < p, are zero. A p that is no integer
-    raises ``ValueError``, and p from 1025 on, beyond the double range,
-    :class:`NumericalDegeneracyError`, so every caller fails with the library's error.
+    raises ``ValueError``, and an entry beyond the double range
+    :class:`NumericalDegeneracyError`, so every caller fails with the
+    library's error. No p overflows for m <= 809; the first that does is
+    (810, 560), where the middle entries of the column overflow first, and
+    every p from 1025 on does, through 2**(p - 1).
     """
     if not is_integer(p):
         raise ValueError(f"coefficient index must be an integer, got {p!r}")

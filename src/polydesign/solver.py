@@ -29,24 +29,28 @@ are those of the LP oracle run on that support as its grid,
 
 Everything but the target d_p is fixed by n and the case: the certificate,
 its extrema with their +-1 values, the candidate supports and the basis
-values g(x) at those extrema. :func:`_geometry` computes them once per
+values g_1..g_n at those extrema. :func:`_geometry` computes them once per
 (n, case tag) and keeps the ``_GEOMETRY_CACHE_SIZE`` = 64 most recently
-used keys, enough for every key with n <= 30 (59 of them). An entry is dominated by its basis values,
-8 * n * (n + 1) bytes, so the cache holds under 0.2 MB for n <= 30 and
-about 5 MB at most for n <= 100. The cached arrays are read-only and
-:func:`solve` indexes fresh copies out of them, so its results are
-bit-identical to a call on a cold cache and never alias it.
+used keys, enough for every key with n <= 30 (59 of them). An entry is
+dominated by its basis values, at most 8 * n * (n + 1) bytes, so the cache
+holds under 0.2 MB for n <= 30 and about 5 MB at most for n <= 100. The
+Lagrange solve and the self-check both read these basis values, so
+:func:`solve` builds no basis on a warm cache and computes d_p once. The
+cached arrays are read-only and :func:`solve` indexes fresh copies out of
+them, so its results are bit-identical to a call on a cold cache and never
+alias it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .design import CONDITION_TOL, Design, DesignProblem, certificate_identity
+from .design import CONDITION_TOL, Design, DesignProblem, _certificate_identity
 from .errors import NumericalDegeneracyError
 from .points import s_points, t_points
 from .polynomial import Polynomial, e_polynomial, intercept_free_vander, power_coefficients
@@ -117,7 +121,7 @@ class _Geometry(NamedTuple):
     points: np.ndarray  # the certificate's extrema, sorted
     values: np.ndarray  # the certificate's exact value, +-1, at each point
     kept: np.ndarray  # one row of point indices per candidate support
-    g: np.ndarray  # intercept_free_vander(points, m), m = kept.shape[1]
+    g: np.ndarray  # intercept_free_vander(points, n)
 
 
 @functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
@@ -137,9 +141,11 @@ def _geometry(n: int, tag: str) -> _Geometry:
     Cases A and B have one candidate support, all points. Case C has one
     per pair that may be dropped: row 0 of ``kept`` drops extremum 2k + 1
     of the endpoint pair, row 1 extremum k of the central pair (n > 1).
-    The basis values are computed once over the points; g[kept] stacks
-    them per support. Nothing here depends on p, so it is cached (see the
-    module docstring), and every array is read-only.
+    The basis values g_1..g_n are computed once over the points; g[kept]
+    stacks them per support. The Lagrange solve reads the first
+    m = ``kept.shape[1]`` columns, which is n except in case A at odd n
+    (m = n - 1), and the self-check all n. Nothing here depends on p, so it
+    is cached (see the module docstring), and every array is read-only.
     """
     k = n // 2
     if tag == CASE_A:
@@ -154,7 +160,7 @@ def _geometry(n: int, tag: str) -> _Geometry:
     if tag == CASE_C:
         drops = [2 * k + 1, k] if k else [1]  # at n = 1 the central pair is the endpoint pair
         kept = np.nonzero(kept != np.array(drops)[:, None])[1].reshape(len(drops), -1)
-    g = intercept_free_vander(points, kept.shape[1])
+    g = intercept_free_vander(points, n)
     for array in (points, values, kept, g):
         array.setflags(write=False)
     return _Geometry(certificate, points, values, kept, g)
@@ -195,12 +201,15 @@ def solve(problem: DesignProblem) -> OptimalResult:
     d_p = h * sum_i g(x_i) w_i P(x_i), condition (3) of the verifier, at
     its tolerance, and the identity's h against the returned one; a
     violation raises :class:`NumericalDegeneracyError` instead of returning
-    a bad design.
+    a bad design. The check runs the verifier's core on the cached basis
+    values of the support and the d_p of the Lagrange solve. A variance
+    h**2 beyond the double range raises it too.
     """
     tag, _ = classify(problem)
-    d = power_coefficients(problem.n, problem.p)  # raises from p = 1025 on, before the cache fills
+    # raises where d_p leaves the double range (first at (810, 560)), before the cache fills
+    d = power_coefficients(problem.n, problem.p)
     case = _geometry(problem.n, tag)
-    a = _lagrange_columns(case.g[case.kept], d)
+    a = _lagrange_columns(case.g[case.kept, : case.kept.shape[1]], d)
     abs_a = np.abs(a)
     orientation = np.sign(a) * case.values[case.kept]
     consistent = np.all(orientation == orientation[:, :1], axis=1)
@@ -209,6 +218,10 @@ def solve(problem: DesignProblem) -> OptimalResult:
         raise NumericalDegeneracyError(f"expected 1 consistent support for {problem}, found {rows.size}")
     (r,) = rows
     h, sigma = float(abs_a[r].sum()), float(orientation[r, 0])
+    if not math.isfinite(h * h):
+        raise NumericalDegeneracyError(
+            f"variance h**2 overflows the double range for {problem} (h = {h:.3e})"
+        )
     index, w = case.kept[r], abs_a[r] / h
     chosen = [(index, w if tag == CASE_C else _symmetrized(w))]
     if tag == CASE_C:  # and its mirror image under x -> -x, as a copy
@@ -217,7 +230,8 @@ def solve(problem: DesignProblem) -> OptimalResult:
     for index, w in chosen:
         # fancy indexing copies, so no returned array aliases the cache
         design = Design(case.points[index], w)
-        h_check, resid = certificate_identity(design, problem, sigma * case.values[index])
+        h_check, resid = _certificate_identity(case.g[index], design.weights,
+                                               sigma * case.values[index], d)
         if resid > CONDITION_TOL or abs(h_check - h) > CONDITION_TOL * h:
             raise NumericalDegeneracyError(
                 f"certificate identity violated (residual {resid:.3e}) for {problem}"

@@ -1,11 +1,14 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import cheb2poly
 
+import polydesign.design
+import polydesign.elfving
 import polydesign.solver
 from polydesign.cli import REFERENCE_DESIGNS
 from polydesign.polynomial import intercept_free_vander, power_coefficients
@@ -23,6 +26,7 @@ from polydesign import (
     phi_c,
     s_points,
     solve,
+    verify,
 )
 
 from half_range import symmetric_system_check
@@ -138,14 +142,14 @@ def test_solve_certificate_is_cubic_chebyshev_for_3_3():
 
 
 def test_solve_self_check_is_condition_3(monkeypatch):
-    # the self-check calls the verifier's condition (3) and rejects a
+    # the self-check runs the verifier's condition (3) core and rejects a
     # residual above its tolerance, or an h other than the returned one
-    original = polydesign.solver.certificate_identity
-    monkeypatch.setattr(polydesign.solver, "certificate_identity",
+    original = polydesign.solver._certificate_identity
+    monkeypatch.setattr(polydesign.solver, "_certificate_identity",
                         lambda *args: (original(*args)[0], 2e-9))
     with pytest.raises(NumericalDegeneracyError, match="certificate identity"):
         solve(DesignProblem(5, 3))
-    monkeypatch.setattr(polydesign.solver, "certificate_identity",
+    monkeypatch.setattr(polydesign.solver, "_certificate_identity",
                         lambda *args: (original(*args)[0] * (1 + 2e-9), 0.0))
     with pytest.raises(NumericalDegeneracyError, match="certificate identity"):
         solve(DesignProblem(6, 2))
@@ -341,8 +345,63 @@ def test_geometry_cache_stays_bounded():
     assert info.currsize <= info.maxsize == polydesign.solver._GEOMETRY_CACHE_SIZE == 64
 
 
+def _count_basis_calls(monkeypatch) -> Counter:
+    # counts the basis tables built where solver, design and elfving look them up
+    calls = Counter()
+    for module in (polydesign.solver, polydesign.design, polydesign.elfving):
+        for name in ("intercept_free_vander", "power_coefficients"):
+            def counted(*args, _name=name, _original=getattr(module, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, p", [(11, 4), (10, 4), (10, 3), (11, 3)])  # A odd n, A even n, B, C
+def test_solve_and_verify_build_each_basis_table_once(monkeypatch, n, p):
+    # on a warm cache solve builds no basis and computes d_p once, its
+    # self-check included; verify builds g and d_p once per design
+    problem = DesignProblem(n, p)
+    solve(problem)
+    calls = _count_basis_calls(monkeypatch)
+    result = solve(problem)
+    assert dict(calls) == {"power_coefficients": 1}
+    for design in result.designs:
+        calls.clear()
+        assert verify(design, problem, result.certificate).verdict
+        assert dict(calls) == {"intercept_free_vander": 1, "power_coefficients": 1}
+
+
+def test_self_check_reads_a_fresh_basis_bit_for_bit():
+    # the cached rows the self-check reads, the support's extrema in the
+    # case's basis table, equal the basis built afresh at the support
+    for n in range(1, 31):
+        for p in range(1, n + 1):
+            problem = DesignProblem(n, p)
+            case = polydesign.solver._geometry(n, classify(problem)[0])
+            for design in solve(problem).designs:
+                index = np.searchsorted(case.points, design.support)
+                assert case.points[index].tobytes() == design.support.tobytes()
+                fresh = intercept_free_vander(design.support, n)
+                assert case.g[index].tobytes() == fresh.tobytes(), (n, p)
+
+
+def test_solve_raises_past_the_double_range():
+    # h = 1.9e154 at (415, 247), so h**2 is no double; the variance used
+    # to come back as inf with no error
+    with pytest.raises(NumericalDegeneracyError, match="overflows the double range"):
+        solve(DesignProblem(415, 247))
+
+
+def test_power_coefficients_overflow_first_at_degree_810():
+    # the middle entries of column 560 leave the double range at T_810
+    assert np.isfinite(power_coefficients(809, 560)).all()
+    with pytest.raises(NumericalDegeneracyError, match="overflow"):
+        power_coefficients(810, 560)
+
+
 def test_overflowing_target_leaves_the_geometry_cache_untouched():
-    # d_p overflows the double range from p = 1025 on; solve raises before
+    # d_p overflows the double range at (1025, 1025); solve raises before
     # it computes (and caches) the degree-1025 geometry, about 8.4 MB
     polydesign.solver._geometry.cache_clear()
     with pytest.raises(NumericalDegeneracyError, match="overflow"):
