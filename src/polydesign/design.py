@@ -16,11 +16,12 @@ of the certificate and ``CONDITION_TOL``, its tolerance, live here too.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDesignError, InvalidProblemError, is_integer
+from .errors import InvalidDesignError, InvalidProblemError, NumericalDegeneracyError, is_integer
 from .polynomial import intercept_free_vander, power_coefficients
 
 #: absolute tolerance on the weight sum of a valid design
@@ -127,7 +128,9 @@ def phi_c(design: Design, c, n: int) -> float:
     ``math.isfinite(phi_c(...))`` answers "is c estimable?". For estimable
     c the value does not depend on the choice of generalized inverse;
     infinity is a sentinel value, not an error. A non-finite ``c`` raises
-    ``ValueError``.
+    ``ValueError``, and an estimable c whose value |z|^2 exceeds the double
+    range raises :class:`NumericalDegeneracyError` (first seen at
+    (n, p) = (415, 247)), as ``solve`` does.
     """
     _check_degree(n)
     c = np.asarray(c, dtype=float)
@@ -147,7 +150,14 @@ def _phi_c(g: np.ndarray, weights: np.ndarray, d: np.ndarray) -> float:
     z = np.linalg.lstsq(b_t, d, rcond=None)[0]
     if np.abs(b_t @ z - d).max() > ADMISSIBLE_TOL * max(1.0, np.abs(d).max()):
         return math.inf
-    return float(z @ z)
+    # |z|**2 <= z.size * top**2; Python floats overflow to inf without numpy's warning
+    top = float(np.abs(z).max())
+    if top * top * z.size <= sys.float_info.max:
+        return float(z @ z)
+    value = float((z / top) @ (z / top)) * top * top
+    if not math.isfinite(value):
+        raise NumericalDegeneracyError(f"c^T M^- c overflows the double range (|z| max {top:.3e})")
+    return value
 
 
 def certificate_identity(design: Design, problem: DesignProblem, values) -> tuple[float, float]:

@@ -86,7 +86,8 @@ def verify(
     relative to max|d_p|. ``variance_matrix`` is
     :func:`~polydesign.design.phi_c` of the unit vector e_p. Both run on one
     table of basis values at the support and one d_p. An inadmissible design
-    yields ``variance_matrix = inf`` and a False verdict.
+    yields ``variance_matrix = inf`` and a False verdict; a variance beyond
+    the double range raises ``phi_c``'s :class:`NumericalDegeneracyError`.
 
     The certificate must lie in the model's span: a nonzero coefficient
     beyond g_n raises :class:`InvalidCertificateError` (trailing zeros are

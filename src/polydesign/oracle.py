@@ -45,7 +45,7 @@ local maximum of |. g| above 1 + ``EXCHANGE_TOL`` (v_sym is searched only
 if v does not stand) and reports that one, v first; otherwise the
 violating peaks of both join the active set. A point feasible on the
 design space that attains the active LP's optimum is optimal there, so the
-final LP's inequality marginals are an optimal design.
+absolute row duals of the final LP are an optimal design.
 
 Because grid designs are a subset of all designs, the grid optimum can only
 be larger than the continuous one. Dropping constraints can only raise the
@@ -67,33 +67,41 @@ the sorted points and the start, at most 8 * (grid_size + 4n + 4) bytes
 functions run the same exchange and return the same variance bit for bit.
 
 The LPs run on HiGHS through the bindings SciPy bundles with it
-(``scipy.optimize._highspy``, SciPy 1.15 and later): :func:`_solve_lp`
-hands HiGHS the model and options ``scipy.optimize.linprog`` would (its
-docstring states the model) but skips linprog's checks of its inputs,
-options and result, which took about 70% of each LP (1.13 ms against
-0.34 ms for the 30-point LP at (8, 3) on grid 10001, 2 cores).
-Each thread keeps one solver, a ``_Highs`` made on its first LP, in a
-:class:`threading.local`, so threads share no solver and take no lock.
-Before each LP, ``clear()`` resets the solver's model, solution and
-options to a new solver's (``clearSolver()`` would keep the options, and a
-retry's default tolerances would leak into the next LP), and the model is
-passed as arrays through ``passModel``'s array overload rather than built
-field by field as a ``HighsLp``. SciPy is imported on the first LP only;
+(``scipy.optimize._highspy``, SciPy 1.15 and later). :func:`_solve_lp`
+passes one boxed row -1 <= g(x) . v <= 1 per active point, where
+``scipy.optimize.linprog``'s ``A_ub`` form needs two one-sided rows, and
+skips linprog's checks of its inputs, options and result. Over acceptance
+criterion 4's 72 LPs (2 cores, best of 30) an LP takes 0.20-0.23 ms,
+against 0.44-0.50 ms for the two-row model passed the same way and
+2.1-2.4 ms through linprog. Each thread keeps one solver, a ``_Highs``
+made on its first LP, in a :class:`threading.local`, so threads share no
+solver and take no lock. Before each LP, ``clear()`` resets the solver's
+model, solution and options to a new solver's (``clearSolver()`` would
+keep the options, and a retry's default tolerances would leak into the
+next LP), and the model is passed as arrays through ``passModel``'s array
+overload rather than built field by field as a ``HighsLp``. SciPy is imported on the first LP only;
 the rest of the library needs numpy alone, and importing SciPy would
 triple its start-up time. So is :mod:`logging`, for the exchange's debug
 records: ``scipy.optimize`` loads it anyway, while at the top of this
 module it would add about 5 ms to ``import polydesign``.
 
-On very sparse grids the optimal v can be so large (|v| ~ 2e5 on 31 points
-at n = 29) that the rounding of v . g exceeds ``_LP_OPTIONS``' 1e-10. When
-HiGHS then ends with a model status that is not optimal, a limit,
-infeasible or unbounded (linprog's status 4; "Unknown" on 31 points at
-(29, 7)), the LP is solved once more at HiGHS's default tolerances (1e-7).
+HiGHS's scaling is off (``simplex_scale_strategy`` 0 in ``_LP_OPTIONS``):
+with it on, the boxed optimum exceeded the bound at active points by up to
+5.1e-10, above the 1e-10 feasibility tolerance, at (100, 14), (100, 22)
+and (100, 76) on [-1, 1], and the exchange needed a second LP there; with
+it off the excess is at most 2.7e-11 for every p at n = 100. When HiGHS
+ends with a model status that is not optimal, a limit, infeasible or
+unbounded (linprog's status 4), the LP is solved once more at HiGHS's
+defaults (tolerances 1e-7, scaling on).
+No uniform grid of n + 2, n + 3, 2n + 1, 31 or 41 points with n <= 30
+needs that, although the optimal v can be large there (|v| ~ 2e5 on 31
+points at (29, 7)); the two-row model did need it on 31 points at (29, 7).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -122,9 +130,12 @@ _GRID_CACHE_SIZE = 64
 #: ``solver``: the thread's HiGHS solver, made on its first LP
 _THREAD = threading.local()
 
+#: HiGHS's feasibility tolerances for the exchange's LPs, scaling off (see
+#: the module docstring)
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
+    "simplex_scale_strategy": 0,
 }
 
 #: the options SciPy's ``linprog`` sets on every HiGHS LP: presolve on,
@@ -169,15 +180,14 @@ class OracleResult:
     after a retry) plus 2e-13 * sum_i |dual_i|, which covers the rounding
     of dual . g. On grid 2001 the excess stays below 3e-12 for every
     n <= 30; on the 31-point uniform grid at (29, 7), where |dual| reaches
-    2.3e5 and the LP is retried, it is 1.6e-9. ``iterations`` counts the
-    LPs the exchange solved and ``active_size`` the points in the final
-    one.
+    2.3e5, it is 1.9e-9. ``iterations`` counts the LPs the exchange
+    solved and ``active_size`` the points in the final one.
 
-    ``design`` holds the final LP's marginals above ``WEIGHT_CUTOFF``.
-    ``variance`` is the result and the design its witness, as accurate as
-    the LP's marginals: at (29, 7) on 31 uniform points the design has 28
-    points and ``phi_c`` of it is within 9.4e-5 of ``variance``, which
-    matches a primal LP in the same basis to 1.1e-10.
+    ``design`` holds the final LP's absolute row duals above
+    ``WEIGHT_CUTOFF``, normalized. ``variance`` is the result and the
+    design its witness, as accurate as the LP's duals: at (29, 7) on 31
+    uniform points the design has 29 points and ``phi_c`` of it is within
+    6.8e-11 of ``variance``.
     """
 
     variance: float
@@ -206,12 +216,12 @@ def elfving_lp(problem: DesignProblem, grid=None) -> OracleResult:
     (first at (n, p) = (810, 560), and for every p > 1024) and
     ``MAX_EXCHANGES`` steps without convergence.
 
-    On [-1, 1] the variance meets ``solve``'s within 1.3e-12 relative for
-    every p at n = 100, and within 2.0e-12 for p in {1, 2, 3, n // 2,
-    n - 1, n} at n = 150 and 200. On any design space it is never below
-    the optimum there beyond HiGHS's tolerances, and at most about
-    2 * ``EXCHANGE_TOL`` relative above it. The design is read from the
-    final LP's inequality marginals.
+    On [-1, 1] the variance meets ``solve``'s within 3.1e-12 relative for
+    every p at n = 100, and within 1.6e-13 for p in {1, 2, 3, n // 2,
+    n // 2 + 1, n - 1, n} at n = 150 and 200, one LP each. On any design
+    space it is never below the optimum there beyond HiGHS's tolerances,
+    and at most about 2 * ``EXCHANGE_TOL`` relative above it. The design is read from the
+    final LP's row duals.
 
     Each step logs one DEBUG record to this module's logger: the step, the
     active-set size, the number of new points and which of v, v_sym stood.
@@ -223,9 +233,7 @@ def elfving_lp(problem: DesignProblem, grid=None) -> OracleResult:
     n <= 30.
     """
     optimum = _exchange(problem, *_prepare(grid, problem.n))
-    k = optimum.active.size
-    marginals = np.abs(optimum.marginals)
-    mass = marginals[:k] + marginals[k:]
+    mass = np.abs(optimum.marginals)
     mass = mass / mass.sum()
     keep = mass > WEIGHT_CUTOFF
     weights = mass[keep]
@@ -234,7 +242,7 @@ def elfving_lp(problem: DesignProblem, grid=None) -> OracleResult:
         design=Design(optimum.active[keep], weights / weights.sum()),
         dual=optimum.dual,
         iterations=optimum.iterations,
-        active_size=int(k),
+        active_size=int(optimum.active.size),
     )
 
 
@@ -272,22 +280,21 @@ class _LPSolution(NamedTuple):
     status: int  # linprog's: 0 optimal, 1 limit, 2 infeasible, 3 unbounded, 4 difficulties
     message: str
     x: np.ndarray | None  # the optimal v, None unless status is 0
-    marginals: np.ndarray | None  # one per row of [rows; -rows], None unless status is 0
+    marginals: np.ndarray | None  # HiGHS's row duals, one per row, None unless status is 0
 
 
 def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
-    """``minimize cost . v s.t. |rows @ v| <= 1``, v free, on this thread's
-    HiGHS solver (see the module docstring).
+    """``minimize cost . v s.t. -1 <= rows @ v <= 1``, v free, on this
+    thread's HiGHS solver (see the module docstring).
 
-    This is the model SciPy's ``linprog`` passes to HiGHS for ``cost``,
-    ``A_ub=[rows; -rows]``, ``b_ub=1``, ``bounds=(None, None)``,
-    ``method="highs"`` and ``options``: the nonzeros of [rows; -rows] by
-    column, rows bounded by (-inf, 1], free columns, and linprog's
-    ``_HIGHS_OPTIONS`` with ``options`` on top. So ``x`` and ``marginals``
-    are linprog's ``x`` and ``ineqlin.marginals`` bit for bit. ``status``
-    maps HiGHS's model status as linprog does. linprog also reads an
-    optimum whose rows exceed 1 by more than 3.2e-4 as 4; no such check is
-    made here, as the exchange searches the design space itself.
+    HiGHS gets one boxed row per row of ``rows`` (its nonzeros by column,
+    free columns) and linprog's ``_HIGHS_OPTIONS`` with ``options`` on
+    top. ``marginals`` are HiGHS's row duals: negative at a row at +1,
+    positive at a row at -1, and at an optimum they solve
+    ``rows.T @ marginals = cost`` with ``cost . x = -sum |marginals|``.
+    ``status`` maps HiGHS's model status as linprog does. linprog also
+    reads an optimum whose rows exceed 1 by more than 3.2e-4 as 4; no such
+    check is made here, as the exchange searches the design space itself.
     """
     from scipy.optimize._highspy import _core as highs  # see the module docstring
 
@@ -297,7 +304,7 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
     solver.clear()  # the model, the solution and the options
     for key, value in {**_HIGHS_OPTIONS, **options}.items():
         solver.setOptionValue(key, value)
-    a = np.hstack([rows.T, -rows.T])  # row j is column j of [rows; -rows]
+    a = rows.T  # row j is column j of rows
     nonzero = a != 0.0
     num_col, num_row = a.shape
     start = np.zeros(num_col, dtype=np.int32)  # each column's first nonzero
@@ -307,7 +314,7 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
         num_col, num_row, index.size,
         int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,  # no offset
         cost, np.full(num_col, -highs.kHighsInf), np.full(num_col, highs.kHighsInf),
-        np.full(num_row, -highs.kHighsInf), np.ones(num_row),
+        np.full(num_row, -1.0), np.ones(num_row),
         start, index, a[nonzero],
         np.zeros(num_col, dtype=np.int32),  # all continuous; an empty array is an error
     )
@@ -328,7 +335,7 @@ class _Optimum(NamedTuple):
     variance: float
     dual: np.ndarray
     active: np.ndarray  # the final LP's points, sorted
-    marginals: np.ndarray  # the final LP's, one per row of [rows; -rows]
+    marginals: np.ndarray  # the final LP's row duals, one per active point
     iterations: int
 
 
@@ -396,6 +403,8 @@ def _exchange(problem: DesignProblem, active: np.ndarray, grid: np.ndarray | Non
         raise OracleFailureError(f"exchange did not converge in {MAX_EXCHANGES} steps")
 
     u_p = float(d @ dual)
+    if not math.isfinite(u_p * u_p):
+        raise OracleFailureError(f"variance (d_p . v)**2 overflows the double range for {problem}")
     return _Optimum(u_p * u_p, dual, active, res.marginals, iteration)
 
 

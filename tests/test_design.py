@@ -10,11 +10,14 @@ from polydesign import (
     DesignProblem,
     InvalidDesignError,
     InvalidProblemError,
+    NumericalDegeneracyError,
     certificate_identity,
     information_matrix,
     phi_c,
     solve,
 )
+from polydesign.design import _phi_c
+from polydesign.points import s_points
 from polydesign.polynomial import power_coefficients
 
 TWO_POINT = Design([-1.0, 1.0], [0.5, 0.5])
@@ -175,6 +178,25 @@ def test_phi_c_maps_monomial_coefficients():
     monomial = (f * design.weights) @ f.T
     c = np.array([1.0, 1.0])
     assert phi_c(design, c, 2) == pytest.approx(c @ np.linalg.solve(monomial, c), rel=1e-12)
+
+
+def test_phi_c_raises_past_the_double_range():
+    # |z|**2 for the equal-weight design on s_points(208) at (415, 247) is no
+    # double; z @ z used to emit numpy's overflow warning and return inf,
+    # the sentinel for an inestimable c
+    support = s_points(208)
+    design = Design(support, np.full(support.size, 1.0 / support.size))
+    with pytest.raises(NumericalDegeneracyError, match="overflows the double range"):
+        phi_c(design, DesignProblem(415, 247).unit_vector(), 415)
+
+
+def test_phi_c_keeps_a_square_that_is_a_double():
+    # |z|**2 = 1.44e308 is a double although 2 * max|z|**2 is not, so the
+    # value is computed from z / max|z| rather than refused
+    z = np.array([1.2e154, 1e140])
+    weights = np.array([0.5, 0.5])
+    g = np.diag(1.0 / (np.sqrt(weights) * z))  # B^T = diag(1 / z), d = (1, 1)
+    assert _phi_c(g, weights, np.ones(2)) == pytest.approx(z @ z, rel=1e-14)
 
 
 def test_certificate_identity_golden():

@@ -4,13 +4,14 @@ import math
 import re
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import cheb2poly, chebvander
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeWarning, linprog
 
 import polydesign.oracle
 import polydesign.solver
@@ -284,6 +285,22 @@ def test_double_range_overflow_fails_as_oracle_failure():
         elfving_lp(DesignProblem(1100, 1100), [-1.0, -0.5, 0.5, 1.0])
 
 
+def test_variance_past_the_double_range_fails_as_oracle_failure(monkeypatch):
+    # at (415, 247) (d_p . v)**2 is no double, and elfving_lp returned inf
+    # with no error; forced here by scaling each LP's v by 1e200 on a grid
+    # whose every point is active from the start, so the exchange stops
+    # on "no new point" with that v
+    solve_lp = polydesign.oracle._solve_lp
+
+    def huge(*args):
+        res = solve_lp(*args)
+        return res._replace(x=res.x * 1e200)
+
+    monkeypatch.setattr(polydesign.oracle, "_solve_lp", huge)
+    with pytest.raises(OracleFailureError, match="overflows the double range"):
+        elfving_lp(DesignProblem(2, 1), [-1.0, -0.5, 0.5, 1.0])
+
+
 @pytest.mark.parametrize("n,p", [(1, 1), (4, 2), (8, 5)])
 def test_lp_reports_exchange(n, p):
     lp = elfving_lp(DesignProblem(n, p), np.linspace(-1.0, 1.0, 10001))
@@ -365,20 +382,32 @@ def _statuses(calls):
     return [res.status for *_, res in calls]
 
 
-def _assert_solve_lp_is_linprog(calls):
-    # linprog(method="highs") on the same model: status, x and inequality
-    # marginals bit for bit
+def _assert_lps_check_out(calls):
+    # linprog(method="highs") on the split model [rows; -rows] v <= 1, with
+    # the same options, ends with the same status (linprog passes
+    # simplex_scale_strategy to HiGHS verbatim, with a warning), and each
+    # optimum carries its own certificate: x is feasible, the row duals y
+    # solve rows^T y = cost, y_i < 0 only at rows at +1 and y_i > 0 only at
+    # rows at -1, the duality gap cost . x + sum |y_i| is zero, and cost . x
+    # is linprog's objective, all to 1e-13
     for cost, rows, options, res in calls:
-        ref = linprog(cost, A_ub=np.vstack([rows, -rows]), b_ub=np.ones(2 * rows.shape[0]),
-                      bounds=(None, None), method="highs", options=options)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
+            ref = linprog(cost, A_ub=np.vstack([rows, -rows]), b_ub=np.ones(2 * rows.shape[0]),
+                          bounds=(None, None), method="highs", options=options)
         assert res.status == ref.status, res.message
         if ref.status != 0:
             assert res.x is None and res.marginals is None
             continue
         assert res.x.dtype == res.marginals.dtype == np.float64
-        np.testing.assert_array_equal(res.x.view(np.int64), ref.x.view(np.int64))
-        np.testing.assert_array_equal(res.marginals.view(np.int64),
-                                      ref.ineqlin.marginals.view(np.int64))
+        x, y = res.x, res.marginals
+        level, objective = rows @ x, float(cost @ x)
+        slack = np.where(y < 0.0, 1.0 - level, 1.0 + level)
+        assert np.abs(level).max() <= 1.0 + 1e-13
+        np.testing.assert_allclose(rows.T @ y, cost, rtol=0, atol=1e-13)
+        assert np.abs(y * slack).max() <= 1e-13
+        assert objective == pytest.approx(-np.abs(y).sum(), rel=1e-13)
+        assert objective == pytest.approx(ref.fun, rel=1e-13)
 
 
 def _grid_excess(lp, grid, tol):
@@ -389,14 +418,13 @@ def _grid_excess(lp, grid, tol):
 
 
 def test_sparse_uniform_grids_stay_solvable(monkeypatch):
-    # n + 2 points keep the LP bounded; at (29, 7) the optimal |v| is 2.3e5,
-    # HiGHS cannot reach the 1e-10 tolerances and the LP is solved again at
-    # its defaults. On many of these grids the dual exceeds 1 + EXCHANGE_TOL
-    # (by up to 1.8e-8 at (30, 8), with no retry), never the bound that
-    # OracleResult states. Each LP, the retry included, is linprog's bit for
-    # bit
+    # n + 2 points keep the LP bounded, though the optimal |v| reaches 3.8e5,
+    # and every LP ends optimal at the 1e-10 tolerances, so none is retried.
+    # On many of these grids the dual exceeds 1 + EXCHANGE_TOL, never the
+    # bound that OracleResult states. linprog's split model is no reference
+    # here: at (29, 7) it ends with HiGHS's status "Unknown", and the
+    # certificate's residuals grow with |v| (to 7.7e-8)
     calls = _recording_lps(monkeypatch)
-    retried = []
     for n in range(1, 31):
         for p in range(1, n + 1):
             problem = DesignProblem(n, p)
@@ -404,43 +432,71 @@ def test_sparse_uniform_grids_stay_solvable(monkeypatch):
             calls.clear()
             lp = elfving_lp(problem, grid)
             assert lp.variance >= solve(problem).variance * (1.0 - 1e-9), (n, p)
-            retry = 4 in _statuses(calls)
-            if retry:
-                retried.append((n, p))
-            excess, bound = _grid_excess(lp, grid, 1e-7 if retry else 1e-10)
+            assert 4 not in _statuses(calls), (n, p)
+            excess, bound = _grid_excess(lp, grid, 1e-10)
             assert excess <= bound, (n, p)
-            _assert_solve_lp_is_linprog(calls)
-    assert (29, 7) in retried
+
+
+def _forcing_one_retry(monkeypatch):
+    """Record every LP as :func:`_recording_lps` does, with the options
+    HiGHS held after it, and report the first LP as numerical difficulties
+    (linprog's status 4), which no sparse uniform grid gives naturally."""
+    calls = _recording_lps(monkeypatch)
+    recording = polydesign.oracle._solve_lp
+    held = []
+
+    def failing_once(cost, rows, options):
+        res = recording(cost, rows, options)
+        solver = polydesign.oracle._THREAD.solver
+        held.append({key: solver.getOptionValue(key)[1] for key in polydesign.oracle._LP_OPTIONS})
+        if len(calls) == 1:
+            return res._replace(status=4, message="forced", x=None, marginals=None)
+        return res
+
+    monkeypatch.setattr(polydesign.oracle, "_solve_lp", failing_once)
+    return calls, held
+
+
+def _highs_defaults():
+    from scipy.optimize._highspy import _core
+
+    solver = _core._Highs()
+    return {key: solver.getOptionValue(key)[1] for key in polydesign.oracle._LP_OPTIONS}
 
 
 def test_grid_bound_at_29_7(monkeypatch):
-    # on 31 uniform points HiGHS ends the LP at the 1e-10 tolerances with a
-    # model status linprog reads as numerical difficulties (its status 4),
-    # and the LP is solved again at HiGHS's defaults; the dual then exceeds
-    # 1 + EXCHANGE_TOL by 1.6e-9, within the stated bound
-    calls = _recording_lps(monkeypatch)
+    # on 31 uniform points |v| reaches 2e5; the first LP is optimal at the
+    # 1e-10 tolerances and the dual exceeds 1 + EXCHANGE_TOL by 1.9e-9,
+    # within the stated bound. Forced, the retry at HiGHS's defaults (1e-7)
+    # stays within the bound at that tolerance
     grid = np.linspace(-1.0, 1.0, 31)
+    calls = _recording_lps(monkeypatch)
     lp = elfving_lp(DesignProblem(29, 7), grid)
-    assert _statuses(calls) == [4, 0]
+    assert _statuses(calls) == [0]
+    excess, bound = _grid_excess(lp, grid, 1e-10)
+    assert excess <= bound
+    calls, held = _forcing_one_retry(monkeypatch)
+    lp = elfving_lp(DesignProblem(29, 7), grid)
+    assert [options for _, _, options, _ in calls] == [polydesign.oracle._LP_OPTIONS, {}]
+    assert held == [polydesign.oracle._LP_OPTIONS, _highs_defaults()]
     excess, bound = _grid_excess(lp, grid, 1e-7)
     assert excess <= bound
 
 
-def test_retry_is_logged(caplog):
+def test_retry_is_logged(caplog, monkeypatch):
+    _forcing_one_retry(monkeypatch)
     caplog.set_level(logging.DEBUG, logger="polydesign.oracle")
     elfving_lp(DesignProblem(29, 7), np.linspace(-1.0, 1.0, 31))
     messages = [r.getMessage() for r in caplog.records if r.name == "polydesign.oracle"]
-    assert len(messages) == 2
-    assert messages[0].startswith("LP of exchange step 1 re-solved at HiGHS's default tolerances: ")
-    assert "(HiGHS model status " in messages[0]
-    assert messages[1].startswith("exchange step 1: 31 active points, 0 new")
+    assert messages == ["LP of exchange step 1 re-solved at HiGHS's default tolerances: forced",
+                        "exchange step 1: 31 active points, 0 new, stood: neither"]
 
 
 def test_solve_lp_matches_linprog_on_criterion_4(monkeypatch):
     calls = _recording_lps(monkeypatch)
     _criterion_4_calls()
     assert len(calls) == 72
-    _assert_solve_lp_is_linprog(calls)
+    _assert_lps_check_out(calls)
 
 
 def test_solve_lp_and_linprog_both_fail_on_an_unrepresentable_target(monkeypatch):
@@ -448,7 +504,7 @@ def test_solve_lp_and_linprog_both_fail_on_an_unrepresentable_target(monkeypatch
     with pytest.raises(OracleFailureError, match="Unbounded"):
         elfving_lp(DesignProblem(3, 3), [-1.0, 0.0, 1.0])
     assert _statuses(calls) == [3]
-    _assert_solve_lp_is_linprog(calls)
+    _assert_lps_check_out(calls)
 
 
 def test_no_oracle_path_calls_linprog(monkeypatch):
@@ -463,14 +519,28 @@ def test_no_oracle_path_calls_linprog(monkeypatch):
 
 
 def test_retry_tolerances_do_not_leak(monkeypatch):
-    # the retry at (29, 7) runs at HiGHS's defaults; the next LP on the same
-    # thread, and so on the same solver, runs at _LP_OPTIONS' 1e-10 again
-    calls = _recording_lps(monkeypatch)
+    # the forced retry at (29, 7) runs at HiGHS's defaults; the next LP on
+    # the same thread, and so on the same solver, is a fresh thread's LP on
+    # a fresh solver bit for bit
+    calls, held = _forcing_one_retry(monkeypatch)
     elfving_lp(DesignProblem(29, 7), np.linspace(-1.0, 1.0, 31))
-    assert _statuses(calls) == [4, 0]
-    elfving_lp(DesignProblem(8, 3), np.linspace(-1.0, 1.0, 10001))
-    assert _statuses(calls) == [4, 0, 0]
-    _assert_solve_lp_is_linprog(calls)
+    assert held == [polydesign.oracle._LP_OPTIONS, _highs_defaults()]
+
+    def next_lp():
+        elfving_lp(DesignProblem(8, 3), np.linspace(-1.0, 1.0, 10001))
+
+    next_lp()
+    worker = threading.Thread(target=next_lp)
+    worker.start()
+    worker.join(timeout=60.0)
+    assert not worker.is_alive()
+    assert len(calls) == len(held) == 4
+    assert held[2] == held[3] == polydesign.oracle._LP_OPTIONS
+    (*_, same), (*_, fresh) = calls[2:]
+    assert same.status == fresh.status == 0
+    for mine, theirs in ((same.x, fresh.x), (same.marginals, fresh.marginals)):
+        np.testing.assert_array_equal(mine.view(np.int64), theirs.view(np.int64))
+    _assert_lps_check_out(calls[2:])
 
 
 def test_each_thread_makes_one_solver(monkeypatch):
@@ -519,16 +589,14 @@ def test_threads_match_sequential_bit_for_bit():
 
 
 def test_sparse_grid_design_is_scored_near_the_lp_variance():
-    # on 31 uniform points at (29, 7) the final LP's marginals leave 28
-    # points; their weighted basis values have condition number 5.4e7, so
-    # e_7 is estimable at ADMISSIBLE_TOL, and phi_c of the design agrees with
-    # the LP variance to 9.4e-5, the accuracy of marginals from an LP
-    # retried at HiGHS's default tolerances; both bound solve's from above
+    # on 31 uniform points at (29, 7) the final LP's marginals leave 29
+    # points, and phi_c of the design agrees with the LP variance to 6.8e-11;
+    # both bound solve's from above
     problem = DesignProblem(29, 7)
     lp = elfving_lp(problem, np.linspace(-1.0, 1.0, 31))
-    assert lp.design.size == 28
+    assert lp.design.size == 29
     value = phi_c(lp.design, np.eye(29)[6], 29)
-    assert value == pytest.approx(lp.variance, rel=1e-3)
+    assert value == pytest.approx(lp.variance, rel=1e-9)
     assert min(value, lp.variance) >= solve(problem).variance
 
 
