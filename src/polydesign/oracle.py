@@ -77,25 +77,30 @@ against 0.44-0.50 ms for the two-row model passed the same way and
 made on its first LP, in a :class:`threading.local`, so threads share no
 solver and take no lock. Before each LP, ``clear()`` resets the solver's
 model, solution and options to a new solver's (``clearSolver()`` would
-keep the options, and a retry's default tolerances would leak into the
-next LP), and the model is passed as arrays through ``passModel``'s array
-overload rather than built field by field as a ``HighsLp``. SciPy is imported on the first LP only;
-the rest of the library needs numpy alone, and importing SciPy would
-triple its start-up time. So is :mod:`logging`, for the exchange's debug
+keep the options, and a retry would run at the first LP's tolerances
+instead of HiGHS's defaults), and the model is passed as arrays through
+``passModel``'s array overload rather than built field by field as a
+``HighsLp``. SciPy is imported on the first LP only; the rest of the
+library needs numpy alone, and importing SciPy would triple its start-up
+time. So is :mod:`logging`, for the exchange's debug
 records: ``scipy.optimize`` loads it anyway, while at the top of this
 module it would add about 5 ms to ``import polydesign``.
 
-HiGHS's scaling is off (``simplex_scale_strategy`` 0 in ``_LP_OPTIONS``):
-with it on, the boxed optimum exceeded the bound at active points by up to
-5.1e-10, above the 1e-10 feasibility tolerance, at (100, 14), (100, 22)
-and (100, 76) on [-1, 1], and the exchange needed a second LP there; with
-it off the excess is at most 2.7e-11 for every p at n = 100. When HiGHS
-ends with a model status that is not optimal, a limit, infeasible or
-unbounded (linprog's status 4), the LP is solved once more at HiGHS's
-defaults (tolerances 1e-7, scaling on).
-No uniform grid of n + 2, n + 3, 2n + 1, 31 or 41 points with n <= 30
-needs that, although the optimal v can be large there (|v| ~ 2e5 on 31
-points at (29, 7)); the two-row model did need it on 31 points at (29, 7).
+Each LP runs at HiGHS's defaults, output off, but for the values in
+``_LP_OPTIONS``: feasibility tolerances 1e-10, and scaling off
+(``simplex_scale_strategy`` 0): with it on, the boxed optimum exceeded the
+bound at active points by up to 5.1e-10, above the 1e-10 feasibility
+tolerance, at (100, 14), (100, 22) and (100, 76) on [-1, 1], and the
+exchange needed a second LP there; with it off the excess is at most
+2.7e-11 for every p at n = 100. An LP that ends neither optimal nor
+unbounded is solved once more at HiGHS's defaults (tolerances 1e-7,
+scaling on), output off. That retry is live on asymmetric grids: at
+(13, 4) on ``np.linspace(-0.3, 1, 1001)`` three of the exchange's LPs end
+with HiGHS's "Solve error" at the 1e-10 tolerances and are optimal at the
+defaults (SciPy 1.17.1). No LP with n <= 30 needs it on [-1, 1], on a
+uniform grid of n + 2, n + 3, 2n + 1, 31, 41, 2001 or 10001 points on
+[-1, 1] or on the 2n + 2 or 1001 Chebyshev-Lobatto points, although the
+optimal v can be large there (|v| ~ 2e5 on 31 points at (29, 7)).
 """
 
 from __future__ import annotations
@@ -130,33 +135,12 @@ _GRID_CACHE_SIZE = 64
 #: ``solver``: the thread's HiGHS solver, made on its first LP
 _THREAD = threading.local()
 
-#: HiGHS's feasibility tolerances for the exchange's LPs, scaling off (see
-#: the module docstring)
+#: the values that differ from HiGHS's defaults on the exchange's LPs, set
+#: with output off; a retry sets output off alone (see the module docstring)
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
     "simplex_scale_strategy": 0,
-}
-
-#: the options SciPy's ``linprog`` sets on every HiGHS LP: presolve on,
-#: dual simplex (SimplexStrategy.kSimplexStrategyDual = 1), debug level 0
-#: (kHighsDebugLevelNone), no output
-_HIGHS_OPTIONS = {
-    "presolve": "on",
-    "simplex_strategy": 1,
-    "highs_debug_level": 0,
-    "output_flag": False,
-    "log_to_console": False,
-}
-
-#: linprog's status for a HiGHS model status; every other status reads 4
-_LINPROG_STATUS = {
-    "kOptimal": 0,
-    "kTimeLimit": 1,
-    "kIterationLimit": 1,
-    "kModelError": 2,
-    "kInfeasible": 2,
-    "kUnbounded": 3,
 }
 
 
@@ -214,7 +198,11 @@ def elfving_lp(problem: DesignProblem, grid=None) -> OracleResult:
     representable) and surface as :class:`OracleFailureError` when they
     are not, as do a HiGHS failure, a d_p beyond the double range
     (first at (n, p) = (810, 560), and for every p > 1024) and
-    ``MAX_EXCHANGES`` steps without convergence.
+    ``MAX_EXCHANGES`` steps without convergence. HiGHS fails on some
+    asymmetric grids: with n <= 30 the first failure comes at (13, 2) on
+    ``np.linspace(-0.3, 1, 1001)`` and at (16, 2) on
+    ``np.linspace(-1, 0.5, 1001)`` (SciPy 1.17.1), and the message names
+    the exchange step and HiGHS's model status for the LP and its retry.
 
     On [-1, 1] the variance meets ``solve``'s within 3.1e-12 relative for
     every p at n = 100, and within 1.6e-13 for p in {1, 2, 3, n // 2,
@@ -228,9 +216,8 @@ def elfving_lp(problem: DesignProblem, grid=None) -> OracleResult:
     New points are those that join the active set for the next LP, so the
     count is 0 on the last step, and the counts over all steps add up to
     ``active_size`` minus the start's size. An LP solved once more at
-    HiGHS's default tolerances logs one more record, which names HiGHS's
-    model status; neither [-1, 1] nor grid 10001 needs that retry for
-    n <= 30.
+    HiGHS's defaults logs one more record, which names HiGHS's model
+    status; neither [-1, 1] nor grid 10001 needs that retry for n <= 30.
     """
     optimum = _exchange(problem, *_prepare(grid, problem.n))
     mass = np.abs(optimum.marginals)
@@ -277,10 +264,14 @@ def _prepare(grid, n: int) -> _Grid:
 
 
 class _LPSolution(NamedTuple):
-    status: int  # linprog's: 0 optimal, 1 limit, 2 infeasible, 3 unbounded, 4 difficulties
-    message: str
-    x: np.ndarray | None  # the optimal v, None unless status is 0
-    marginals: np.ndarray | None  # HiGHS's row duals, one per row, None unless status is 0
+    status: object  # HiGHS's HighsModelStatus
+    x: np.ndarray | None  # the optimal v, None unless status is kOptimal
+    marginals: np.ndarray | None  # HiGHS's row duals, one per row, None unless status is kOptimal
+
+    def __str__(self) -> str:
+        """HiGHS's name for the status and its number, on the thread that
+        solved the LP."""
+        return f"{_THREAD.solver.modelStatusToString(self.status)} (HiGHS model status {int(self.status)})"
 
 
 def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
@@ -288,13 +279,11 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
     thread's HiGHS solver (see the module docstring).
 
     HiGHS gets one boxed row per row of ``rows`` (its nonzeros by column,
-    free columns) and linprog's ``_HIGHS_OPTIONS`` with ``options`` on
+    free columns), its default options with output off, and ``options`` on
     top. ``marginals`` are HiGHS's row duals: negative at a row at +1,
     positive at a row at -1, and at an optimum they solve
     ``rows.T @ marginals = cost`` with ``cost . x = -sum |marginals|``.
-    ``status`` maps HiGHS's model status as linprog does. linprog also
-    reads an optimum whose rows exceed 1 by more than 3.2e-4 as 4; no such
-    check is made here, as the exchange searches the design space itself.
+    A model that HiGHS refuses reads as ``kModelError``.
     """
     from scipy.optimize._highspy import _core as highs  # see the module docstring
 
@@ -302,7 +291,7 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
     if solver is None:
         solver = _THREAD.solver = highs._Highs()
     solver.clear()  # the model, the solution and the options
-    for key, value in {**_HIGHS_OPTIONS, **options}.items():
+    for key, value in {"output_flag": False, **options}.items():
         solver.setOptionValue(key, value)
     a = rows.T  # row j is column j of rows
     nonzero = a != 0.0
@@ -319,16 +308,13 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
         np.zeros(num_col, dtype=np.int32),  # all continuous; an empty array is an error
     )
     if status == highs.HighsStatus.kError:
-        model_status = highs.HighsModelStatus.kModelError
-    else:
-        solver.run()
-        model_status = solver.getModelStatus()
-    status = _LINPROG_STATUS.get(model_status.name, 4)
-    message = f"{solver.modelStatusToString(model_status)} (HiGHS model status {int(model_status)})"
-    if status != 0:
-        return _LPSolution(status, message, None, None)
+        return _LPSolution(highs.HighsModelStatus.kModelError, None, None)
+    solver.run()
+    model_status = solver.getModelStatus()
+    if model_status != highs.HighsModelStatus.kOptimal:
+        return _LPSolution(model_status, None, None)
     solution = solver.getSolution()
-    return _LPSolution(status, message, np.array(solution.col_value), np.array(solution.row_dual))
+    return _LPSolution(model_status, np.array(solution.col_value), np.array(solution.row_dual))
 
 
 class _Optimum(NamedTuple):
@@ -380,13 +366,17 @@ def _exchange(problem: DesignProblem, active: np.ndarray, grid: np.ndarray | Non
     off_parity = np.arange(1, n + 1) % 2 != p % 2
     for iteration in range(1, MAX_EXCHANGES + 1):
         rows = intercept_free_vander(active, n)
-        res = _solve_lp(cost, rows, _LP_OPTIONS)
-        if res.status == 4:  # numerical difficulties, see the module docstring
-            log.debug("LP of exchange step %d re-solved at HiGHS's default tolerances: %s",
-                      iteration, res.message)
+        res, failed = _solve_lp(cost, rows, _LP_OPTIONS), ""
+        # v = 0 is feasible, no time or iteration limit is set and the model
+        # is built from finite arrays, so an LP that is neither optimal nor
+        # unbounded met numerical trouble (see the module docstring)
+        if res.status.name not in ("kOptimal", "kUnbounded"):
+            log.debug("LP of exchange step %d re-solved at HiGHS's defaults: %s", iteration, res)
+            failed = f"{res}, re-solved at HiGHS's defaults: "
             res = _solve_lp(cost, rows, {})
-        if res.status != 0:  # an unbounded v means e_p is not representable
-            raise OracleFailureError(f"LP did not terminate with an optimum: {res.message}")
+        if res.x is None:  # an unbounded v means e_p is not representable
+            raise OracleFailureError(f"LP did not terminate with an optimum at exchange step "
+                                     f"{iteration}: {failed}{res}")
         candidates = res.x, np.where(off_parity, 0.0, res.x)  # v and v_sym
         stood, over = _search(candidates, grid)
         new = over if stood is not None else np.setdiff1d(over, active)

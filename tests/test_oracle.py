@@ -379,24 +379,25 @@ def _criterion_4_calls():
 
 
 def _statuses(calls):
-    return [res.status for *_, res in calls]
+    return [res.status.name for *_, res in calls]
 
 
 def _assert_lps_check_out(calls):
-    # linprog(method="highs") on the split model [rows; -rows] v <= 1, with
-    # the same options, ends with the same status (linprog passes
-    # simplex_scale_strategy to HiGHS verbatim, with a warning), and each
-    # optimum carries its own certificate: x is feasible, the row duals y
-    # solve rows^T y = cost, y_i < 0 only at rows at +1 and y_i > 0 only at
-    # rows at -1, the duality gap cost . x + sum |y_i| is zero, and cost . x
-    # is linprog's objective, all to 1e-13
+    # each LP is optimal if and only if linprog(method="highs") on the split
+    # model [rows; -rows] v <= 1, with the same options, ends with status 0
+    # (linprog passes simplex_scale_strategy to HiGHS verbatim, with a
+    # warning), and each optimum carries its own certificate: x is feasible,
+    # the row duals y solve rows^T y = cost, y_i < 0 only at rows at +1 and
+    # y_i > 0 only at rows at -1, the duality gap cost . x + sum |y_i| is
+    # zero, and cost . x is linprog's objective, all to 1e-13
     for cost, rows, options, res in calls:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
             ref = linprog(cost, A_ub=np.vstack([rows, -rows]), b_ub=np.ones(2 * rows.shape[0]),
                           bounds=(None, None), method="highs", options=options)
-        assert res.status == ref.status, res.message
-        if ref.status != 0:
+        optimal = res.status.name == "kOptimal"
+        assert optimal == (ref.status == 0), (str(res), ref.message)
+        if not optimal:
             assert res.x is None and res.marginals is None
             continue
         assert res.x.dtype == res.marginals.dtype == np.float64
@@ -432,36 +433,50 @@ def test_sparse_uniform_grids_stay_solvable(monkeypatch):
             calls.clear()
             lp = elfving_lp(problem, grid)
             assert lp.variance >= solve(problem).variance * (1.0 - 1e-9), (n, p)
-            assert 4 not in _statuses(calls), (n, p)
+            assert len(calls) == lp.iterations, (n, p)  # no LP retried
             excess, bound = _grid_excess(lp, grid, 1e-10)
             assert excess <= bound, (n, p)
 
 
-def _forcing_one_retry(monkeypatch):
+#: the options an LP of the exchange sets: output off and ``_LP_OPTIONS``
+LP_SETTINGS = {"output_flag": False, **polydesign.oracle._LP_OPTIONS}
+
+
+def _held_options(solver):
+    return {key: solver.getOptionValue(key)[1] for key in LP_SETTINGS}
+
+
+def _forcing_one_retry(monkeypatch, statuses=("kSolveError",)):
     """Record every LP as :func:`_recording_lps` does, with the options
-    HiGHS held after it, and report the first LP as numerical difficulties
-    (linprog's status 4), which no sparse uniform grid gives naturally."""
+    HiGHS held after it, and report the i-th LP as HiGHS's model status
+    ``statuses[i]`` (by name) with no solution. By default the first LP
+    reads "Solve error", which no symmetric uniform grid gives naturally,
+    so that it is solved once more."""
+    from scipy.optimize._highspy import _core
+
     calls = _recording_lps(monkeypatch)
     recording = polydesign.oracle._solve_lp
     held = []
 
-    def failing_once(cost, rows, options):
+    def faking(cost, rows, options):
         res = recording(cost, rows, options)
-        solver = polydesign.oracle._THREAD.solver
-        held.append({key: solver.getOptionValue(key)[1] for key in polydesign.oracle._LP_OPTIONS})
-        if len(calls) == 1:
-            return res._replace(status=4, message="forced", x=None, marginals=None)
+        held.append(_held_options(polydesign.oracle._THREAD.solver))
+        if len(calls) <= len(statuses):
+            status = getattr(_core.HighsModelStatus, statuses[len(calls) - 1])
+            return res._replace(status=status, x=None, marginals=None)
         return res
 
-    monkeypatch.setattr(polydesign.oracle, "_solve_lp", failing_once)
+    monkeypatch.setattr(polydesign.oracle, "_solve_lp", faking)
     return calls, held
 
 
 def _highs_defaults():
+    # the options of a fresh solver with output off, as a retry runs
     from scipy.optimize._highspy import _core
 
     solver = _core._Highs()
-    return {key: solver.getOptionValue(key)[1] for key in polydesign.oracle._LP_OPTIONS}
+    solver.setOptionValue("output_flag", False)
+    return _held_options(solver)
 
 
 def test_grid_bound_at_29_7(monkeypatch):
@@ -472,13 +487,13 @@ def test_grid_bound_at_29_7(monkeypatch):
     grid = np.linspace(-1.0, 1.0, 31)
     calls = _recording_lps(monkeypatch)
     lp = elfving_lp(DesignProblem(29, 7), grid)
-    assert _statuses(calls) == [0]
+    assert _statuses(calls) == ["kOptimal"]
     excess, bound = _grid_excess(lp, grid, 1e-10)
     assert excess <= bound
     calls, held = _forcing_one_retry(monkeypatch)
     lp = elfving_lp(DesignProblem(29, 7), grid)
     assert [options for _, _, options, _ in calls] == [polydesign.oracle._LP_OPTIONS, {}]
-    assert held == [polydesign.oracle._LP_OPTIONS, _highs_defaults()]
+    assert held == [LP_SETTINGS, _highs_defaults()]
     excess, bound = _grid_excess(lp, grid, 1e-7)
     assert excess <= bound
 
@@ -488,8 +503,10 @@ def test_retry_is_logged(caplog, monkeypatch):
     caplog.set_level(logging.DEBUG, logger="polydesign.oracle")
     elfving_lp(DesignProblem(29, 7), np.linspace(-1.0, 1.0, 31))
     messages = [r.getMessage() for r in caplog.records if r.name == "polydesign.oracle"]
-    assert messages == ["LP of exchange step 1 re-solved at HiGHS's default tolerances: forced",
-                        "exchange step 1: 31 active points, 0 new, stood: neither"]
+    assert messages == [
+        "LP of exchange step 1 re-solved at HiGHS's defaults: Solve error (HiGHS model status 4)",
+        "exchange step 1: 31 active points, 0 new, stood: neither",
+    ]
 
 
 def test_solve_lp_matches_linprog_on_criterion_4(monkeypatch):
@@ -503,8 +520,56 @@ def test_solve_lp_and_linprog_both_fail_on_an_unrepresentable_target(monkeypatch
     calls = _recording_lps(monkeypatch)
     with pytest.raises(OracleFailureError, match="Unbounded"):
         elfving_lp(DesignProblem(3, 3), [-1.0, 0.0, 1.0])
-    assert _statuses(calls) == [3]
+    assert _statuses(calls) == ["kUnbounded"]  # not retried
     _assert_lps_check_out(calls)
+
+
+def test_failure_names_both_lps_of_the_step(monkeypatch):
+    # as at (13, 2) on linspace(-0.3, 1, 1001), where on SciPy 1.17.1 the LP
+    # of step 2 ends "Solve error" and its retry "Not Set"
+    calls, _ = _forcing_one_retry(monkeypatch, ("kSolveError", "kNotset"))
+    expected = ("LP did not terminate with an optimum at exchange step 1: Solve error (HiGHS "
+                "model status 4), re-solved at HiGHS's defaults: Not Set (HiGHS model status 0)")
+    with pytest.raises(OracleFailureError, match=f"^{re.escape(expected)}$"):
+        elfving_lp(DesignProblem(29, 7), np.linspace(-1.0, 1.0, 31))
+    assert len(calls) == 2
+
+
+def test_statuses_are_formatted_only_on_failure(monkeypatch):
+    from scipy.optimize._highspy import _core
+
+    def refuse(self, status):
+        raise AssertionError("a model status formatted for an optimal LP")
+
+    monkeypatch.setattr(_core._Highs, "modelStatusToString", refuse)
+    calls = _recording_lps(monkeypatch)
+    _criterion_4_calls()
+    assert _statuses(calls) == ["kOptimal"] * 72
+
+
+#: the options ``scipy.optimize.linprog`` sets on every HiGHS LP
+LINPROG_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "highs_debug_level": 0,
+                   "output_flag": False, "log_to_console": False}
+
+
+def test_linprog_options_change_no_bit(monkeypatch):
+    # criterion 4's 72 LPs and the two LPs of a forced retry, the second at
+    # HiGHS's defaults, solved again with linprog's options on top of
+    # HiGHS's defaults and below the LP's own: the same x and row duals bit
+    # for bit, so the oracle need not set them
+    solve_lp = polydesign.oracle._solve_lp
+    calls = _recording_lps(monkeypatch)
+    _criterion_4_calls()
+    monkeypatch.undo()
+    retry, _ = _forcing_one_retry(monkeypatch)
+    elfving_lp(DesignProblem(29, 7), np.linspace(-1.0, 1.0, 31))
+    assert len(calls) == 72
+    assert [options for _, _, options, _ in retry] == [polydesign.oracle._LP_OPTIONS, {}]
+    for cost, rows, options, res in calls + retry:
+        again = solve_lp(cost, rows, {**LINPROG_OPTIONS, **options})
+        assert res.status.name == again.status.name == "kOptimal"
+        for mine, theirs in ((res.x, again.x), (res.marginals, again.marginals)):
+            np.testing.assert_array_equal(mine.view(np.int64), theirs.view(np.int64))
 
 
 def test_no_oracle_path_calls_linprog(monkeypatch):
@@ -524,7 +589,7 @@ def test_retry_tolerances_do_not_leak(monkeypatch):
     # a fresh solver bit for bit
     calls, held = _forcing_one_retry(monkeypatch)
     elfving_lp(DesignProblem(29, 7), np.linspace(-1.0, 1.0, 31))
-    assert held == [polydesign.oracle._LP_OPTIONS, _highs_defaults()]
+    assert held == [LP_SETTINGS, _highs_defaults()]
 
     def next_lp():
         elfving_lp(DesignProblem(8, 3), np.linspace(-1.0, 1.0, 10001))
@@ -535,9 +600,9 @@ def test_retry_tolerances_do_not_leak(monkeypatch):
     worker.join(timeout=60.0)
     assert not worker.is_alive()
     assert len(calls) == len(held) == 4
-    assert held[2] == held[3] == polydesign.oracle._LP_OPTIONS
+    assert held[2] == held[3] == LP_SETTINGS
     (*_, same), (*_, fresh) = calls[2:]
-    assert same.status == fresh.status == 0
+    assert same.status.name == fresh.status.name == "kOptimal"
     for mine, theirs in ((same.x, fresh.x), (same.marginals, fresh.marginals)):
         np.testing.assert_array_equal(mine.view(np.int64), theirs.view(np.int64))
     _assert_lps_check_out(calls[2:])
@@ -598,6 +663,23 @@ def test_sparse_grid_design_is_scored_near_the_lp_variance():
     value = phi_c(lp.design, np.eye(29)[6], 29)
     assert value == pytest.approx(lp.variance, rel=1e-9)
     assert min(value, lp.variance) >= solve(problem).variance
+
+
+@pytest.mark.parametrize("n, p, grid", [
+    (13, 4, np.linspace(-0.3, 1.0, 1001)),
+    (14, 1, np.linspace(-0.3, 1.0, 1001)),
+    (16, 1, np.linspace(-1.0, 0.5, 1001)),
+])
+def test_asymmetric_grids(n, p, grid):
+    # the grid lies inside [-1, 1], so its optimum bounds solve's from above,
+    # and phi_c of the LP's design meets the LP variance (to 7.6e-10,
+    # 4.4e-9 and 3.6e-10 relative); on SciPy 1.17.1 these problems re-solve
+    # 3, 1 and 1 LPs at HiGHS's defaults, which depends on HiGHS's version
+    problem = DesignProblem(n, p)
+    lp = elfving_lp(problem, grid)
+    assert lp.variance >= solve(problem).variance
+    value = phi_c(lp.design, np.eye(n)[p - 1], n)
+    assert value == pytest.approx(lp.variance, rel=1e-8)
 
 
 def test_solver_supports_as_grids():
