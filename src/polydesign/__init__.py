@@ -15,13 +15,7 @@ variance against a linear-programming oracle over [-1, 1] or a grid on it.
 
 __version__ = "0.2.0"  # set before the submodules import it
 
-from .design import (
-    Design,
-    DesignProblem,
-    certificate_identity,
-    information_matrix,
-    phi_c,
-)
+from .design import Design, DesignProblem, certificate_identity, phi_c
 from .document import DesignDocument, document_from_result, parse_design_file, parse_document, render_document
 from .elfving import ElfvingReport, verify
 from .errors import (
@@ -54,7 +48,6 @@ __all__ = [
     "document_from_result",
     "e_polynomial",
     "elfving_lp",
-    "information_matrix",
     "oracle_variance",
     "parse_design_file",
     "parse_document",

@@ -1,22 +1,21 @@
-"""Design measures, moment matrices and the estimability criterion.
+"""Design measures and the estimability criterion.
 
 A design is a finitely supported probability measure on [-1, 1]. The
 degree-n model without intercept is written in the basis
 g_j = T_j - T_j(0), j = 1..n, of :mod:`polydesign.polynomial`: the
 regression vector is g(x) = A f(x), with f(x) = (x, ..., x**n) and A[j, q]
 the coefficient of x**q in T_j, and monomial coefficient vectors c map to
-d = A c (for the unit vector e_p, d_p = ``power_coefficients(n, p)``). The
-information matrix is the weighted moment matrix
-M = sum_i w_i g(x_i) g(x_i)^T, and the criterion value c^T M_f^- c equals
-d^T M^+ d when c is estimable under the design, and infinity otherwise.
-Symmetric matrices are plain float64 numpy arrays throughout. Condition (3)
-of the certificate and ``CONDITION_TOL``, its tolerance, live here too.
+d = A c (for the unit vector e_p, d_p = ``power_coefficients(n, p)``). With
+the information matrix M = sum_i w_i g(x_i) g(x_i)^T, the criterion value
+c^T M_f^- c equals d^T M^+ d when c is estimable under the design, and
+infinity otherwise; :func:`phi_c` computes it without forming M.
+Condition (3) of the certificate and ``CONDITION_TOL``, its tolerance, live
+here too.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,45 +93,28 @@ class DesignProblem:
         return e
 
 
-def _check_degree(n) -> None:
-    if not is_integer(n):
-        raise InvalidProblemError(f"degree must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidProblemError(f"degree must be positive, got {n}")
-
-
-def information_matrix(design: Design, n: int) -> np.ndarray:
-    """Weighted moment matrix G diag(w) G^T, with G[j, i] = g_j(x_i).
-
-    The product is averaged with its transpose, so the result is symmetric
-    bit-for-bit and positive semidefinite up to rounding.
-    """
-    _check_degree(n)
-    g = intercept_free_vander(design.support, n)
-    m = (g.T * design.weights) @ g
-    return 0.5 * (m + m.T)
-
-
 def phi_c(design: Design, c, n: int) -> float:
     """Criterion value c^T M^- c, or ``math.inf`` when c is not estimable.
 
     ``c`` holds monomial coefficients (c . theta for theta the coefficients
-    of x, ..., x**n) and is mapped to d = A c in the basis of
-    :func:`information_matrix`. With the weighted basis values
-    B[i, j] = sqrt(w_i) g_j(x_i), M = B^T B, and the value d^T M^+ d is
-    |z|^2 for z the minimum-norm least-squares solution of B^T z = d, so M
-    is never formed and its condition number is never squared. This is the
-    library's one estimability test: c is estimable under the design iff d
-    lies in the column space of M, which is that of B^T, checked as
-    ``|B^T z - d| <= ADMISSIBLE_TOL * max(1, |d|)``, so
-    ``math.isfinite(phi_c(...))`` answers "is c estimable?". For estimable
-    c the value does not depend on the choice of generalized inverse;
-    infinity is a sentinel value, not an error. A non-finite ``c`` raises
+    of x, ..., x**n) and is mapped to d = A c in the basis g. With the
+    weighted basis values B[i, j] = sqrt(w_i) g_j(x_i), M = B^T B, and the
+    value d^T M^+ d is |z|^2 for z the minimum-norm least-squares solution
+    of B^T z = d, so M is never formed and its condition number is never
+    squared. This is the library's one estimability test: c is estimable
+    under the design iff d lies in the column space of M, which is that of
+    B^T, checked as ``|B^T z - d| <= ADMISSIBLE_TOL * max(1, |d|)``, so
+    ``math.isfinite(phi_c(...))`` answers "is c estimable?". For estimable c
+    the value does not depend on the choice of generalized inverse; infinity
+    is a sentinel value, not an error. A non-finite ``c`` raises
     ``ValueError``, and an estimable c whose value |z|^2 exceeds the double
-    range raises :class:`NumericalDegeneracyError` (first seen at
-    (n, p) = (415, 247)), as ``solve`` does.
+    range raises :class:`NumericalDegeneracyError` (first seen at (n, p) =
+    (415, 247)), as ``solve`` does.
     """
-    _check_degree(n)
+    if not is_integer(n):
+        raise InvalidProblemError(f"degree must be an integer, got {n!r}")
+    if n < 1:
+        raise InvalidProblemError(f"degree must be positive, got {n}")
     c = np.asarray(c, dtype=float)
     if c.shape != (n,):
         raise ValueError(f"coefficient vector must have length {n}")
@@ -150,13 +132,12 @@ def _phi_c(g: np.ndarray, weights: np.ndarray, d: np.ndarray) -> float:
     z = np.linalg.lstsq(b_t, d, rcond=None)[0]
     if np.abs(b_t @ z - d).max() > ADMISSIBLE_TOL * max(1.0, np.abs(d).max()):
         return math.inf
-    # |z|**2 <= z.size * top**2; Python floats overflow to inf without numpy's warning
-    top = float(np.abs(z).max())
-    if top * top * z.size <= sys.float_info.max:
-        return float(z @ z)
-    value = float((z / top) @ (z / top)) * top * top
+    with np.errstate(over="ignore"):  # a sum of squares is inf exactly when it is no double
+        value = float(z @ z)
     if not math.isfinite(value):
-        raise NumericalDegeneracyError(f"c^T M^- c overflows the double range (|z| max {top:.3e})")
+        raise NumericalDegeneracyError(
+            f"c^T M^- c overflows the double range (|z| max {np.abs(z).max():.3e})"
+        )
     return value
 
 

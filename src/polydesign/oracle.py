@@ -278,12 +278,13 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
     """``minimize cost . v s.t. -1 <= rows @ v <= 1``, v free, on this
     thread's HiGHS solver (see the module docstring).
 
-    HiGHS gets one boxed row per row of ``rows`` (its nonzeros by column,
-    free columns), its default options with output off, and ``options`` on
-    top. ``marginals`` are HiGHS's row duals: negative at a row at +1,
-    positive at a row at -1, and at an optimum they solve
-    ``rows.T @ marginals = cost`` with ``cost . x = -sum |marginals|``.
-    A model that HiGHS refuses reads as ``kModelError``.
+    HiGHS gets one boxed row per row of ``rows`` (dense and row-wise; it
+    drops the zero entries itself), free columns, its default options with
+    output off, and ``options`` on top. ``marginals`` are HiGHS's row duals:
+    negative at a row at +1, positive at a row at -1, and at an optimum they
+    solve ``rows.T @ marginals = cost`` with
+    ``cost . x = -sum |marginals|``. A model that HiGHS refuses reads as
+    ``kModelError``.
     """
     from scipy.optimize._highspy import _core as highs  # see the module docstring
 
@@ -293,18 +294,14 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
     solver.clear()  # the model, the solution and the options
     for key, value in {"output_flag": False, **options}.items():
         solver.setOptionValue(key, value)
-    a = rows.T  # row j is column j of rows
-    nonzero = a != 0.0
-    num_col, num_row = a.shape
-    start = np.zeros(num_col, dtype=np.int32)  # each column's first nonzero
-    np.cumsum(nonzero[:-1].sum(axis=1), out=start[1:])
-    index = np.nonzero(nonzero)[1].astype(np.int32)
+    num_row, num_col = rows.shape
     status = solver.passModel(
-        num_col, num_row, index.size,
-        int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,  # no offset
+        num_col, num_row, rows.size,
+        int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize), 0.0,  # no offset
         cost, np.full(num_col, -highs.kHighsInf), np.full(num_col, highs.kHighsInf),
         np.full(num_row, -1.0), np.ones(num_row),
-        start, index, a[nonzero],
+        np.arange(0, rows.size, num_col, dtype=np.int32),  # each row's first entry
+        np.tile(np.arange(num_col, dtype=np.int32), num_row), rows.ravel(),
         np.zeros(num_col, dtype=np.int32),  # all continuous; an empty array is an error
     )
     if status == highs.HighsStatus.kError:

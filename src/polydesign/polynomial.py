@@ -31,8 +31,8 @@ from .points import check_order
 
 
 def _t_at_zero(m: int) -> np.ndarray:
-    # T_j(0) = cos(j pi / 2), j = 1..m, rounded to the exact 0, -1, 0, 1, ...
-    return np.rint(np.cos(np.pi / 2 * np.arange(1, m + 1)))
+    # T_j(0) = cos(j pi / 2), j = 1..m: exactly 0, -1, 0, 1, repeated
+    return np.array([0.0, -1.0, 0.0, 1.0])[np.arange(m) % 4]
 
 
 def _series(v: np.ndarray) -> np.ndarray:

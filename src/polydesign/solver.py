@@ -192,10 +192,12 @@ def solve(problem: DesignProblem) -> OptimalResult:
     is constant; exactly one must pass. In case C the optimal designs drop
     the endpoint pair, extrema 2k + 1 and 0, for p up to a bound that grows
     with n (1 below degree 9, 3 up to degree 19), and the central pair,
-    extrema k and k + 1, above it; no other drop is ever optimal (checked
-    for every odd n <= 101). So only the drops of 2k + 1 and k are solved:
-    the passing one is design 1, and design 2 is its exact mirror image,
-    the mirrored points (exact negatives) with the weights reversed.
+    extrema k and k + 1, above it; no other drop is ever optimal
+    (``tests/test_solver.py`` tries every drop with this test for every
+    odd n <= 61, and CI up to n = 101). So only the drops of 2k + 1 and k
+    are solved: the passing one is design 1, and design 2 is its exact
+    mirror image, the mirrored points (exact negatives) with the weights
+    reversed.
 
     Every design is checked internally against the certificate identity
     d_p = h * sum_i g(x_i) w_i P(x_i), condition (3) of the verifier, at

@@ -290,3 +290,19 @@ def test_h_beyond_degree_30_matches_a_120_digit_reference(n, p):
         report = verify(design, problem, result.certificate)
         assert report.h == pytest.approx(reference, rel=1e-12)
         assert report.verdict
+
+
+@pytest.mark.parametrize("n, p", [(95, 2), (200, 2)])
+def test_variance_matrix_meets_the_120_digit_reference(n, p):
+    # of verify's two variances, phi_c's meets the reference h**2 (to
+    # 1.1e-15 measured) and the identity's h**2 does not (8.8e-13 at both,
+    # from an h off by 4.4e-13): the gap between them is the identity's
+    pytest.importorskip("mpmath")
+    from high_precision import reference_h
+
+    reference = float(reference_h(n, p) ** 2)
+    problem = DesignProblem(n, p)
+    result = solve(problem)
+    for design in result.designs:
+        report = verify(design, problem, result.certificate)
+        assert report.variance_matrix == pytest.approx(reference, rel=1e-14)

@@ -572,6 +572,54 @@ def test_linprog_options_change_no_bit(monkeypatch):
             np.testing.assert_array_equal(mine.view(np.int64), theirs.view(np.int64))
 
 
+def _solve_column_wise(solver, cost, rows, options):
+    # the model as _solve_lp once passed it: the nonzeros of rows, by column
+    from scipy.optimize._highspy import _core as highs
+
+    solver.clear()
+    for key, value in {"output_flag": False, **options}.items():
+        solver.setOptionValue(key, value)
+    a = rows.T
+    nonzero = a != 0.0
+    num_col, num_row = a.shape
+    start = np.zeros(num_col, dtype=np.int32)
+    np.cumsum(nonzero[:-1].sum(axis=1), out=start[1:])
+    index = np.nonzero(nonzero)[1].astype(np.int32)
+    status = solver.passModel(
+        num_col, num_row, index.size,
+        int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
+        cost, np.full(num_col, -highs.kHighsInf), np.full(num_col, highs.kHighsInf),
+        np.full(num_row, -1.0), np.ones(num_row),
+        start, index, a[nonzero], np.zeros(num_col, dtype=np.int32),
+    )
+    assert status == highs.HighsStatus.kOk
+    solver.run()
+    solution = solver.getSolution()
+    return solver.getModelStatus(), np.array(solution.col_value), np.array(solution.row_dual)
+
+
+def test_row_wise_model_matches_the_column_wise_one(monkeypatch):
+    # criterion 4's 72 LPs and the two LPs of a forced retry, passed to
+    # HiGHS dense and row-wise, give the x and row duals of the sparse
+    # column-wise model bit for bit; every LP with n >= 4 has explicit
+    # zeros, g_j(+-1) = 0 for j = 0 (mod 4), which HiGHS drops itself
+    from scipy.optimize._highspy import _core
+
+    calls = _recording_lps(monkeypatch)
+    _criterion_4_calls()
+    monkeypatch.undo()
+    retry, _ = _forcing_one_retry(monkeypatch)
+    elfving_lp(DesignProblem(29, 7), np.linspace(-1.0, 1.0, 31))
+    assert len(calls) == 72 and len(retry) == 2
+    assert all((rows == 0.0).any() for _, rows, _, _ in calls if rows.shape[1] >= 4)
+    solver = _core._Highs()
+    for cost, rows, options, res in calls + retry:
+        status, x, marginals = _solve_column_wise(solver, cost, rows, options)
+        assert res.status.name == status.name == "kOptimal"
+        for mine, theirs in ((res.x, x), (res.marginals, marginals)):
+            np.testing.assert_array_equal(mine.view(np.int64), theirs.view(np.int64))
+
+
 def test_no_oracle_path_calls_linprog(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called linprog")

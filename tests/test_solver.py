@@ -29,6 +29,7 @@ from polydesign import (
     verify,
 )
 
+from case_c_scan import mismatches, passing_drops, solver_pair
 from half_range import symmetric_system_check
 
 SQRT2 = math.sqrt(2.0)
@@ -412,14 +413,14 @@ def test_overflowing_target_leaves_the_geometry_cache_untouched():
 def _p_star(n):
     # the largest p whose case-C designs drop the endpoint pair (ROADMAP's
     # table, measured for every odd n <= 101)
-    for bound, p_star in ((7, 1), (19, 3), (35, 5), (57, 7)):
+    for bound, p_star in ((7, 1), (19, 3), (35, 5), (57, 7), (85, 9), (101, 11)):
         if n <= bound:
             return p_star
     raise ValueError(n)
 
 
 def test_case_c_pair_follows_the_threshold_table():
-    for n in range(1, 58, 2):
+    for n in range(1, 62, 2):
         for p in range(1, n + 1, 2):
             result = solve(DesignProblem(n, p))
             pair = "endpoint" if p <= _p_star(n) else "central"
@@ -428,6 +429,14 @@ def test_case_c_pair_follows_the_threshold_table():
             dropped = [np.flatnonzero(~np.isin(s_points(k + 1), d.support)) for d in result.designs]
             expected = [[2 * k + 1], [0]] if pair == "endpoint" else [[k], [k + 1]]
             assert [list(d) for d in dropped] == expected, (n, p)
+
+
+def test_case_c_drops_other_than_solves_pair_never_pass():
+    # all n + 1 drops of T_n's extrema through solve's own sign test, which
+    # tries two: exactly the mirror pair solve names passes. A CI step runs
+    # the same scan for every odd n <= 101
+    assert mismatches(range(1, 62, 2)) == []
+    assert passing_drops(1, 1) == solver_pair(1, 1) == {0, 1}  # the two pairs coincide
 
 
 def test_case_c_pair_is_none_in_cases_a_and_b():
