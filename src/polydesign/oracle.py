@@ -70,20 +70,17 @@ The LPs run on HiGHS through the bindings SciPy bundles with it
 (``scipy.optimize._highspy``, SciPy 1.15 and later). :func:`_solve_lp`
 passes one boxed row -1 <= g(x) . v <= 1 per active point, where
 ``scipy.optimize.linprog``'s ``A_ub`` form needs two one-sided rows, and
-skips linprog's checks of its inputs, options and result. Over acceptance
-criterion 4's 72 LPs (2 cores, best of 30) an LP takes 0.20-0.23 ms,
-against 0.44-0.50 ms for the two-row model passed the same way and
-2.1-2.4 ms through linprog. Each thread keeps one solver, a ``_Highs``
-made on its first LP, in a :class:`threading.local`, so threads share no
-solver and take no lock. Before each LP, ``clear()`` resets the solver's
-model, solution and options to a new solver's (``clearSolver()`` would
-keep the options, and a retry would run at the first LP's tolerances
-instead of HiGHS's defaults), and the model is passed as arrays through
-``passModel``'s array overload rather than built field by field as a
-``HighsLp``. SciPy is imported on the first LP only; the rest of the
-library needs numpy alone, and importing SciPy would triple its start-up
-time. So is :mod:`logging`, for the exchange's debug
-records: ``scipy.optimize`` loads it anyway, while at the top of this
+skips linprog's checks of its inputs, options and result. Each thread keeps
+one solver, a ``_Highs`` made on its first LP, in a
+:class:`threading.local`, so threads share no solver and take no lock.
+Before each LP, ``clear()`` resets the solver's model, solution and options
+to a new solver's (``clearSolver()`` would keep the options, and a retry
+would run at the first LP's tolerances instead of HiGHS's defaults), and
+the model is passed as arrays through ``passModel``'s array overload rather
+than built field by field as a ``HighsLp``. SciPy is imported on the first
+LP only; the rest of the library needs numpy alone, and importing SciPy
+would triple its start-up time. So is :mod:`logging`, for the exchange's
+debug records: ``scipy.optimize`` loads it anyway, while at the top of this
 module it would add about 5 ms to ``import polydesign``.
 
 Each LP runs at HiGHS's defaults, output off, but for the values in
@@ -283,8 +280,10 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
     output off, and ``options`` on top. ``marginals`` are HiGHS's row duals:
     negative at a row at +1, positive at a row at -1, and at an optimum they
     solve ``rows.T @ marginals = cost`` with
-    ``cost . x = -sum |marginals|``. A model that HiGHS refuses reads as
-    ``kModelError``.
+    ``cost . x = -sum |marginals|``. ``passModel``'s status goes unread:
+    the arrays are finite and their shapes match, so HiGHS takes the model.
+    A refused model would leave ``run()`` at ``kNotset``, which the
+    exchange re-solves once and then reports as a failure.
     """
     from scipy.optimize._highspy import _core as highs  # see the module docstring
 
@@ -295,7 +294,7 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
     for key, value in {"output_flag": False, **options}.items():
         solver.setOptionValue(key, value)
     num_row, num_col = rows.shape
-    status = solver.passModel(
+    solver.passModel(
         num_col, num_row, rows.size,
         int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize), 0.0,  # no offset
         cost, np.full(num_col, -highs.kHighsInf), np.full(num_col, highs.kHighsInf),
@@ -304,8 +303,6 @@ def _solve_lp(cost: np.ndarray, rows: np.ndarray, options: dict) -> _LPSolution:
         np.tile(np.arange(num_col, dtype=np.int32), num_row), rows.ravel(),
         np.zeros(num_col, dtype=np.int32),  # all continuous; an empty array is an error
     )
-    if status == highs.HighsStatus.kError:
-        return _LPSolution(highs.HighsModelStatus.kModelError, None, None)
     solver.run()
     model_status = solver.getModelStatus()
     if model_status != highs.HighsModelStatus.kOptimal:

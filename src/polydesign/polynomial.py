@@ -118,14 +118,6 @@ class Polynomial:
         x = np.concatenate([[-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)])
         return x, self(x)
 
-    def padded(self, degree: int) -> "Polynomial":
-        """Return a copy carrying explicit zero coefficients up to ``degree``."""
-        if self.coeffs.size >= degree:
-            return self
-        c = np.zeros(degree)
-        c[: self.coeffs.size] = self.coeffs
-        return Polynomial(c)
-
 
 def coefficient(poly: Polynomial, p: int) -> float:
     """Coefficient of x**p: 0.0 for p = 0 and for p above the stored degree."""

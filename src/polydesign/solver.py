@@ -28,13 +28,14 @@ are those of the LP oracle run on that support as its grid,
 ``elfving_lp(DesignProblem(m, p), support)``.
 
 Everything but the target d_p is fixed by n and the case: the certificate,
-its extrema with their +-1 values, the candidate supports and the basis
+its extrema with its signs there, the candidate supports and the basis
 values g_1..g_n at those extrema. :func:`_geometry` computes them once per
 (n, case tag) and keeps the ``_GEOMETRY_CACHE_SIZE`` = 64 most recently
 used keys, enough for every key with n <= 30 (59 of them). An entry is
 dominated by its basis values, at most 8 * n * (n + 1) bytes, so the cache
 holds under 0.2 MB for n <= 30 and about 5 MB at most for n <= 100. The
-Lagrange solve and the self-check both read these basis values, so
+Lagrange solve and the self-check both read these basis values, and
+:func:`_passing`, the one sign test of every candidate, reads the signs, so
 :func:`solve` builds no basis on a warm cache and computes d_p once. The
 cached arrays are read-only and :func:`solve` indexes fresh copies out of
 them, so its results are bit-identical to a call on a cold cache and never
@@ -111,15 +112,23 @@ def _lagrange_columns(g: np.ndarray, d: np.ndarray) -> np.ndarray:
         raise NumericalDegeneracyError("singular system for the target coefficient") from exc
 
 
-def _nondegenerate(abs_a: np.ndarray) -> np.ndarray:
-    """Rows of |a_{i,p}| with no numerically zero (or NaN) entry."""
-    return np.all(abs_a > 1e-12 * abs_a.max(axis=-1, keepdims=True), axis=-1)
+def _passing(a: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a_{i,p} that pass :func:`solve`'s test.
+
+    ``values`` holds the certificate's value P(t_i), +-1, at each row's
+    support. A row passes iff no |a_{i,p}| is numerically zero (below 1e-12
+    of the row's maximum) or NaN, and sign(a_{i,p}) * P(t_i) is the same
+    for every i.
+    """
+    abs_a, orientation = np.abs(a), np.sign(a) * values
+    nonzero = abs_a.min(axis=-1) > 1e-12 * abs_a.max(axis=-1)  # NaN propagates and fails
+    return np.flatnonzero(nonzero & (orientation.min(axis=-1) == orientation.max(axis=-1)))
 
 
 class _Geometry(NamedTuple):
-    certificate: Polynomial  # padded to degree n
+    certificate: Polynomial  # n coefficients
     points: np.ndarray  # the certificate's extrema, sorted
-    values: np.ndarray  # the certificate's exact value, +-1, at each point
+    values: np.ndarray  # the certificate's sign, +-1, at each point
     kept: np.ndarray  # one row of point indices per candidate support
     g: np.ndarray  # intercept_free_vander(points, n)
 
@@ -132,11 +141,13 @@ def _geometry(n: int, tag: str) -> _Geometry:
     ``t_points(k)`` for even p, and T_s on ``s_points((s + 1) // 2)`` for
     odd p, with k = n // 2 and s the largest odd number <= n (n - 1 in case
     B, n in case C). For odd s, T_s = g_s, so that certificate is a unit
-    vector. The points are the certificate's extrema, where the value
-    alternates: from -1 at x = -1 for T_s, and on each half from 1 at
-    x = +-1 for the even E_2k. This closed-form pattern is exact, while
-    evaluating the certificate carries the rounding of its Chebyshev
-    coefficients and of the points (about 1e-14 at degree 30).
+    vector; E_2k has 2k coefficients, and at odd n a zero pads it to n. The
+    points are the certificate's extrema, where its value is +-1, and
+    ``values`` is the sign of the certificate evaluated there. The
+    evaluation carries only the rounding of the Chebyshev coefficients and
+    of the points (about 1e-14 at degree 30), so the sign is exact. It
+    alternates, from -1 at x = -1 for T_s and on each half from 1 at
+    x = +-1 for the even E_2k.
 
     Cases A and B have one candidate support, all points. Case C has one
     per pair that may be dropped: row 0 of ``kept`` drops extremum 2k + 1
@@ -149,13 +160,12 @@ def _geometry(n: int, tag: str) -> _Geometry:
     """
     k = n // 2
     if tag == CASE_A:
-        half = (-1.0) ** np.arange(k)  # value at the i-th negative point
-        certificate, points = e_polynomial(k).padded(n), t_points(k)
-        values = np.concatenate([half, half[::-1]])
+        certificate = Polynomial(np.concatenate([e_polynomial(k).coeffs, np.zeros(n % 2)]))
+        points = t_points(k)
     else:
         s = 2 * k - 1 if tag == CASE_B else 2 * k + 1
         certificate, points = Polynomial(np.eye(n)[s - 1]), s_points((s + 1) // 2)
-        values = (-1.0) ** np.arange(1, s + 2)
+    values = np.sign(certificate(points))
     kept = np.arange(points.size)[None]
     if tag == CASE_C:
         drops = [2 * k + 1, k] if k else [1]  # at n = 1 the central pair is the endpoint pair
@@ -189,15 +199,16 @@ def solve(problem: DesignProblem) -> OptimalResult:
     Cases A and B have one candidate support, the certificate's extrema;
     case C drops one of its 2k + 2 extrema. A candidate is optimal iff
     every a_{i,p} is nonzero and sign(a_{i,p}) * P(t_i), the orientation,
-    is constant; exactly one must pass. In case C the optimal designs drop
-    the endpoint pair, extrema 2k + 1 and 0, for p up to a bound that grows
-    with n (1 below degree 9, 3 up to degree 19), and the central pair,
-    extrema k and k + 1, above it; no other drop is ever optimal
-    (``tests/test_solver.py`` tries every drop with this test for every
-    odd n <= 61, and CI up to n = 101). So only the drops of 2k + 1 and k
-    are solved: the passing one is design 1, and design 2 is its exact
-    mirror image, the mirrored points (exact negatives) with the weights
-    reversed.
+    is constant: the test of :func:`_passing`. Exactly one must pass, and
+    its orientation orients the certificate. In case C the optimal designs
+    drop the endpoint pair, extrema 2k + 1 and 0, for p up to a bound that
+    grows with n (1 below degree 9, 3 up to degree 19), and the central
+    pair, extrema k and k + 1, above it; no other drop is ever optimal
+    (``tests/test_solver.py`` tries every drop with :func:`_passing` for
+    every odd n <= 61, and CI up to n = 101). So only the drops of 2k + 1
+    and k are solved: the passing one is design 1, and design 2 is its
+    exact mirror image, the mirrored points (exact negatives) with the
+    weights reversed.
 
     Every design is checked internally against the certificate identity
     d_p = h * sum_i g(x_i) w_i P(x_i), condition (3) of the verifier, at
@@ -212,19 +223,17 @@ def solve(problem: DesignProblem) -> OptimalResult:
     d = power_coefficients(problem.n, problem.p)
     case = _geometry(problem.n, tag)
     a = _lagrange_columns(case.g[case.kept, : case.kept.shape[1]], d)
-    abs_a = np.abs(a)
-    orientation = np.sign(a) * case.values[case.kept]
-    consistent = np.all(orientation == orientation[:, :1], axis=1)
-    rows = np.flatnonzero(_nondegenerate(abs_a) & consistent)
+    rows = _passing(a, case.values[case.kept])
     if rows.size != 1:
         raise NumericalDegeneracyError(f"expected 1 consistent support for {problem}, found {rows.size}")
     (r,) = rows
-    h, sigma = float(abs_a[r].sum()), float(orientation[r, 0])
+    abs_a = np.abs(a[r])
+    h, sigma = float(abs_a.sum()), float(np.sign(a[r, 0]) * case.values[case.kept[r, 0]])
     if not math.isfinite(h * h):
         raise NumericalDegeneracyError(
             f"variance h**2 overflows the double range for {problem} (h = {h:.3e})"
         )
-    index, w = case.kept[r], abs_a[r] / h
+    index, w = case.kept[r], abs_a / h
     chosen = [(index, w if tag == CASE_C else _symmetrized(w))]
     if tag == CASE_C:  # and its mirror image under x -> -x, as a copy
         chosen.append((case.points.size - 1 - index[::-1], w[::-1].copy()))

@@ -4,16 +4,17 @@
 case C (odd n and p), the endpoint pair's 2k + 1 and the central pair's k,
 on the claim that no other drop is ever optimal. :func:`passing_drops`
 tries all n + 1 with the solver's own pieces (its cached case geometry,
-``_lagrange_columns``, ``_nondegenerate`` and its orientation test), so the
-claim is checked as ``solve`` computes it. Imported by ``test_solver.py``
-(every odd n <= 61) and by a CI step (every odd n <= 101).
+``_lagrange_columns`` and ``_passing``, the sign test ``solve`` runs), so
+the claim is checked by ``solve``'s own code. Imported by
+``test_solver.py`` (every odd n <= 61) and by a CI step (every odd
+n <= 101).
 """
 
 import numpy as np
 
 from polydesign import DesignProblem, solve
 from polydesign.polynomial import power_coefficients
-from polydesign.solver import CASE_C, _geometry, _lagrange_columns, _nondegenerate
+from polydesign.solver import CASE_C, _geometry, _lagrange_columns, _passing
 
 
 def passing_drops(n: int, p: int) -> set:
@@ -24,9 +25,7 @@ def passing_drops(n: int, p: int) -> set:
     every = np.arange(n + 1)
     kept = np.array([np.delete(every, drop) for drop in every])
     a = _lagrange_columns(case.g[kept], power_coefficients(n, p))
-    orientation = np.sign(a) * case.values[kept]
-    consistent = np.all(orientation == orientation[:, :1], axis=1)
-    return set(np.flatnonzero(_nondegenerate(np.abs(a)) & consistent).tolist())
+    return set(_passing(a, case.values[kept]).tolist())
 
 
 def solver_pair(n: int, p: int) -> set:

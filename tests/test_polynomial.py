@@ -25,6 +25,10 @@ from polydesign.points import s_points, t_points
 from polydesign.polynomial import intercept_free_vander, power_coefficients
 from polydesign.solver import _lagrange_columns
 
+# on a failing example hypothesis imports libcst, whose mypy_extensions
+# warning -W error would turn into an INTERNALERROR instead of a report
+pytestmark = pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -94,11 +98,6 @@ def test_stored_coefficients_are_a_read_only_copy():
 def test_degree_ignores_trailing_zeros():
     assert Polynomial([0.0, 1.0, 0.0, 0.0]).degree == 2
     assert Polynomial([0.0]).degree == 0
-
-
-def test_padded_extends_with_zeros():
-    padded = Polynomial([1.0, 2.0]).padded(4)
-    np.testing.assert_array_equal(padded.coeffs, [1.0, 2.0, 0.0, 0.0])
 
 
 def test_chebyshev_low_orders():

@@ -12,7 +12,7 @@ import polydesign.elfving
 import polydesign.solver
 from polydesign.cli import REFERENCE_DESIGNS
 from polydesign.polynomial import intercept_free_vander, power_coefficients
-from polydesign.solver import _lagrange_columns
+from polydesign.solver import _lagrange_columns, _passing
 
 from polydesign import (
     Design,
@@ -222,9 +222,9 @@ def test_case_c_sign_products_share_one_sign():
             result = solve(DesignProblem(n, p))
             for design in result.designs:
                 g = intercept_free_vander(design.support[None], design.size)
-                signs = np.sign(_lagrange_columns(g, power_coefficients(design.size, p))[0])
-                products = signs * np.sign(result.certificate(design.support))
-                assert np.all(products == products[0])
+                a = _lagrange_columns(g, power_coefficients(design.size, p))
+                values = np.sign(result.certificate(design.support))
+                assert _passing(a, values).tolist() == [0], (n, p)
 
 
 def test_unusual_support_selection_degree9_coef3():
@@ -336,6 +336,22 @@ def test_cached_geometry_is_read_only(n, p):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_certificate_signs_match_the_closed_form_alternation():
+    # the signs read off each certificate at its extrema against the
+    # closed-form patterns: on each half from 1 at x = +-1 for E_2k, and
+    # (-1)**(i + 1) at the i-th extremum of T_s; __wrapped__ builds each
+    # geometry without touching the cache the other tests inspect
+    for n in range(1, 102):
+        k = n // 2
+        half = (-1.0) ** np.arange(k)
+        expected = {"A": np.concatenate([half, half[::-1]])} if k else {}
+        s = n if n % 2 else n - 1
+        expected["C" if n % 2 else "B"] = (-1.0) ** np.arange(1, s + 2)
+        for tag, signs in expected.items():
+            values = polydesign.solver._geometry.__wrapped__(n, tag).values
+            assert np.array_equal(values, signs), (n, tag)
 
 
 def test_geometry_cache_stays_bounded():
