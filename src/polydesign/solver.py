@@ -10,9 +10,10 @@ follow one rule:
   polynomial of degree 2k, and the one design sits on its 2k extrema;
 * cases "B" (n even) and "C" (n odd), p odd: the certificate is the
   Chebyshev polynomial T_s, s the largest odd number <= n, with s + 1
-  extrema. In case B they carry the one design; in case C one of them is
-  dropped: two candidates are solved, and the optimal one and its mirror
-  image under x -> -x are the two designs.
+  extrema. In case B they carry the one design. In case C, where s = n,
+  the optimal designs on all n + 1 extrema form a segment; its two ends
+  each drop one extremum, and they are the two designs, mirror images of
+  each other under x -> -x.
 
 In every case the weights have the same closed form: with a_{i,p} the
 coefficient of x**p in the i-th intercept-free Lagrange basis polynomial of
@@ -22,24 +23,38 @@ is bounded by 1 on [-1, 1], equals +-1 on the support, and reproduces d_p,
 the coefficients of x**p in T_1..T_n, as h * sum_i g(x_i) w_i P(x_i) in
 the basis g_j = T_j - T_j(0) of :mod:`polydesign.polynomial`.
 
-:func:`solve` evaluates this formula on its candidate supports only. The
-optimal weights on another support of m points, with points of both signs,
-are those of the LP oracle run on that support as its grid,
+:func:`solve` computes the weights from that identity. P has the parity
+of p and g_j that of j, so on the symmetric extrema with symmetric weights
+the identity keeps only the entries j = p (mod 2), and on the m positive
+extrema it is a square m x m system, G_half^T u = d_p[j = p (mod 2)], with
+u_i = 2 h w_i P(x_i). So h = sum_i |u_i|, and w_i = |u_i| / (2h) on each
+half. In cases A and B this is the one optimal design. In case C it is
+the symmetric optimal design on all n + 1 extrema of T_n (Studden's design
+for x**p in the model with intercept), and the optimal designs there are
+w + t delta: delta_i = l_i(0) T_n(x_i), l_i the Lagrange basis at the
+extrema, changes none of the sums the identity reads. In barycentric form
+(Berrut and Trefethen, SIAM Review 46, 2004) delta_i is (-1)**k / n times
+c_i / x_i, c_i = 1/2 at +-1 and 1 elsewhere. The segment ends where
+its first weight vanishes, a ratio test over all n + 1 extrema, and so
+that test decides which mirror pair of extrema the two designs drop.
+
+The optimal weights on another support of m points, with points of both
+signs, are those of the LP oracle run on that support as its grid,
 ``elfving_lp(DesignProblem(m, p), support)``.
 
 Everything but the target d_p is fixed by n and the case: the certificate,
-its extrema with its signs there, the candidate supports and the basis
-values g_1..g_n at those extrema. :func:`_geometry` computes them once per
-(n, case tag) and keeps the ``_GEOMETRY_CACHE_SIZE`` = 64 most recently
-used keys, enough for every key with n <= 30 (59 of them). An entry is
-dominated by its basis values, at most 8 * n * (n + 1) bytes, so the cache
-holds under 0.2 MB for n <= 30 and about 5 MB at most for n <= 100. The
-Lagrange solve and the self-check both read these basis values, and
-:func:`_passing`, the one sign test of every candidate, reads the signs, so
-:func:`solve` builds no basis on a warm cache and computes d_p once. The
-cached arrays are read-only and :func:`solve` indexes fresh copies out of
-them, so its results are bit-identical to a call on a cold cache and never
-alias it.
+its extrema with its signs there, the basis values g_1..g_n at those
+extrema, the positive half's system and delta. :func:`_geometry` computes
+them once per (n, case tag) and keeps the ``_GEOMETRY_CACHE_SIZE`` = 64
+most recently used keys, enough for every key with n <= 30 (59 of them).
+An entry is dominated by its basis values, at most 8 * n * (n + 1) bytes
+(the half system is a view of them), so the cache holds under 0.2 MB for
+n <= 30 and about 5 MB at most for n <= 100. The half solve and the
+self-check both read these basis values, and :func:`_passing`, the sign
+test, reads the signs, so :func:`solve` builds no basis on a warm cache
+and computes d_p once. The cached arrays are read-only and :func:`solve`
+indexes fresh copies out of them, so its results are bit-identical to a
+call on a cold cache and never alias it.
 """
 
 from __future__ import annotations
@@ -95,33 +110,16 @@ def classify(problem: DesignProblem) -> tuple[str, int]:
     return CASE_C, k
 
 
-def _lagrange_columns(g: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """a_{i,p} for each support of a stack, in one solve.
-
-    ``g`` holds the basis values of a (rows, m) stack of supports t,
-    ``intercept_free_vander(t, m)``. V a = e_p with V[q, i] = t_i**q becomes
-    G a = d_p in the well-conditioned basis g_j = T_j - T_j(0), j = 1..m:
-    G[j, i] = g_j(t_i), d_p[j] = the coefficient of x**p in T_j: the first
-    m entries of ``d = power_coefficients(n, p)``, n >= m.
-    """
-    m = g.shape[-1]
-    target = np.broadcast_to(d[:m, None], (*g.shape[:-1], 1))
-    try:
-        return np.linalg.solve(np.swapaxes(g, -1, -2), target)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError("singular system for the target coefficient") from exc
-
-
-def _passing(a: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Indices of the rows of a_{i,p} that pass :func:`solve`'s test.
+def _passing(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Indices of the rows of u that pass :func:`solve`'s test.
 
     ``values`` holds the certificate's value P(t_i), +-1, at each row's
-    support. A row passes iff no |a_{i,p}| is numerically zero (below 1e-12
-    of the row's maximum) or NaN, and sign(a_{i,p}) * P(t_i) is the same
-    for every i.
+    points. A row passes iff no |u_i| is numerically zero (below 1e-12 of
+    the row's maximum) or NaN, and sign(u_i) * P(t_i) is the same for
+    every i. A one-dimensional u is one row.
     """
-    abs_a, orientation = np.abs(a), np.sign(a) * values
-    nonzero = abs_a.min(axis=-1) > 1e-12 * abs_a.max(axis=-1)  # NaN propagates and fails
+    abs_u, orientation = np.abs(u), np.sign(u) * values
+    nonzero = abs_u.min(axis=-1) > 1e-12 * abs_u.max(axis=-1)  # NaN propagates and fails
     return np.flatnonzero(nonzero & (orientation.min(axis=-1) == orientation.max(axis=-1)))
 
 
@@ -129,13 +127,14 @@ class _Geometry(NamedTuple):
     certificate: Polynomial  # n coefficients
     points: np.ndarray  # the certificate's extrema, sorted
     values: np.ndarray  # the certificate's sign, +-1, at each point
-    kept: np.ndarray  # one row of point indices per candidate support
     g: np.ndarray  # intercept_free_vander(points, n)
+    half: np.ndarray  # g at the positive points, in the columns j = p (mod 2)
+    delta: np.ndarray  # c_i / x_i, c_i = 1/2 at +-1 and 1 elsewhere
 
 
 @functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
 def _geometry(n: int, tag: str) -> _Geometry:
-    """The case's certificate, candidate points and supports, and g there.
+    """The case's certificate and its extrema, and g, ``half`` and delta there.
 
     The one place that maps a case to its certificate: E_2k on
     ``t_points(k)`` for even p, and T_s on ``s_points((s + 1) // 2)`` for
@@ -149,14 +148,16 @@ def _geometry(n: int, tag: str) -> _Geometry:
     alternates, from -1 at x = -1 for T_s and on each half from 1 at
     x = +-1 for the even E_2k.
 
-    Cases A and B have one candidate support, all points. Case C has one
-    per pair that may be dropped: row 0 of ``kept`` drops extremum 2k + 1
-    of the endpoint pair, row 1 extremum k of the central pair (n > 1).
-    The basis values g_1..g_n are computed once over the points; g[kept]
-    stacks them per support. The Lagrange solve reads the first
-    m = ``kept.shape[1]`` columns, which is n except in case A at odd n
-    (m = n - 1), and the self-check all n. Nothing here depends on p, so it
-    is cached (see the module docstring), and every array is read-only.
+    The basis values g_1..g_n are computed once over the points; the
+    self-check reads them all. ``half`` is the view of them at the m
+    positive points (the upper half of the sorted points) in the m columns
+    j with the parity of p, which the tag fixes: the even j in case A (so
+    at odd n the column g_n drops out), the odd j in cases B and C. It is
+    square, with m = k in cases A and B and m = k + 1 in case C. ``delta``
+    is c_i / x_i at every point, c_i = 1/2 at x = +-1 and 1 elsewhere, the
+    direction of case C's segment of optimal designs. Nothing here depends
+    on p, so it is cached (see the module docstring), and every array is
+    read-only.
     """
     k = n // 2
     if tag == CASE_A:
@@ -166,14 +167,12 @@ def _geometry(n: int, tag: str) -> _Geometry:
         s = 2 * k - 1 if tag == CASE_B else 2 * k + 1
         certificate, points = Polynomial(np.eye(n)[s - 1]), s_points((s + 1) // 2)
     values = np.sign(certificate(points))
-    kept = np.arange(points.size)[None]
-    if tag == CASE_C:
-        drops = [2 * k + 1, k] if k else [1]  # at n = 1 the central pair is the endpoint pair
-        kept = np.nonzero(kept != np.array(drops)[:, None])[1].reshape(len(drops), -1)
     g = intercept_free_vander(points, n)
-    for array in (points, values, kept, g):
+    half = g[points.size // 2 :, tag == CASE_A :: 2]
+    delta = np.where(np.abs(points) == 1.0, 0.5, 1.0) / points
+    for array in (points, values, g, half, delta):
         array.setflags(write=False)
-    return _Geometry(certificate, points, values, kept, g)
+    return _Geometry(certificate, points, values, g, half, delta)
 
 
 def certificate_for(problem: DesignProblem) -> Polynomial:
@@ -187,56 +186,70 @@ def certificate_for(problem: DesignProblem) -> Polynomial:
     return _geometry(problem.n, classify(problem)[0]).certificate
 
 
-def _symmetrized(w: np.ndarray) -> np.ndarray:
-    # pairwise sums are commutative, so the result is symmetric bit-for-bit
-    v = w + w[::-1]
-    return v / v.sum()
-
-
 def solve(problem: DesignProblem) -> OptimalResult:
     """Optimal design(s), scaling constant h, variance h**2 and certificate.
 
-    Cases A and B have one candidate support, the certificate's extrema;
-    case C drops one of its 2k + 2 extrema. A candidate is optimal iff
-    every a_{i,p} is nonzero and sign(a_{i,p}) * P(t_i), the orientation,
-    is constant: the test of :func:`_passing`. Exactly one must pass, and
-    its orientation orients the certificate. In case C the optimal designs
-    drop the endpoint pair, extrema 2k + 1 and 0, for p up to a bound that
-    grows with n (1 below degree 9, 3 up to degree 19), and the central
-    pair, extrema k and k + 1, above it; no other drop is ever optimal
-    (``tests/test_solver.py`` tries every drop with :func:`_passing` for
-    every odd n <= 61, and CI up to n = 101). So only the drops of 2k + 1
-    and k are solved: the passing one is design 1, and design 2 is its
-    exact mirror image, the mirrored points (exact negatives) with the
-    weights reversed.
+    One m x m solve on the certificate's m positive extrema,
+    G_half^T u = d_p[j = p (mod 2)], gives u_i = 2 h w_i P(x_i) (see the
+    module docstring). It must pass the test of :func:`_passing`: every u_i
+    nonzero and sign(u_i) * P(x_i), the orientation, constant. The
+    orientation orients the certificate, h = sum_i |u_i|, and the
+    weights |u_i| / (2h) are mirrored exactly onto the negative extrema.
+    That is the one design of cases A and B.
+
+    In case C it is the midpoint of the segment of optimal designs w + t
+    delta on all n + 1 extrema of T_n, and the two designs are the
+    segment's ends, where its first weight vanishes: a decision over all
+    n + 1 extrema, which by symmetry the ratio test makes on the positive
+    half, picking the extremum i with the smallest w_i / delta_i. The ends
+    drop i and its mirror image. The pair that occurs is the endpoint
+    pair, extrema 0 and 2k + 1, for p up to a bound that grows with n (1
+    below degree 9, 3 up to degree 19), and the central pair, extrema k and
+    k + 1, above it; any other pair raises
+    :class:`NumericalDegeneracyError`, as ``case_c_pair`` has no name for
+    it. Design 1 drops extremum 2k + 1 (endpoint) or k (central), and
+    design 2 is its exact mirror image, the mirrored points (exact
+    negatives) with the weights reversed.
 
     Every design is checked internally against the certificate identity
     d_p = h * sum_i g(x_i) w_i P(x_i), condition (3) of the verifier, at
     its tolerance, and the identity's h against the returned one; a
     violation raises :class:`NumericalDegeneracyError` instead of returning
     a bad design. The check runs the verifier's core on the cached basis
-    values of the support and the d_p of the Lagrange solve. A variance
-    h**2 beyond the double range raises it too.
+    values of the support and the same d_p. A variance h**2 beyond the
+    double range raises it too.
     """
-    tag, _ = classify(problem)
+    tag, k = classify(problem)
     # raises where d_p leaves the double range (first at (810, 560)), before the cache fills
     d = power_coefficients(problem.n, problem.p)
     case = _geometry(problem.n, tag)
-    a = _lagrange_columns(case.g[case.kept, : case.kept.shape[1]], d)
-    rows = _passing(a, case.values[case.kept])
-    if rows.size != 1:
-        raise NumericalDegeneracyError(f"expected 1 consistent support for {problem}, found {rows.size}")
-    (r,) = rows
-    abs_a = np.abs(a[r])
-    h, sigma = float(abs_a.sum()), float(np.sign(a[r, 0]) * case.values[case.kept[r, 0]])
+    m = case.half.shape[0]
+    try:
+        u = np.linalg.solve(case.half.T, d[1 - problem.p % 2 :: 2])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDegeneracyError("singular system for the target coefficient") from exc
+    if _passing(u, case.values[m:]).size != 1:
+        raise NumericalDegeneracyError(f"the half solve for {problem} fails the sign test")
+    h, sigma = float(np.abs(u).sum()), float(np.sign(u[0]) * case.values[m])
     if not math.isfinite(h * h):
         raise NumericalDegeneracyError(
             f"variance h**2 overflows the double range for {problem} (h = {h:.3e})"
         )
-    index, w = case.kept[r], abs_a / h
-    chosen = [(index, w if tag == CASE_C else _symmetrized(w))]
-    if tag == CASE_C:  # and its mirror image under x -> -x, as a copy
-        chosen.append((case.points.size - 1 - index[::-1], w[::-1].copy()))
+    half = np.abs(u) / (2.0 * h)
+    index, w = np.arange(2 * m), np.concatenate([half[::-1], half])
+    chosen, pair = [(index, w)], None
+    if tag == CASE_C:  # the segment w + t * delta ends where its first weight vanishes
+        i = int(np.argmin(half / case.delta[m:]))
+        pair = {0: "central", m - 1: "endpoint"}.get(i)  # at n = 1 the two pairs coincide
+        if pair is None:
+            raise NumericalDegeneracyError(
+                f"the ratio test drops extrema {k - i} and {m + i} for {problem}"
+            )
+        t = half[i] / case.delta[m + i] * (-1.0 if pair == "endpoint" else 1.0)
+        drop = 2 * k + 1 if pair == "endpoint" else k
+        index, w = np.delete(index, drop), np.delete(w + t * case.delta, drop)
+        # and design 2, its mirror image under x -> -x, as a copy
+        chosen = [(index, w), (case.points.size - 1 - index[::-1], w[::-1].copy())]
     designs: list[Design] = []
     for index, w in chosen:
         # fancy indexing copies, so no returned array aliases the cache
@@ -256,5 +269,5 @@ def solve(problem: DesignProblem) -> OptimalResult:
         variance=h * h,
         certificate=Polynomial(sigma * case.certificate.coeffs + 0.0),  # +0.0 clears negative zeros
         case_tag=tag,
-        case_c_pair=("endpoint", "central")[r] if tag == CASE_C else None,
+        case_c_pair=pair,
     )

@@ -1,30 +1,52 @@
-"""Test-only scan of every case-C drop in double precision.
+"""Test-only full-size Lagrange solve, and a scan of every case-C drop.
 
-``solve`` tries two of the n + 1 single-point drops of T_n's extrema in
-case C (odd n and p), the endpoint pair's 2k + 1 and the central pair's k,
-on the claim that no other drop is ever optimal. :func:`passing_drops`
-tries all n + 1 with the solver's own pieces (its cached case geometry,
-``_lagrange_columns`` and ``_passing``, the sign test ``solve`` runs), so
-the claim is checked by ``solve``'s own code. Imported by
-``test_solver.py`` (every odd n <= 61) and by a CI step (every odd
-n <= 101).
+:func:`lagrange_columns` solves for the coefficients a_{i,p} of x**p in
+the intercept-free Lagrange basis of a support directly, one m x m system
+per support in the basis g_j = T_j - T_j(0). ``solve`` never forms that
+system: it solves the half-size system on the positive extrema and, in
+case C, reads the two designs off the ends of a segment. So this is the
+full-size reference for the closed form w_i = |a_{i,p}| / sum_j |a_{j,p}|.
+
+:func:`passing_drops` tries every one of the n + 1 single-point drops of
+T_n's extrema in case C (odd n and p) with that solve and the solver's
+sign test ``_passing``. Exactly the mirror pair of extrema that ``solve``
+names must pass: an independent check of ``solve``'s ratio test, which
+decides the pair from the segment alone. Imported by ``test_solver.py``
+(every odd n <= 61) and by a CI step (every odd n <= 101).
 """
 
 import numpy as np
 
-from polydesign import DesignProblem, solve
+from polydesign import DesignProblem, NumericalDegeneracyError, solve
 from polydesign.polynomial import power_coefficients
-from polydesign.solver import CASE_C, _geometry, _lagrange_columns, _passing
+from polydesign.solver import CASE_C, _geometry, _passing
+
+
+def lagrange_columns(g: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """a_{i,p} for each support of a stack, in one solve.
+
+    ``g`` holds the basis values of a (rows, m) stack of supports t,
+    ``intercept_free_vander(t, m)``. V a = e_p with V[q, i] = t_i**q becomes
+    G a = d_p in the well-conditioned basis g_j = T_j - T_j(0), j = 1..m:
+    G[j, i] = g_j(t_i), d_p[j] = the coefficient of x**p in T_j: the first
+    m entries of ``d = power_coefficients(n, p)``, n >= m.
+    """
+    m = g.shape[-1]
+    target = np.broadcast_to(d[:m, None], (*g.shape[:-1], 1))
+    try:
+        return np.linalg.solve(np.swapaxes(g, -1, -2), target)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDegeneracyError("singular system for the target coefficient") from exc
 
 
 def passing_drops(n: int, p: int) -> set:
     """The drops i, indices into T_n's ascending extrema, that pass
-    ``solve``'s test: on the other n extrema every a_{j,p} is nonzero and
-    sign(a_{j,p}) * T_n(t_j) is the same for every j."""
+    ``solve``'s sign test: on the other n extrema every a_{j,p} is nonzero
+    and sign(a_{j,p}) * T_n(t_j) is the same for every j."""
     case = _geometry(n, CASE_C)
     every = np.arange(n + 1)
     kept = np.array([np.delete(every, drop) for drop in every])
-    a = _lagrange_columns(case.g[kept], power_coefficients(n, p))
+    a = lagrange_columns(case.g[kept], power_coefficients(n, p))
     return set(_passing(a, case.values[kept]).tolist())
 
 

@@ -1,7 +1,8 @@
 """Test-only cross-check of case A/B weights through the half-range system.
 
 Imported by ``test_solver.py`` and acceptance criterion 6; not part of the
-library, which derives the weights from the Lagrange formula alone.
+library, whose half-size solve runs on the positive extrema in the basis
+g_j = T_j - T_j(0), not in monomials on the negative ones.
 """
 
 import numpy as np

@@ -8,11 +8,12 @@ polynomial x Q_i(x) / (t_i Q_i(t_i)), Q_i the node polynomial divided by
 (x - t_i), h = sum_i |a_{i,p}| and the optimal variance is h**2. Each Q_i
 comes from synthetic division of the node polynomial.
 
-Case C (odd n and p), whose support drops one of the n + 1 extrema of T_n,
-is covered by a scan of every drop with the solver's sign test:
-:func:`case_c_drops` returns the drops that pass, each with its h, so it
-checks the solver's claim that exactly one mirror pair of drops is optimal
-as well as the h of that pair.
+Case C (odd n and p), whose two designs each drop one of the n + 1 extrema
+of T_n, is covered by a scan of every drop with the sign test:
+:func:`case_c_drops` returns the drops that pass, each with its h. That
+exactly one mirror pair passes, the pair the solver's ratio test names,
+and with the solver's h, is then a check independent of the solver's
+construction.
 
 Imports mpmath, so callers import it behind ``pytest.importorskip``. It
 imports nothing from the library, whose solver this reference checks.

@@ -18,7 +18,8 @@ from polydesign import (
 )
 from polydesign.elfving import check_tolerance
 from polydesign.polynomial import intercept_free_vander, power_coefficients
-from polydesign.solver import _lagrange_columns
+
+from case_c_scan import lagrange_columns
 
 SQRT2 = math.sqrt(2.0)
 
@@ -231,7 +232,7 @@ def moved_support_case(n, p):
     problem = DesignProblem(n, p)
     x = solve(problem).designs[0].support.copy()
     x[28] += 6e-5
-    a = _lagrange_columns(intercept_free_vander(x[None], x.size), power_coefficients(x.size, p))[0]
+    a = lagrange_columns(intercept_free_vander(x[None], x.size), power_coefficients(x.size, p))[0]
     certificate = Polynomial(np.linalg.solve(intercept_free_vander(x, n), np.sign(a)))
     return problem, Design(x, np.abs(a) / np.abs(a).sum()), certificate
 

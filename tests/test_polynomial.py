@@ -23,7 +23,8 @@ from polydesign import (
 )
 from polydesign.points import s_points, t_points
 from polydesign.polynomial import intercept_free_vander, power_coefficients
-from polydesign.solver import _lagrange_columns
+
+from case_c_scan import lagrange_columns
 
 # on a failing example hypothesis imports libcst, whose mypy_extensions
 # warning -W error would turn into an INTERNALERROR instead of a report
@@ -297,7 +298,7 @@ def _columns(supports, p):
     # a_{i,p} for each row of a (rows, m) stack of supports
     supports = np.asarray(supports, dtype=float)
     m = supports.shape[-1]
-    return _lagrange_columns(intercept_free_vander(supports, m), power_coefficients(m, p))
+    return lagrange_columns(intercept_free_vander(supports, m), power_coefficients(m, p))
 
 
 def _signed_column(nodes, p):
@@ -377,8 +378,8 @@ def _per_node_product(nodes, i):
     ],
 )
 def test_lagrange_columns_batch_matches_single_solves_bit_for_bit(nodes):
-    # each support of a stack is solved as if alone, so a case-C design does
-    # not depend on the other candidate drops it was solved with
+    # each support of a stack is solved as if alone, so the scan of every
+    # case-C drop, one stack of n + 1 supports, decides each drop on its own
     t = np.asarray(nodes)
     stack = np.array([t, -t[::-1], 0.5 * t])
     for p in range(1, t.size + 1):

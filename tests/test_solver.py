@@ -12,7 +12,7 @@ import polydesign.elfving
 import polydesign.solver
 from polydesign.cli import REFERENCE_DESIGNS
 from polydesign.polynomial import intercept_free_vander, power_coefficients
-from polydesign.solver import _lagrange_columns, _passing
+from polydesign.solver import _passing
 
 from polydesign import (
     Design,
@@ -29,8 +29,9 @@ from polydesign import (
     verify,
 )
 
-from case_c_scan import mismatches, passing_drops, solver_pair
+from case_c_scan import lagrange_columns, mismatches, passing_drops, solver_pair
 from half_range import symmetric_system_check
+from studden import studden_design
 
 SQRT2 = math.sqrt(2.0)
 RADICAL = math.sqrt(SQRT2 - 1.0)
@@ -80,8 +81,8 @@ def test_elfving_lp_weights_on_a_given_support():
         np.testing.assert_array_equal(result.design.support, support)
         np.testing.assert_allclose(result.design.weights, weights, atol=1e-12)
         assert result.variance == pytest.approx(h * h, rel=1e-12)
-    signs = np.sign(_lagrange_columns(intercept_free_vander(np.array([[-1.0, 0.5, 1.0]]), 3),
-                                      power_coefficients(3, 3))[0])
+    signs = np.sign(lagrange_columns(intercept_free_vander(np.array([[-1.0, 0.5, 1.0]]), 3),
+                                     power_coefficients(3, 3))[0])
     np.testing.assert_array_equal(signs, [-1.0, -1.0, 1.0])
 
 
@@ -215,16 +216,20 @@ def test_returned_designs_are_admissible():
 
 
 def test_case_c_sign_products_share_one_sign():
-    # each returned support, solved on its own, passes the sign test that
-    # solve applies to design 1 only
+    # each returned support, solved on its own by the full-size Lagrange
+    # solve, passes the sign test, and its closed-form weights
+    # |a_{i,p}| / sum_j |a_{j,p}| are the ends of solve's segment
     for n in range(1, 58, 2):
         for p in range(1, n + 1, 2):
             result = solve(DesignProblem(n, p))
             for design in result.designs:
                 g = intercept_free_vander(design.support[None], design.size)
-                a = _lagrange_columns(g, power_coefficients(design.size, p))
+                a = lagrange_columns(g, power_coefficients(design.size, p))
                 values = np.sign(result.certificate(design.support))
                 assert _passing(a, values).tolist() == [0], (n, p)
+                expected = np.abs(a[0]) / np.abs(a[0]).sum()
+                gap = np.abs(design.weights - expected).max()
+                assert gap <= 1e-13 * expected.max(), (n, p, gap)
 
 
 def test_unusual_support_selection_degree9_coef3():
@@ -267,7 +272,7 @@ def test_symmetric_system_check_detects_tampered_weights():
 
 def _golden():
     # float.hex of h and of every support point and weight for all 465
-    # problems with n <= 30, as produced by the batched solve in the
+    # problems with n <= 30, as produced by the half solve in the
     # intercept-free Chebyshev basis
     golden = json.loads((Path(__file__).parent / "data" / "solve_golden.json").read_text())
     assert len(golden) == 465
@@ -332,7 +337,8 @@ def test_writing_into_a_result_leaves_the_next_solve_unchanged(n, p, q):
 def test_cached_geometry_is_read_only(n, p):
     problem = DesignProblem(n, p)
     case = polydesign.solver._geometry(n, classify(problem)[0])
-    for array in (case.points, case.values, case.kept, case.g, certificate_for(problem).coeffs):
+    for array in (case.points, case.values, case.g, case.half, case.delta,
+                  certificate_for(problem).coeffs):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
@@ -448,11 +454,24 @@ def test_case_c_pair_follows_the_threshold_table():
 
 
 def test_case_c_drops_other_than_solves_pair_never_pass():
-    # all n + 1 drops of T_n's extrema through solve's own sign test, which
-    # tries two: exactly the mirror pair solve names passes. A CI step runs
-    # the same scan for every odd n <= 101
+    # all n + 1 drops of T_n's extrema through the full-size Lagrange solve
+    # and solve's sign test, independent of the ratio test that picks
+    # solve's pair: exactly the mirror pair solve names passes. A CI step
+    # runs the same scan for every odd n <= 101
     assert mismatches(range(1, 62, 2)) == []
     assert passing_drops(1, 1) == solver_pair(1, 1) == {0, 1}  # the two pairs coincide
+
+
+def test_ratio_test_outside_the_two_named_pairs_raises(monkeypatch):
+    # case_c_pair names the endpoint and the central pair only; a ratio
+    # test that ends the segment at any other extremum raises instead of
+    # mislabelling the designs
+    case = polydesign.solver._geometry.__wrapped__(9, "C")
+    delta = case.delta.copy()
+    delta[[2, 7]] *= 100.0  # the ratio test now drops extrema 2 and 7 of 0..9
+    monkeypatch.setattr(polydesign.solver, "_geometry", lambda n, tag: case._replace(delta=delta))
+    with pytest.raises(NumericalDegeneracyError, match="drops extrema 2 and 7"):
+        solve(DesignProblem(9, 3))
 
 
 def test_case_c_pair_is_none_in_cases_a_and_b():
@@ -463,7 +482,7 @@ def test_case_c_pair_is_none_in_cases_a_and_b():
 @pytest.mark.parametrize("n, p", [(29, 3), (29, 15), (51, 3)])
 def test_case_c_drop_scan_matches_a_120_digit_reference(n, p):
     # the reference scans all n + 1 drops of T_n's extrema at 120 digits,
-    # while solve tries only two: exactly one mirror pair of drops passes,
+    # by sign test, not by solve's ratio test: exactly one mirror pair passes,
     # the pair solve names, and its h meets solve's (<= 4.9e-16 measured)
     pytest.importorskip("mpmath")
     from high_precision import case_c_drops
@@ -479,20 +498,90 @@ def test_case_c_drop_scan_matches_a_120_digit_reference(n, p):
         assert result.h == pytest.approx(float(h), rel=1e-14)
 
 
+def _studden_gap(design_support, design_weights, n, p):
+    # largest gap of support and of weights to Studden's design for (n, p)
+    support, weights = studden_design(n, p)
+    return max(np.abs(design_support - support).max(), np.abs(design_weights - weights).max())
+
+
+def test_case_b_design_is_studdens():
+    # for odd p at even n the intercept-free optimum is Studden's design for
+    # the model with intercept, computed from cosines alone
+    for n in range(2, 31, 2):
+        for p in range(1, n, 2):
+            (design,) = solve(DesignProblem(n, p)).designs
+            assert _studden_gap(design.support, design.weights, n, p) <= 1e-13, (n, p)
+
+
+def test_case_c_midpoint_is_studdens():
+    # the midpoint of the two case-C designs, on all n + 1 extrema of T_n,
+    # is Studden's design (6.4e-15 measured up to n = 101)
+    for n in (*range(1, 32, 2), 51, 99):
+        for p in range(1, n + 1, 2):
+            designs = solve(DesignProblem(n, p)).designs
+            support = np.union1d(*(d.support for d in designs))
+            midpoint = np.zeros(support.size)
+            for design in designs:
+                midpoint[np.isin(support, design.support)] += design.weights / 2
+            assert _studden_gap(support, midpoint, n, p) <= 1e-13, (n, p)
+
+
+def test_studdens_design_is_not_optimal_for_even_p():
+    # without an intercept Studden's argument fails for even p: its design
+    # has efficiency below 1 (0.95 at most for n <= 30), about 0.61 for
+    # p = 2 once n >= 20
+    efficiency = {}
+    for n in range(2, 31):
+        for p in range(2, n + 1, 2):
+            problem = DesignProblem(n, p)
+            studden = Design(*studden_design(n, p))
+            efficiency[n, p] = solve(problem).variance / phi_c(studden, problem.unit_vector(), n)
+    assert max(efficiency.values()) < 1.0
+    assert efficiency[4, 2] == pytest.approx(0.583, abs=5e-4)
+    assert efficiency[4, 4] == pytest.approx(0.708, abs=5e-4)
+    assert efficiency[30, 2] == pytest.approx(0.607, abs=5e-4)
+
+
+def test_solve_meets_the_120_digit_reference():
+    # cases A and B for every n <= 30 against a_{i,p} at 120 digits on the
+    # closed-form nodes: h within 2e-15 relative (5.3e-16 measured) and the
+    # weights within 1e-14 of the largest (5.5e-15); case C's h against the
+    # 120-digit scan of every drop at a fixed sample
+    mpmath = pytest.importorskip("mpmath")
+    from high_precision import DIGITS, _coefficients, _support, case_c_drops
+
+    with mpmath.workdps(DIGITS):
+        for n in range(2, 31):
+            for p in range(1, n + 1):
+                if classify(DesignProblem(n, p))[0] == "C":
+                    continue
+                a = [abs(a_i) for a_i in _coefficients(_support(n, p), p)]
+                h = sum(a, mpmath.mpf(0))
+                result = solve(DesignProblem(n, p))
+                assert abs(result.h - float(h)) <= 2e-15 * result.h, (n, p)
+                (design,) = result.designs
+                expected = np.array([float(a_i / h) for a_i in a])
+                assert np.abs(design.weights - expected).max() <= 1e-14 * expected.max(), (n, p)
+    for n, p in ((3, 1), (9, 3), (15, 7), (21, 5)):
+        result = solve(DesignProblem(n, p))
+        for h in case_c_drops(n, p).values():
+            assert abs(result.h - float(h)) <= 2e-15 * result.h, (n, p)
+
+
 @pytest.mark.parametrize("key, calls", [((3, 2), 1), ((4, 3), 1), ((5, 3), 1), ((9, 3), 1)])
 def test_solve_computes_each_weight_vector_once(monkeypatch, key, calls):
-    # every candidate support of a problem is solved in one batch: the one
-    # support of cases A and B, the two one-point drops of case C (one per
-    # pair; the other design is the mirror of the chosen one)
-    seen = []
-    original = polydesign.solver._lagrange_columns
+    # every weight vector of a problem comes from one m x m solve on the m
+    # positive extrema: the one design of cases A and B, and in case C the
+    # segment whose two ends are the designs
+    shapes = []
+    original = np.linalg.solve
 
-    def counting(g, d):
-        seen.append(len(g))
-        return original(g, d)
+    def counting(a, b):
+        shapes.append(a.shape)
+        return original(a, b)
 
-    monkeypatch.setattr(polydesign.solver, "_lagrange_columns", counting)
+    monkeypatch.setattr(np.linalg, "solve", counting)
     problem = DesignProblem(*key)
-    solve(problem)
-    assert len(seen) == calls
-    assert seen[0] == (2 if classify(problem)[0] == "C" else 1)
+    result = solve(problem)
+    m = result.designs[0].size // 2 + (classify(problem)[0] == "C")
+    assert shapes == [(m, m)] * calls
