@@ -8,11 +8,14 @@ n = 100 on [-1, 1]. The gates: on [-1, 1], within 1e-9 relative of
 ``solve``; on the grid, no more than 1e-9 below ``solve`` and within 1e-3
 relative, acceptance criterion 4's gate. Every one of the 1030 calls must
 also end after one LP, as the exchange's start at the two point families
-makes it, and ``oracle_variance``, which takes its grid from a cache, must
-return ``elfving_lp``'s variance bit for bit on each of the 930 calls with
-n <= 30. Prints the worst gaps and exits 1 on any miss (an oracle failure
-counts as one). Tier-1 covers n <= 10 and every p of n in {16, 23, 30};
-this sweep takes about 5 s on 2 cores, so it runs as its own CI step:
+makes it; each of the 565 [-1, 1] certificates must be exactly 0 at every
+j != p (mod 2), as the exchange continues from v_sym, v with those entries
+zeroed, wherever it meets the bound; and ``oracle_variance``, which takes
+its grid from a cache, must return ``elfving_lp``'s variance bit for bit on
+each of the 930 calls with n <= 30. Prints the worst gaps and exits 1 on
+any miss (an oracle failure counts as one). Tier-1 covers n <= 10 and
+every p of n in {16, 23, 30}; this sweep takes about 7 s on 2 cores, so it
+runs as its own CI step:
 
     PYTHONPATH=src python scripts/oracle_sweep.py
 """
@@ -57,6 +60,9 @@ def main() -> int:
             lps += lp.iterations
             if lp.iterations != 1:
                 misses.append((key, label, f"{lp.iterations} LPs"))
+            off_parity = lp.dual[np.arange(1, problem.n + 1) % 2 != problem.p % 2]
+            if label == "interval" and off_parity.any():
+                misses.append((key, label, f"certificate {np.abs(off_parity).max():.1e} off p's parity"))
             if problem.n in DEGREES:
                 cached = oracle_variance(problem, GRID_SIZE, include_solver_support=label == "interval")
                 if cached != lp.variance:

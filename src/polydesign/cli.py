@@ -11,7 +11,9 @@ Subcommands:
 Exit codes: 0 success / verified, 1 verification or reference-table failure,
 2 usage or parse error, 3 numerical failure, 141 (128 + SIGPIPE, as a shell
 reports a tool killed by it) when stdout is closed before the output is
-written, as in ``polydesign verify ... | head -1``, without a traceback.
+written, as in ``polydesign verify ... | head -1``, without a traceback, and
+74 (``EX_IOERR``) when any other write to stdout fails, as to a full disk or
+``/dev/full``, with one ``error: cannot write output: ...`` line on stderr.
 Output is deterministic: identical invocations produce byte-identical text.
 """
 
@@ -43,6 +45,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_BROKEN_PIPE = 141
+EXIT_IO_ERROR = 74
 
 MAX_DEGREE = 30
 
@@ -264,10 +267,14 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-    except BrokenPipeError:
+    except OSError as exc:  # a closed pipe, or ENOSPC on a full disk
+        if isinstance(exc, BrokenPipeError):
+            code = EXIT_BROKEN_PIPE
+        else:
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+            code = EXIT_IO_ERROR
         # Python flushes stdout once more at exit, which would raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_BROKEN_PIPE
     sys.exit(code)
 
 

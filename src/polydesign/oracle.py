@@ -37,15 +37,16 @@ problem with n <= 30 then ends after one LP.
 
 Each LP also yields the parity candidate v_sym: v with the entries of
 parity j != p (mod 2) zeroed. g_j has the parity of j and d_p vanishes on
-those entries, so v_sym has the same objective. Where the optimal v is not
-unique (even p, odd n), HiGHS returns a vertex that violates the bound
-while v_sym does not; without v_sym the exchange would approach the
-optimum one LP at a time. The exchange stops as soon as v or v_sym has no
-local maximum of |. g| above 1 + ``EXCHANGE_TOL`` (v_sym is searched only
-if v does not stand) and reports that one, v first; otherwise the
-violating peaks of both join the active set. A point feasible on the
-design space that attains the active LP's optimum is optimal there, so the
-absolute row duals of the final LP are an optimal design.
+those entries, so v_sym has v's objective and solves the active LP
+wherever it meets the bound, to 1 + ``EXCHANGE_TOL``, on the active
+points; the exchange continues from v_sym there and from v elsewhere.
+Where the optimal v is not unique (even p, odd n), HiGHS returns a vertex
+that violates the bound while v_sym does not; without v_sym the exchange
+would approach the optimum one LP at a time. The candidate's local maxima
+above 1 + ``EXCHANGE_TOL`` join the active set until none is new. A point
+feasible on the design space that attains the active LP's optimum is
+optimal there, so the absolute row duals of the final LP are an optimal
+design.
 
 Because grid designs are a subset of all designs, the grid optimum can only
 be larger than the continuous one. Dropping constraints can only raise the
@@ -145,24 +146,24 @@ _LP_OPTIONS = {
 class OracleResult:
     """Optimum on [-1, 1] or a grid: variance = (d_p . dual)**2.
 
-    ``dual`` is the certificate vector v of the final LP in the basis
-    g_j = T_j - T_j(0) of :func:`~polydesign.polynomial.intercept_free_vander`,
-    the vector type of d_p and of a :class:`~polydesign.polynomial.Polynomial`'s
-    coefficients, so ``Polynomial(dual)`` is the LP's certificate polynomial;
-    d_p = ``power_coefficients(n, p)``. When the exchange stopped on a
-    feasible v or v_sym, |Polynomial(dual)(x)| <= 1 + EXCHANGE_TOL at every
-    grid point x, or on [-1, 1] at every point of ``Polynomial(dual).peaks()``,
-    so there the supremum of |Polynomial(dual)| exceeds 1 + EXCHANGE_TOL by
-    the rounding of the roots of its derivative alone; max |peaks()[1]| - 1
-    is at most 7.1e-14 for n <= 30 and 1.5e-11 at n = 100.
-    When it stopped because no new point violates the bound, the excess
-    sits at active points and is the final LP's: at most HiGHS's primal
-    feasibility tolerance (1e-10 from ``_LP_OPTIONS``, or its default 1e-7
-    after a retry) plus 2e-13 * sum_i |dual_i|, which covers the rounding
-    of dual . g. On grid 2001 the excess stays below 3e-12 for every
-    n <= 30; on the 31-point uniform grid at (29, 7), where |dual| reaches
-    2.3e5, it is 1.9e-9. ``iterations`` counts the LPs the exchange
-    solved and ``active_size`` the points in the final one.
+    ``dual`` is the certificate vector the exchange stopped on, the final
+    LP's v or its v_sym, in the basis g_j = T_j - T_j(0) of
+    :func:`~polydesign.polynomial.intercept_free_vander`, the vector type of
+    d_p and of a :class:`~polydesign.polynomial.Polynomial`'s coefficients,
+    so ``Polynomial(dual)`` is the LP's certificate polynomial;
+    d_p = ``power_coefficients(n, p)``. Off the final LP's points no local
+    maximum of |Polynomial(dual)| exceeds 1 + EXCHANGE_TOL: at the grid
+    points, or on [-1, 1] at the points of ``Polynomial(dual).peaks()``,
+    whose supremum exceeds that bound by the rounding of the roots of its
+    derivative alone; max |peaks()[1]| - 1 is at most 1.9e-13 for n <= 30
+    and 1.4e-11 at n = 100. At the final LP's points v_sym exceeds the
+    bound by at most EXCHANGE_TOL and v by the LP's primal feasibility
+    tolerance (1e-10 from ``_LP_OPTIONS``, or HiGHS's default 1e-7 after a
+    retry), plus 2e-13 * sum_i |dual_i|, which covers the rounding of
+    dual . g. On grid 2001 the excess stays below 2e-13 for every n <= 30;
+    on the 31-point uniform grid at (29, 7), where the dual is v and
+    |dual| reaches 2.3e5, it is 1.9e-9. ``iterations`` counts the LPs the
+    exchange solved and ``active_size`` the points in the final one.
 
     ``design`` holds the final LP's absolute row duals above
     ``WEIGHT_CUTOFF``, normalized. ``variance`` is the result and the
@@ -195,11 +196,17 @@ def elfving_lp(problem: DesignProblem, grid=None) -> OracleResult:
     representable) and surface as :class:`OracleFailureError` when they
     are not, as do a HiGHS failure, a d_p beyond the double range
     (first at (n, p) = (810, 560), and for every p > 1024) and
-    ``MAX_EXCHANGES`` steps without convergence. HiGHS fails on some
-    asymmetric grids: with n <= 30 the first failure comes at (13, 2) on
-    ``np.linspace(-0.3, 1, 1001)`` and at (16, 2) on
-    ``np.linspace(-1, 0.5, 1001)`` (SciPy 1.17.1), and the message names
-    the exchange step and HiGHS's model status for the LP and its retry.
+    ``MAX_EXCHANGES`` steps without convergence; the message names the
+    exchange step and HiGHS's model status for the LP and its retry.
+
+    Asymmetric grids are beyond this LP. On ``np.linspace(-0.3, 1, 1001)``
+    and ``np.linspace(-1, 0.5, 1001)`` the variances with n <= 30 reach
+    5.6e33 (at (30, 25) on the first, solved in a basis fitted to the
+    grid's hull), beyond what a double-precision LP resolves. There 355 and
+    311 of the 465 problems raise, first at (13, 2) and (16, 2) (SciPy
+    1.17.1), and the values returned are not checked: 44 of the 264 have
+    |phi_c(design) / variance - 1| > 1e-6, up to 1.4 at (29, 11) on
+    ``np.linspace(-1, 0.5, 1001)``.
 
     On [-1, 1] the variance meets ``solve``'s within 3.1e-12 relative for
     every p at n = 100, and within 1.6e-13 for p in {1, 2, 3, n // 2,
@@ -209,12 +216,13 @@ def elfving_lp(problem: DesignProblem, grid=None) -> OracleResult:
     final LP's row duals.
 
     Each step logs one DEBUG record to this module's logger: the step, the
-    active-set size, the number of new points and which of v, v_sym stood.
-    New points are those that join the active set for the next LP, so the
-    count is 0 on the last step, and the counts over all steps add up to
-    ``active_size`` minus the start's size. An LP solved once more at
-    HiGHS's defaults logs one more record, which names HiGHS's model
-    status; neither [-1, 1] nor grid 10001 needs that retry for n <= 30.
+    active-set size, the number of new points and the candidate, v or
+    v_sym, that the step continued from. New points are those that join
+    the active set for the next LP, so the count is 0 on the last step, and
+    the counts over all steps add up to ``active_size`` minus the start's
+    size. An LP solved once more at HiGHS's defaults logs one more record,
+    which names HiGHS's model status; neither [-1, 1] nor grid 10001 needs
+    that retry for n <= 30.
     """
     optimum = _exchange(problem, *_prepare(grid, problem.n))
     mass = np.abs(optimum.marginals)
@@ -319,27 +327,20 @@ class _Optimum(NamedTuple):
     iterations: int
 
 
-def _search(candidates: tuple[np.ndarray, ...], grid: np.ndarray | None):
-    """The first candidate c, v before v_sym, with no local maximum of
-    |Polynomial(c)| above 1 + ``EXCHANGE_TOL``, with no points; or None,
-    with the points of every such maximum of both. On ``grid`` the maxima
-    are found among the values of ``Polynomial(c)`` at the grid points; on
-    [-1, 1] (``grid`` None) they are the points of ``Polynomial(c).peaks()``.
+def _search(v: np.ndarray, grid: np.ndarray | None) -> np.ndarray:
+    """The points of the local maxima of |Polynomial(v)| above
+    1 + ``EXCHANGE_TOL``. On ``grid`` the maxima are found among the values
+    of ``Polynomial(v)`` at the grid points; on [-1, 1] (``grid`` None) they
+    are the points of ``Polynomial(v).peaks()``.
     """
-    over = []
-    for stood, c in enumerate(candidates):
-        if grid is None:
-            x, y = Polynomial(c).peaks()
-            over.append(x[np.abs(y) > 1.0 + EXCHANGE_TOL])
-        else:
-            level = np.abs(Polynomial(c)(grid))
-            above = level > 1.0 + EXCHANGE_TOL
-            if above.any():  # on a converged step no level is above the bound
-                above &= _peaks(level)
-            over.append(grid[above])
-        if over[-1].size == 0:
-            return stood, over[-1]
-    return None, np.concatenate(over)
+    if grid is None:
+        x, y = Polynomial(v).peaks()
+        return x[np.abs(y) > 1.0 + EXCHANGE_TOL]
+    level = np.abs(Polynomial(v)(grid))
+    above = level > 1.0 + EXCHANGE_TOL
+    if above.any():  # on a converged step no level is above the bound
+        above &= _peaks(level)
+    return grid[above]
 
 
 def _exchange(problem: DesignProblem, active: np.ndarray, grid: np.ndarray | None) -> _Optimum:
@@ -371,16 +372,17 @@ def _exchange(problem: DesignProblem, active: np.ndarray, grid: np.ndarray | Non
         if res.x is None:  # an unbounded v means e_p is not representable
             raise OracleFailureError(f"LP did not terminate with an optimum at exchange step "
                                      f"{iteration}: {failed}{res}")
-        candidates = res.x, np.where(off_parity, 0.0, res.x)  # v and v_sym
-        stood, over = _search(candidates, grid)
-        new = over if stood is not None else np.setdiff1d(over, active)
-        log.debug("exchange step %d: %d active points, %d new, stood: %s", iteration, active.size,
-                  new.size, "neither" if stood is None else ("v", "v_sym")[stood])
-        # when neither stood and no point is new, v exceeds the bound only at
-        # active points, by HiGHS's feasibility tolerance, and stands as the
-        # optimum
+        v_sym = np.where(off_parity, 0.0, res.x)
+        symmetric = np.abs(rows @ v_sym).max() <= 1.0 + EXCHANGE_TOL
+        dual = v_sym if symmetric else res.x
+        over = _search(dual, grid)
+        new = np.setdiff1d(over, active) if over.size else over  # a converged step skips it
+        log.debug("exchange step %d: %d active points, %d new, continued from %s", iteration,
+                  active.size, new.size, "v_sym" if symmetric else "v")
+        # when no point is new, the candidate exceeds the bound only at active
+        # points, by EXCHANGE_TOL or HiGHS's feasibility tolerance, and stands
+        # as the optimum
         if new.size == 0:
-            dual = candidates[stood or 0]
             break
         active = np.union1d(active, new)
     else:

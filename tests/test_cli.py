@@ -142,6 +142,19 @@ def test_closed_stdout_exits_quietly():
     assert proc.stderr == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_with_an_io_error():
+    # every write to /dev/full fails with ENOSPC: exit 74 (EX_IOERR), not the
+    # documented 1 of a failed verification, with one line and no traceback
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "polydesign.cli", "compute",
+                               "--degree", "3", "--coef", "1"],
+                              env=_cli_env(), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    assert proc.returncode == 74
+    assert proc.stderr == "error: cannot write output: No space left on device\n"
+
+
 def test_oracle_command_solves_once(monkeypatch):
     calls = []
     real = polydesign.solver.solve

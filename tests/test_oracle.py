@@ -24,6 +24,7 @@ from polydesign import (
     phi_c,
     solve,
 )
+from polydesign.polynomial import intercept_free_vander
 
 SQRT2 = math.sqrt(2.0)
 
@@ -318,6 +319,47 @@ def test_degenerate_dual_converges_in_few_exchanges(n, p):
     _dual_checks(problem, grid, lp)
 
 
+@pytest.mark.parametrize("grid_size", [None, 2001, 10001])
+def test_dual_is_zero_off_the_parity_of_p(grid_size):
+    # d_p is zero at every j != p (mod 2), so v_sym, v with those entries
+    # zeroed, has v's objective; on [-1, 1] and on these uniform grids it
+    # meets the bound on every active set, so the exchange continues from it
+    # and every dual with n <= 30 is exactly 0 off p's parity
+    grid = None if grid_size is None else np.linspace(-1.0, 1.0, grid_size)
+    for n in range(1, 31):
+        for p in range(1, n + 1):
+            dual = elfving_lp(DesignProblem(n, p), grid).dual
+            assert not dual[np.arange(1, n + 1) % 2 != p % 2].any(), (n, p)
+
+
+def test_exchange_keeps_v_where_v_sym_breaks_the_bound(caplog):
+    # on 31 uniform points every LP with n >= 15 has the whole grid as its
+    # active set (2n + 2 > 31), so the exchange keeps v exactly where v_sym
+    # exceeds 1 + EXCHANGE_TOL on the grid: at 72 problems, all with
+    # n >= 27 (SciPy 1.17.1). There the dual is v, nonzero off p's parity,
+    # and its variance still bounds solve's from above
+    grid = np.linspace(-1.0, 1.0, 31)
+    kept_v = []
+    for n in range(15, 31):
+        rows = intercept_free_vander(grid, n)
+        for p in range(1, n + 1):
+            dual = elfving_lp(DesignProblem(n, p), grid).dual
+            off_parity = np.arange(1, n + 1) % 2 != p % 2
+            v_sym = np.where(off_parity, 0.0, dual)
+            breaks = np.abs(rows @ v_sym).max() > 1.0 + polydesign.oracle.EXCHANGE_TOL
+            assert breaks == dual[off_parity].any(), (n, p)
+            if breaks:
+                kept_v.append((n, p))
+    assert len(kept_v) == 72 and min(kept_v) == (27, 1)
+    caplog.set_level(logging.DEBUG, logger="polydesign.oracle")
+    problem = DesignProblem(27, 1)
+    lp = elfving_lp(problem, grid)
+    messages = [r.getMessage() for r in caplog.records if r.name == "polydesign.oracle"]
+    assert messages == ["exchange step 1: 31 active points, 0 new, continued from v"]
+    assert lp.variance >= solve(problem).variance
+    assert phi_c(lp.design, np.eye(27)[0], 27) == pytest.approx(lp.variance, rel=1e-9)
+
+
 def test_exchange_cap_raises(monkeypatch):
     # on grid 10001 every problem with n <= 30 ends after one LP; on the
     # default grid 2001 the even p of n = 16 and 17 take two
@@ -505,7 +547,7 @@ def test_retry_is_logged(caplog, monkeypatch):
     messages = [r.getMessage() for r in caplog.records if r.name == "polydesign.oracle"]
     assert messages == [
         "LP of exchange step 1 re-solved at HiGHS's defaults: Solve error (HiGHS model status 4)",
-        "exchange step 1: 31 active points, 0 new, stood: neither",
+        "exchange step 1: 31 active points, 0 new, continued from v",
     ]
 
 
@@ -721,8 +763,8 @@ def test_sparse_grid_design_is_scored_near_the_lp_variance():
 def test_asymmetric_grids(n, p, grid):
     # the grid lies inside [-1, 1], so its optimum bounds solve's from above,
     # and phi_c of the LP's design meets the LP variance (to 7.6e-10,
-    # 4.4e-9 and 3.6e-10 relative); on SciPy 1.17.1 these problems re-solve
-    # 3, 1 and 1 LPs at HiGHS's defaults, which depends on HiGHS's version
+    # 3.2e-9 and 8.5e-10 relative); on SciPy 1.17.1 these problems re-solve
+    # 3, 2 and 0 LPs at HiGHS's defaults, which depends on HiGHS's version
     problem = DesignProblem(n, p)
     lp = elfving_lp(problem, grid)
     assert lp.variance >= solve(problem).variance
@@ -753,8 +795,8 @@ def test_exchange_logs_each_step(caplog):
     assert len(messages) == lp.iterations
     assert messages[0].startswith("exchange step 1: ")
     assert all(" active points, " in m for m in messages)
-    assert all(m.endswith("stood: neither") for m in messages[:-1])
-    assert messages[-1].endswith(("stood: v", "stood: v_sym"))
+    # on random points v_sym breaks the bound at active points on every step
+    assert all(m.endswith(" new, continued from v") for m in messages)
     last = f"exchange step {lp.iterations}: {lp.active_size} active points, 0 new"
     assert messages[-1].startswith(last)
     assert logging.getLogger("polydesign.oracle").handlers == []
@@ -763,7 +805,7 @@ def test_exchange_logs_each_step(caplog):
 @pytest.mark.parametrize("n, p, grid", [
     # five LPs, as above
     (7, 4, np.concatenate([[-1.0, 1.0], np.random.default_rng(0).uniform(-1.0, 1.0, 3000)])),
-    # one LP, where v_sym stands while v has two violating peaks
+    # one LP, continued from v_sym, while v has two violating peaks
     (5, 2, np.linspace(-1.0, 1.0, 101)),
 ])
 def test_logged_new_points_join_the_active_set(caplog, n, p, grid):
